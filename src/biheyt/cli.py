@@ -94,6 +94,18 @@ def _capped(parser, value: int, what: str) -> int:
     return value
 
 
+def _at_least_one(text: str) -> int:
+    """argparse type for sizes and point counts: below 1 the range is
+    empty and every check would pass vacuously."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} gives an empty range; use 1 or more")
+    return value
+
+
 def _elements(text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.replace(",", " ").split()]
@@ -315,6 +327,7 @@ def _cmd_verify_s4(args, out: _Output) -> int:
     exit_code = 0
     spaces = 0
     per_schema: dict[str, int] = {}
+    failed: set[str] = set()
     for m in range(1, args.points + 1):
         for sp in enumerate_topologies(m, bound=args.points):
             spaces += 1
@@ -322,13 +335,14 @@ def _cmd_verify_s4(args, out: _Output) -> int:
                 per_schema[rep.name] = per_schema.get(rep.name, 0) + rep.checked
                 if not rep.ok:
                     exit_code = 1
+                    failed.add(rep.name)
                     out.text(f"schema {rep.name} fails on opens="
                              f"{[pattern(o, sp.points) for o in sp.opens]}")
     for name in sorted(per_schema):
+        ok = name not in failed
         out.text(f"{name:20} {per_schema[name]:>8} valuations: "
-                 f"{'pass' if exit_code == 0 else 'see failures'}")
-        out.record(record="s4-schema", schema=name, checked=per_schema[name],
-                   ok=exit_code == 0)
+                 f"{'pass' if ok else 'see failures'}")
+        out.record(record="s4-schema", schema=name, checked=per_schema[name], ok=ok)
     out.text(f"{spaces} spaces checked")
     return exit_code
 
@@ -537,16 +551,16 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="exhaustive law suites")
     ver_sub = ver.add_subparsers(dest="subcommand", required=True)
     p = ver_sub.add_parser("dual-laws", help="De Morgan, LEM, boundary laws")
-    p.add_argument("--points", type=int, default=3)
+    p.add_argument("--points", type=_at_least_one, default=3)
     p.set_defaults(func=_cmd_verify_dual_laws, cap_field="points")
     p = ver_sub.add_parser("stone", help="spectra are isomorphisms")
-    p.add_argument("--max-size", type=int, default=5)
+    p.add_argument("--max-size", type=_at_least_one, default=5)
     p.set_defaults(func=_cmd_verify_stone)
     p = ver_sub.add_parser("functoriality", help="induced maps compose contravariantly")
-    p.add_argument("--max-size", type=int, default=4)
+    p.add_argument("--max-size", type=_at_least_one, default=4)
     p.set_defaults(func=_cmd_verify_functoriality)
     p = ver_sub.add_parser("s4", help="the five S4 schemas on all small spaces")
-    p.add_argument("--points", type=int, default=3)
+    p.add_argument("--points", type=_at_least_one, default=3)
     p.set_defaults(func=_cmd_verify_s4, cap_field="points")
 
     mod = sub.add_parser("modal", help="Kripke / topological evaluation")
@@ -572,7 +586,7 @@ def _build_parser() -> argparse.ArgumentParser:
             choices=("classical", "intuitionistic", "dual", "frame"),
             default="classical",
         )
-        p.add_argument("--max-points", type=int, default=3)
+        p.add_argument("--max-points", type=_at_least_one, default=3)
         p.add_argument("--require", help="frame properties, e.g. reflexive,transitive")
         p.set_defaults(func=_cmd_modal_search, cap_field="max_points")
         return p

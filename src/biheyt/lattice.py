@@ -10,12 +10,15 @@ A lattice is distributive iff a∧(b∨c) = (a∧b)∨(a∧c) for all triples;
 the Heyting implication a→b = ⋁{x | a∧x ≤ b} and the co-Heyting
 subtraction a←b = ⋀{x | a ≤ b∨x} are only well behaved (residuation /
 co-residuation) on distributive lattices, so both refuse otherwise.
+
+enumerate_distributive_lattices lists the distributive lattices up to
+MAX_ENUMERATION_SIZE elements through Birkhoff duality, as down-set
+lattices of unlabelled posets of join-irreducibles.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import permutations
 from typing import Iterator, Optional, Sequence
 
 from .bitsets import iter_bits, subset_key
@@ -366,112 +369,106 @@ def enumerate_posets(m: int) -> Iterator[tuple[int, ...]]:
     return closed_relation_rows(m, antisymmetric=True)
 
 
-def _downsets(up_rows: tuple[int, ...], cap: int) -> Optional[list[int]]:
-    """Down-closed subsets of the poset, or None if more than cap."""
+# ---------------------------------------------------------------------------
+# Distributive lattices via Birkhoff duality: a finite distributive
+# lattice is the lattice of down-sets of its poset of join-irreducibles,
+# and non-isomorphic posets give non-isomorphic lattices. So the lattices
+# are enumerated by growing unlabelled posets, one canonical form each.
+
+# Largest size enumerate_distributive_lattices accepts. The default
+# spectrum bound is the same value, so every enumerated lattice has a
+# spectrum.
+MAX_ENUMERATION_SIZE = 12
+
+
+def _downsets(up_rows: Sequence[int]) -> list[int]:
+    """All down-closed subsets of the poset with rows up[i] = {j | i <= j}.
+
+    Elements join top-down (fewest upper bounds first), each as a new
+    minimal element x: the old down-sets that miss x's strict up-set
+    stay, and each old down-set also gains a copy with x in it."""
+    downs = [0]
+    for x in sorted(range(len(up_rows)), key=lambda i: up_rows[i].bit_count()):
+        above = up_rows[x] & ~(1 << x)
+        downs = [d for d in downs if not d & above] + [d | 1 << x for d in downs]
+    return downs
+
+
+def _lex_min_rows(up_rows: Sequence[int]) -> tuple[int, ...]:
+    """Canonical form of a poset: its least row tuple over all labellings.
+
+    Labels are handed out top-down. Label i can only go to an element
+    whose strict upper bounds all hold labels already: any other
+    element's row has a bit above i, so it is at least 2^(i+1), while
+    the rows of those elements are below that. Among them the least row
+    wins, and only ties branch."""
     k = len(up_rows)
-    down = [0] * k
-    for i in range(k):
-        for j in iter_bits(up_rows[i]):
-            down[j] |= 1 << i
-    out = []
-    for s in range(1 << k):
-        t = s
-        ok = True
-        while t:
-            low = t & -t
-            if down[low.bit_length() - 1] & ~s:
-                ok = False
-                break
-            t ^= low
-        if ok:
-            out.append(s)
-            if len(out) > cap:
-                return None
-    return out
+    above = [up_rows[x] & ~(1 << x) for x in range(k)]
+    label = [0] * k
+    rows: list[int] = []
+    best: Optional[tuple[int, ...]] = None
 
+    def extend(done: int) -> None:
+        nonlocal best
+        i = len(rows)
+        if i == k:
+            if best is None or tuple(rows) < best:
+                best = tuple(rows)
+            return
+        least, ties = None, []
+        for x in range(k):
+            if (done >> x) & 1 or above[x] & ~done:
+                continue
+            row = 1 << i
+            for y in iter_bits(above[x]):
+                row |= 1 << label[y]
+            if least is None or row < least:
+                least, ties = row, [x]
+            elif row == least:
+                ties.append(x)
+        rows.append(least)
+        for x in ties:
+            label[x] = i
+            extend(done | 1 << x)
+        rows.pop()
 
-def _incomparable_pairs(up_rows: tuple[int, ...]) -> int:
-    k = len(up_rows)
-    count = 0
-    for i in range(k):
-        for j in range(i + 1, k):
-            if not ((up_rows[i] >> j) & 1 or (up_rows[j] >> i) & 1):
-                count += 1
-    return count
-
-
-def lattice_certificate(lat: FiniteLattice) -> tuple:
-    """Isomorphism-invariant canonical form: relabel within classes of
-    the (|down|, |up|) profile, minimizing the relabeled order rows."""
-    n = lat.n
-    profile = [(lat.down[i].bit_count(), lat.up[i].bit_count()) for i in range(n)]
-    order = sorted(range(n), key=lambda i: profile[i])
-    # positions grouped by profile; permute within groups only
-    groups: list[list[int]] = []
-    for i in order:
-        if groups and profile[groups[-1][0]] == profile[i]:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    best = None
-    for parts in _group_perms(groups):
-        old_of_new = parts
-        new_of_old = [0] * n
-        for new, old in enumerate(old_of_new):
-            new_of_old[old] = new
-        rows = []
-        for new in range(n):
-            row = 0
-            for j in iter_bits(lat.up[old_of_new[new]]):
-                row |= 1 << new_of_old[j]
-            rows.append(row)
-        cand = tuple(rows)
-        if best is None or cand < best:
-            best = cand
-    return (n, best)
-
-
-def _group_perms(groups: list[list[int]]) -> Iterator[list[int]]:
-    if not groups:
-        yield []
-        return
-    head, rest = groups[0], groups[1:]
-    for perm in permutations(head):
-        for tail in _group_perms(rest):
-            yield list(perm) + tail
+    extend(0)
+    return best
 
 
 def enumerate_distributive_lattices(max_size: int) -> list[FiniteLattice]:
     """Every bounded distributive lattice with at most max_size elements,
     one representative per isomorphism class.
 
-    Uses the correspondence between finite distributive lattices and the
-    down-set lattices of their posets of join-irreducibles: posets on k
-    points are enumerated for k < max_size and the ones with at most
-    max_size down-sets are kept. A poset on exactly max_size-1 points
-    fits only when it is a chain, so that level is special-cased.
+    Each lattice is built as the down-set lattice of its poset of
+    join-irreducibles. The posets with k points are grown from those
+    with k-1: a new minimal element goes below any up-set of the parent
+    (the complement of a down-set). A child is dropped once it has more
+    than max_size down-sets, since adding points never lowers that
+    count, and children are deduplicated by their least row tuple over
+    all labellings. Lattices come out by k, and within k by that tuple,
+    which is the order in which a scan of all labelled posets in
+    lexicographic row order first meets each class. On max_size-1 points
+    only the chain fits; it is labelled bottom-up, 0 < 1 < ... .
+
+    Raises BoundExceeded above MAX_ENUMERATION_SIZE.
     """
     if max_size < 1:
         return []
-    if max_size > 9:
-        raise BoundExceeded("lattice size", max_size, 9)
-    seen = set()
+    if max_size > MAX_ENUMERATION_SIZE:
+        raise BoundExceeded("lattice size", max_size, MAX_ENUMERATION_SIZE)
     out = []
+    level: list[tuple[int, ...]] = [()]
     for k in range(max_size):
         if k == max_size - 1 and k >= 1:
-            rows_iter = iter([tuple(((1 << k) - 1) & ~((1 << i) - 1) for i in range(k))])
-        else:
-            rows_iter = enumerate_posets(k)
-        for rows in rows_iter:
-            if k + 1 + _incomparable_pairs(rows) > max_size:
-                continue
-            downs = _downsets(rows, max_size)
-            if downs is None:
-                continue
-            downs.sort(key=subset_key)
-            lat = lattice_of_subsets(downs)
-            cert = lattice_certificate(lat)
-            if cert not in seen:
-                seen.add(cert)
-                out.append(lat)
+            level = [tuple(((1 << k) - 1) & ~((1 << i) - 1) for i in range(k))]
+        grown = set()
+        for rows in level:
+            downs = _downsets(rows)
+            out.append(lattice_of_subsets(sorted(downs, key=subset_key)))
+            for kept in downs:
+                above = ((1 << k) - 1) & ~kept
+                if len(downs) + sum(1 for d in downs if not d & above) <= max_size:
+                    grown.add(_lex_min_rows(rows + ((1 << k) | above,)))
+        level = sorted(grown)
     return out

@@ -107,27 +107,32 @@ def principal_ideal(lat: FiniteLattice, a: int) -> FilterOrIdeal:
 def filters(
     lat: FiniteLattice, bound: int = DEFAULT_MAX_FILTER_LATTICE
 ) -> list[FilterOrIdeal]:
-    """All proper nonempty filters, canonically ordered."""
+    """All proper nonempty filters, canonically ordered.
+
+    In a finite lattice every filter is principal, F = ↑(⋀F), and it is
+    proper exactly when its generator is not ⊥."""
     if lat.n > bound:
         raise BoundExceeded("lattice size", lat.n, bound)
-    out = [
+    return [
         FilterOrIdeal(lat, s, "filter")
-        for s in sorted(all_subsets(lat.n), key=subset_key)
-        if _is_filter_mask(lat, s)
+        for s in sorted(
+            (lat.up[a] for a in range(lat.n) if a != lat.bottom), key=subset_key
+        )
     ]
-    return out
 
 
 def ideals(
     lat: FiniteLattice, bound: int = DEFAULT_MAX_FILTER_LATTICE
 ) -> list[FilterOrIdeal]:
-    """All proper nonempty ideals, canonically ordered."""
+    """All proper nonempty ideals, canonically ordered: the principal
+    ideals ↓a for a ≠ ⊤ (dual to filters)."""
     if lat.n > bound:
         raise BoundExceeded("lattice size", lat.n, bound)
     return [
         FilterOrIdeal(lat, s, "ideal")
-        for s in sorted(all_subsets(lat.n), key=subset_key)
-        if _is_ideal_mask(lat, s)
+        for s in sorted(
+            (lat.down[a] for a in range(lat.n) if a != lat.top), key=subset_key
+        )
     ]
 
 

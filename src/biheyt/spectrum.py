@@ -15,11 +15,11 @@ from typing import Optional, Sequence
 
 from .bitsets import iter_bits
 from .errors import BoundExceeded, NotDistributive, WrongKind
-from .lattice import FiniteLattice
+from .lattice import MAX_ENUMERATION_SIZE, FiniteLattice
 from .quotient import FilterOrIdeal, LatticeHom, filters, _is_filter_mask
 from .topology import FiniteSpace, generate_from_basis, open_lattice
 
-DEFAULT_MAX_SPECTRUM = 12
+DEFAULT_MAX_SPECTRUM = MAX_ENUMERATION_SIZE
 
 
 def is_prime_filter(lat: FiniteLattice, filt: FilterOrIdeal) -> bool:
@@ -39,6 +39,10 @@ def is_prime_filter(lat: FiniteLattice, filt: FilterOrIdeal) -> bool:
 def prime_filters(
     lat: FiniteLattice, bound: int = DEFAULT_MAX_SPECTRUM
 ) -> list[FilterOrIdeal]:
+    """The proper filters that pass is_prime_filter. Each candidate is
+    tested on the lattice's join table rather than read off the
+    join-irreducibles, so β stays an independent check (in M3 the
+    atoms are join-irreducible, yet no filter is prime)."""
     return [f for f in filters(lat, bound) if is_prime_filter(lat, f)]
 
 

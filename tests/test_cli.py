@@ -113,11 +113,67 @@ def test_verify_functoriality(capsys):
     assert "all contravariant" in out
 
 
+def test_verify_stone_at_the_cap(capsys):
+    code, out, _ = run(capsys, "verify", "stone", "--max-size", "12")
+    assert code == 0
+    assert out.splitlines()[-1].startswith("342 lattices checked")
+    code, _, err = run(capsys, "verify", "stone", "--max-size", "13")
+    assert code == 2
+    assert "exceeds configured bound 12" in err
+
+
 def test_verify_s4(capsys):
     code, out, _ = run(capsys, "verify", "s4", "--points", "3")
     assert code == 0
     assert "T reflection" in out
     assert "34 spaces checked" in out
+
+
+def test_verify_s4_reports_each_schema_on_its_own(capsys, monkeypatch):
+    import dataclasses
+
+    import biheyt.cli as cli
+    from biheyt.modal import S4_SCHEMAS
+
+    real = cli.s4_axiom_suite
+
+    def t_fails(structure, bound):
+        return [
+            dataclasses.replace(rep, violations=((0, 0),))
+            if rep.name == "T reflection" else rep
+            for rep in real(structure, bound=bound)
+        ]
+
+    monkeypatch.setattr(cli, "s4_axiom_suite", t_fails)
+    code, out, _ = run(capsys, "--format", "json", "verify", "s4", "--points", "2")
+    assert code == 1
+    verdicts = {
+        rec["schema"]: rec["ok"]
+        for rec in map(json.loads, out.splitlines())
+        if rec["record"] == "s4-schema"
+    }
+    assert verdicts == {name: name != "T reflection" for name, _ in S4_SCHEMAS}
+    code, out, _ = run(capsys, "verify", "s4", "--points", "2")
+    assert code == 1
+    lines = [line for line in out.splitlines() if "valuations:" in line]
+    assert len(lines) == len(S4_SCHEMAS)
+    for line in lines:
+        assert line.endswith("see failures" if "T reflection" in line else "pass")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "stone", "--max-size", "0"),
+    ("verify", "s4", "--points", "-2"),
+    ("verify", "dual-laws", "--points", "0"),
+    ("verify", "functoriality", "--max-size", "-1"),
+    ("search", "--formula", "p", "--max-points", "0"),
+    ("modal", "search", "--formula", "p", "--max-points", "-1"),
+])
+def test_empty_range_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "empty range" in capsys.readouterr().err
 
 
 # -- modal ----------------------------------------------------------------------------

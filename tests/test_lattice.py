@@ -18,7 +18,7 @@ from biheyt import (
     is_boolean,
     lattice_of_subsets,
 )
-from biheyt.bitsets import subset_key
+from biheyt.bitsets import iter_bits, subset_key
 
 
 def leq_set(lat):
@@ -368,7 +368,106 @@ def test_enumeration_bound():
     from biheyt import BoundExceeded, enumerate_distributive_lattices
 
     with pytest.raises(BoundExceeded):
-        enumerate_distributive_lattices(10)
+        enumerate_distributive_lattices(13)
+    assert len(enumerate_distributive_lattices(12)) == 342
+
+
+# -- the labelled enumerator, kept as the reference -----------------------------
+
+
+def labelled_downsets(up_rows, cap):
+    """Down-closed subsets by a scan of all 2^k subsets, or None past cap."""
+    k = len(up_rows)
+    down = [0] * k
+    for i in range(k):
+        for j in iter_bits(up_rows[i]):
+            down[j] |= 1 << i
+    out = []
+    for s in range(1 << k):
+        if all(not down[j] & ~s for j in iter_bits(s)):
+            out.append(s)
+            if len(out) > cap:
+                return None
+    return out
+
+
+def incomparable_pairs(up_rows):
+    k = len(up_rows)
+    return sum(
+        1
+        for i in range(k)
+        for j in range(i + 1, k)
+        if not ((up_rows[i] >> j) & 1 or (up_rows[j] >> i) & 1)
+    )
+
+
+def lattice_certificate(lat):
+    """Isomorphism-invariant canonical form: relabel within classes of
+    the (|down|, |up|) profile, minimizing the relabeled order rows."""
+    from itertools import permutations, product
+
+    n = lat.n
+    profile = [(lat.down[i].bit_count(), lat.up[i].bit_count()) for i in range(n)]
+    groups = {}
+    for i in sorted(range(n), key=lambda i: profile[i]):
+        groups.setdefault(profile[i], []).append(i)
+    best = None
+    for parts in product(*(permutations(g) for g in groups.values())):
+        old_of_new = [old for part in parts for old in part]
+        new_of_old = [0] * n
+        for new, old in enumerate(old_of_new):
+            new_of_old[old] = new
+        cand = tuple(
+            sum(1 << new_of_old[j] for j in iter_bits(lat.up[old]))
+            for old in old_of_new
+        )
+        if best is None or cand < best:
+            best = cand
+    return (n, best)
+
+
+def labelled_enumeration(max_size):
+    """Reference enumerator: every labelled poset on k < max_size points
+    in lexicographic row order, keeping the first of each lattice
+    isomorphism class. On max_size-1 points only the chain fits."""
+    from biheyt.lattice import enumerate_posets
+
+    seen = set()
+    out = []
+    for k in range(max_size):
+        if k == max_size - 1 and k >= 1:
+            rows_iter = [tuple(((1 << k) - 1) & ~((1 << i) - 1) for i in range(k))]
+        else:
+            rows_iter = enumerate_posets(k)
+        for rows in rows_iter:
+            if k + 1 + incomparable_pairs(rows) > max_size:
+                continue
+            downs = labelled_downsets(rows, max_size)
+            if downs is None:
+                continue
+            lat = lattice_of_subsets(sorted(downs, key=subset_key))
+            cert = lattice_certificate(lat)
+            if cert not in seen:
+                seen.add(cert)
+                out.append(lat)
+    return out
+
+
+@pytest.mark.parametrize("max_size", range(1, 9))
+def test_enumeration_matches_labelled_reference(max_size):
+    from biheyt import enumerate_distributive_lattices
+
+    got = [lat.up for lat in enumerate_distributive_lattices(max_size)]
+    assert got == [lat.up for lat in labelled_enumeration(max_size)]
+
+
+def test_enumeration_counts_match_a006982():
+    from biheyt import enumerate_distributive_lattices
+
+    a006982 = [1, 1, 1, 2, 3, 5, 8, 15, 26, 47, 82, 151]
+    sizes = [lat.n for lat in enumerate_distributive_lattices(12)]
+    assert [sizes.count(n) for n in range(1, 13)] == a006982
+    assert len(sizes) == sum(a006982) == 342
 
 
 def test_enumeration_contains_chains_and_booleans(lattices_6):

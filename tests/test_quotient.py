@@ -84,6 +84,22 @@ def test_filter_bound():
         filters(chain(3), bound=2)
 
 
+def test_principal_filters_and_ideals_match_subset_scan(m3_diamond):
+    """filters/ideals read off the principal ones; the reference scans
+    all 2^n member masks, in the same canonical order."""
+    from biheyt import enumerate_distributive_lattices
+    from biheyt.bitsets import all_subsets, subset_key
+
+    for lat in [*enumerate_distributive_lattices(8), m3_diamond]:
+        scan = sorted(all_subsets(lat.n), key=subset_key)
+        assert [f.members for f in filters(lat)] == [
+            s for s in scan if _is_filter_mask(lat, s)
+        ]
+        assert [i.members for i in ideals(lat)] == [
+            s for s in scan if _is_ideal_mask(lat, s)
+        ]
+
+
 def test_make_filter_rejects_junk(chain3):
     with pytest.raises(WrongKind):
         make_filter(chain3, [0])      # not up-closed... bottom's upset is everything
