@@ -7,7 +7,8 @@ canonical order. --format json emits one JSON record per line for
 harness consumption; the default human mode prints aligned tables.
 
 The environment variable BIHEYT_MAX_POINTS, when set, caps every
---points / --max-points argument.
+--points / --max-points argument; it can only lower the library bounds
+(search: DEFAULT_MAX_POINTS spaces, DEFAULT_MAX_WORLDS frames).
 """
 
 from __future__ import annotations
@@ -412,8 +413,7 @@ def _cmd_modal_search(args, out: _Output) -> int:
     semantics = "classical" if args.semantics == "frame" else args.semantics
     props = tuple(args.require.replace(",", " ").split()) if args.require else ()
     result = countermodel_search(
-        phi, args.max_points, mode=mode, semantics=semantics,
-        frame_properties=props, bound=args.max_points,
+        phi, args.max_points, mode=mode, semantics=semantics, frame_properties=props,
     )
     if result is None:
         out.text(f"no countermodel within {args.max_points} points")
@@ -617,6 +617,10 @@ def main(argv=None) -> int:
         return args.func(args, out)
     except BiheytError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # the parser and the reference evaluators recurse once per nesting level
+        print("error: formula nests too deeply", file=sys.stderr)
         return 2
 
 

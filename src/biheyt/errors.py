@@ -67,6 +67,18 @@ class WrongKind(BiheytError):
     pass
 
 
+class UnknownOption(BiheytError, ValueError):
+    """A mode, semantics or property name outside the supported set."""
+
+    def __init__(self, what, value, choices):
+        self.what = what
+        self.value = value
+        self.choices = tuple(choices)
+        super().__init__(
+            f"unknown {what} {value!r}; expected one of {', '.join(self.choices)}"
+        )
+
+
 class NotAHomomorphism(BiheytError):
     def __init__(self, op, a, b, detail=""):
         self.op = op

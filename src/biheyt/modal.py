@@ -1,16 +1,35 @@
 """Kripke frames and models, frame classification, topological
 semantics, and bounded countermodel search.
 
-kripke_eval uses classical base clauses at each world (per-world
-boolean recursion); □ quantifies over accessible worlds, ◇ asks for
-one. topo_eval interprets the same classical connectives as set
-operations with □ = interior and ◇ = closure, uniformly at every
-nesting depth. On a finite space the two semantics coincide through
-the specialization preorder (model_from_space); agreement_closure
-certifies that equivalence for every formula over given atoms by
-exhausting the reachable pairs of values.
+Reference routes. kripke_eval uses classical base clauses at each
+world (per-world boolean recursion); □ quantifies over accessible
+worlds, ◇ asks for one. topo_eval interprets the same classical
+connectives as set operations with □ = interior and ◇ = closure,
+uniformly at every nesting depth. On a finite space the two semantics
+coincide through the specialization preorder (model_from_space);
+agreement_closure certifies that equivalence for every formula over
+given atoms by exhausting the reachable pairs of values. These
+per-valuation walkers are the independent references that the sliced
+core below is tested against.
 
-← and ∼ get no Kripke clauses; they belong to the algebra evaluators.
+Sliced core. The valuation sweeps (s4_axiom_suite, valid_in_frame,
+and countermodel_search on the frame route and the classical space
+route) compile a formula once into a post-order node list and check
+every valuation at once. A point's truth value is one int with one bit
+per valuation: with k atoms in sweep order over n points, valuation
+index v = Σ masks[j] << n·(k−1−j), which is the lexicographic order of
+itertools.product over the atoms' subset masks. On a frame, □ at w is
+the AND of its successors' vectors and ◇ their OR. On a space, □ at x
+is the OR, over the opens containing x, of the AND of the open's
+vectors, and ◇ uses the closeds in the same way; the specialization
+preorder is never consulted, so the space route stays independent of
+the frame route. A slice holds at most 2**SLICE_BITS valuations and
+wider sweeps run slice by slice in ascending order. The lowest zero bit
+names the first failing valuation, so witnesses and violation lists
+come out in the order of a per-valuation loop.
+
+← and ∼ get no Kripke clauses; they belong to the algebra evaluators,
+and the compiler rejects them before any sweep starts.
 """
 
 from __future__ import annotations
@@ -19,8 +38,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .bitsets import all_subsets, iter_bits
-from .errors import BoundExceeded, UnboundAtom, UnsupportedConnective
+from .bitsets import iter_bits
+from .errors import BoundExceeded, UnboundAtom, UnknownOption, UnsupportedConnective
 from .formulas import Formula, atom, box, dia, neg, parse_formula
 from .duallogic import eval_dual, eval_intuitionistic
 from .topology import (
@@ -38,6 +57,8 @@ from .topology import (
 _KRIPKE = {"atom", "bot", "top", "not", "and", "or", "imp", "box", "dia"}
 
 DEFAULT_MAX_WORLDS = 4
+FRAME_PROPERTIES = ("reflexive", "transitive", "symmetric")
+SLICE_BITS = 12  # a slice holds at most 2**SLICE_BITS valuations
 
 
 class KripkeFrame:
@@ -159,11 +180,177 @@ def valid_in_frame(
         raise BoundExceeded(
             "valuation space bits", frame.worlds * len(names), bound_bits
         )
-    for masks in product(all_subsets(frame.worlds), repeat=len(names)):
-        model = KripkeModel(frame, dict(zip(names, masks)))
-        if not valid_in_model(model, phi):
-            return False
-    return True
+    prog, names = _compile(phi, "kripke", names)
+    failures = _failures(prog, len(names), frame.worlds, _frame_modalities(frame))
+    return next(failures, None) is None
+
+
+# --- sliced core ----------------------------------------------------------
+
+
+def _compile(
+    phi: Formula, context: str, names: Optional[Sequence[str]] = None
+) -> tuple[list[tuple], list[str]]:
+    """Post-order node list of phi and the atom names it is swept over
+    (the given names, else phi's atoms sorted). A node is ("atom", j)
+    for names[j], or its kind followed by the indices of its children's
+    nodes. The walk is iterative, and a connective outside the Kripke
+    fragment or an atom outside names is rejected before any sweep."""
+    nodes: list[tuple] = []
+    done: list[int] = []  # node indices of the finished subformulas
+    stack = [(phi, False)]
+    while stack:
+        f, ready = stack.pop()
+        if f.kind not in _KRIPKE:
+            raise UnsupportedConnective(f.kind, context)
+        if f.args and not ready:
+            stack.append((f, True))
+            stack.extend((a, False) for a in reversed(f.args))
+            continue
+        if f.kind == "atom":
+            nodes.append(("atom", f.name))
+        else:
+            split = len(done) - len(f.args)
+            nodes.append((f.kind, *done[split:]))
+            del done[split:]
+        done.append(len(nodes) - 1)
+    if names is None:
+        names = sorted({node[1] for node in nodes if node[0] == "atom"})
+    index = {name: j for j, name in enumerate(names)}
+    prog = []
+    for node in nodes:
+        if node[0] == "atom":
+            if node[1] not in index:
+                raise UnboundAtom(node[1])
+            node = ("atom", index[node[1]])
+        prog.append(node)
+    return prog, list(names)
+
+
+def _slices(points: int, natoms: int) -> Iterator[tuple[int, int, list[list[int]]]]:
+    """(base, full, atom vectors) for each slice of the valuation space,
+    ascending. Bit v of atoms[j][x] is set iff atom j holds at point x
+    under valuation base + v; full has one bit per valuation in the
+    slice."""
+    total = points * natoms
+    width_bits = min(total, SLICE_BITS)
+    full = (1 << (1 << width_bits)) - 1
+    # bit b of the valuation index, over the indices of one slice
+    periodic = [
+        (((1 << (1 << b)) - 1) << (1 << b)) * (full // ((1 << (2 << b)) - 1))
+        for b in range(width_bits)
+    ]
+    for base in range(0, 1 << total, 1 << width_bits):
+        column = [
+            periodic[b] if b < width_bits else (full if (base >> b) & 1 else 0)
+            for b in range(total)
+        ]
+        atoms = [
+            column[points * (natoms - 1 - j) : points * (natoms - j)]
+            for j in range(natoms)
+        ]
+        yield base, full, atoms
+
+
+def _evaluate(prog, atoms, full: int, points: int, modalities) -> list[int]:
+    """Per-point vectors of the compiled formula over one slice."""
+    box, dia = modalities
+    vals: list[list[int]] = []
+    for node in prog:
+        kind = node[0]
+        if kind == "atom":
+            value = atoms[node[1]]
+        elif kind == "bot":
+            value = [0] * points
+        elif kind == "top":
+            value = [full] * points
+        elif kind == "not":
+            value = [full ^ a for a in vals[node[1]]]
+        elif kind == "and":
+            value = [a & b for a, b in zip(vals[node[1]], vals[node[2]])]
+        elif kind == "or":
+            value = [a | b for a, b in zip(vals[node[1]], vals[node[2]])]
+        elif kind == "imp":
+            value = [(full ^ a) | b for a, b in zip(vals[node[1]], vals[node[2]])]
+        elif kind == "box":
+            value = box(vals[node[1]], full)
+        else:
+            value = dia(vals[node[1]], full)
+        vals.append(value)
+    return vals[-1]
+
+
+def _failures(prog, natoms: int, points: int, modalities) -> Iterator[tuple[int, list[int]]]:
+    """(valuation index, points where the formula fails), for every
+    failing valuation in ascending order."""
+    for base, full, atoms in _slices(points, natoms):
+        vec = _evaluate(prog, atoms, full, points, modalities)
+        held = full
+        for x in vec:
+            held &= x
+        bad = full ^ held
+        while bad:
+            low = bad & -bad
+            yield base + low.bit_length() - 1, [
+                x for x in range(points) if not vec[x] & low
+            ]
+            bad ^= low
+
+
+def _masks(v: int, natoms: int, points: int) -> tuple[int, ...]:
+    """The atoms' subset masks of valuation index v."""
+    row = (1 << points) - 1
+    return tuple((v >> points * (natoms - 1 - j)) & row for j in range(natoms))
+
+
+def _meet(vec: list[int], idx, full: int) -> int:
+    acc = full
+    for i in idx:
+        acc &= vec[i]
+    return acc
+
+
+def _join(vec: list[int], idx) -> int:
+    acc = 0
+    for i in idx:
+        acc |= vec[i]
+    return acc
+
+
+def _frame_modalities(frame: KripkeFrame):
+    """□ and ◇ on per-world vectors: AND and OR over the successors."""
+    succ = [list(iter_bits(r)) for r in frame.rel]
+
+    def box(vec, full):
+        return [_meet(vec, ws, full) for ws in succ]
+
+    def dia(vec, full):
+        return [_join(vec, ws) for ws in succ]
+
+    return box, dia
+
+
+def _space_modalities(space: FiniteSpace):
+    """□ and ◇ on per-point vectors from the opens and closeds: x is in
+    the interior iff some open around x lies inside, and in the closure
+    iff every closed avoiding x misses part of the set."""
+    points = range(space.points)
+    opens = [list(iter_bits(o)) for o in space.opens]
+    around = [[i for i, o in enumerate(space.opens) if (o >> x) & 1] for x in points]
+    outside = [list(iter_bits(space.full & ~c)) for c in space.closeds]
+    avoiding = [
+        [i for i, c in enumerate(space.closeds) if not (c >> x) & 1] for x in points
+    ]
+
+    def box(vec, full):
+        inside = [_meet(vec, o, full) for o in opens]
+        return [_join(inside, os) for os in around]
+
+    def dia(vec, full):
+        escapes = [_join(vec, out) for out in outside]
+        return [_meet(escapes, cs, full) for cs in avoiding]
+
+    return box, dia
 
 
 def topo_eval(space: FiniteSpace, valuation: Mapping[str, int], phi: Formula) -> int:
@@ -214,6 +401,7 @@ S4_SCHEMAS: tuple[tuple[str, Formula], ...] = (
     ("dual reflection", parse_formula("p -> <>p")),
     ("dual transitivity", parse_formula("<><>p -> <>p")),
 )
+_S4_PROGRAMS = [_compile(phi, "kripke", ("p", "q"))[0] for _, phi in S4_SCHEMAS]
 
 
 @dataclass
@@ -229,49 +417,56 @@ class SchemaReport:
 
 
 def s4_axiom_suite(structure, bound: int = 5) -> list[SchemaReport]:
-    """Check the five schemas over every valuation of {p, q}: on a
-    space via topo_eval, on a frame via kripke_eval at every world."""
-    reports = []
+    """Check the five schemas over every valuation of {p, q}, with the
+    sliced core: on a space through its opens and closeds, on a frame at
+    every world. Violations are (vp, vq) on a space and (vp, vq, w) on a
+    frame, in valuation order."""
     if isinstance(structure, FiniteSpace):
-        if structure.points > bound:
-            raise BoundExceeded("points", structure.points, bound)
-        subsets = list(all_subsets(structure.points))
-        for name, phi in S4_SCHEMAS:
-            bad = []
-            count = 0
-            for vp in subsets:
-                for vq in subsets:
-                    count += 1
-                    if topo_eval(structure, {"p": vp, "q": vq}, phi) != structure.full:
-                        bad.append((vp, vq))
-            reports.append(SchemaReport(name, phi, count, tuple(bad)))
-        return reports
-    if isinstance(structure, KripkeFrame):
-        if structure.worlds > bound:
-            raise BoundExceeded("worlds", structure.worlds, bound)
-        subsets = list(all_subsets(structure.worlds))
-        for name, phi in S4_SCHEMAS:
-            bad = []
-            count = 0
-            for vp in subsets:
-                for vq in subsets:
-                    count += 1
-                    model = KripkeModel(structure, {"p": vp, "q": vq})
-                    for w in range(structure.worlds):
-                        if not kripke_eval(model, w, phi):
-                            bad.append((vp, vq, w))
-            reports.append(SchemaReport(name, phi, count, tuple(bad)))
-        return reports
-    raise TypeError("expected a FiniteSpace or a KripkeFrame")
+        points, what, per_world = structure.points, "points", False
+    elif isinstance(structure, KripkeFrame):
+        points, what, per_world = structure.worlds, "worlds", True
+    else:
+        raise TypeError("expected a FiniteSpace or a KripkeFrame")
+    if points > bound:
+        raise BoundExceeded(what, points, bound)
+    if per_world:
+        modalities = _frame_modalities(structure)
+    else:
+        modalities = _space_modalities(structure)
+    reports = []
+    for (name, phi), prog in zip(S4_SCHEMAS, _S4_PROGRAMS):
+        bad = []
+        for v, missing in _failures(prog, 2, points, modalities):
+            masks = _masks(v, 2, points)
+            if per_world:
+                bad.extend((*masks, w) for w in missing)
+            else:
+                bad.append(masks)
+        reports.append(SchemaReport(name, phi, 1 << (2 * points), tuple(bad)))
+    return reports
 
 
-def enumerate_frames(worlds: int) -> Iterator[KripkeFrame]:
-    """All frames on a labeled world set, by ascending relation bits."""
-    for bits in range(1 << (worlds * worlds)):
-        rel = tuple(
-            (bits >> (w * worlds)) & ((1 << worlds) - 1) for w in range(worlds)
-        )
-        yield KripkeFrame(worlds, rel)
+def enumerate_frames(worlds: int, reflexive: bool = False) -> Iterator[KripkeFrame]:
+    """All frames on a labeled world set, by ascending relation bits
+    (row w holds bits w·worlds up to (w+1)·worlds). With reflexive=True,
+    only the reflexive ones in the same order: the diagonal bits are
+    fixed and only the other worlds²−worlds bits are walked."""
+    row = (1 << worlds) - 1
+    if not reflexive:
+        for bits in range(1 << (worlds * worlds)):
+            yield KripkeFrame(
+                worlds, tuple((bits >> (w * worlds)) & row for w in range(worlds))
+            )
+        return
+    free = max(worlds - 1, 0)
+    off = (1 << free) - 1
+    for bits in range(1 << (worlds * free)):
+        rel = []
+        for w in range(worlds):
+            r = (bits >> (w * free)) & off
+            below = r & ((1 << w) - 1)
+            rel.append(below | (1 << w) | ((r ^ below) << 1))
+        yield KripkeFrame(worlds, tuple(rel))
 
 
 @dataclass
@@ -293,71 +488,90 @@ def countermodel_search(
     mode: str = "space",
     semantics: str = "classical",
     frame_properties: tuple[str, ...] = (),
-    bound: int = DEFAULT_MAX_POINTS,
+    bound: Optional[int] = None,
 ) -> Optional[SearchResult]:
     """First falsifying structure in canonical order: increasing point
     count, then structure enumeration order, then lexicographic
     valuation order; the reported point is the lowest falsifying one.
 
-    mode 'space' with semantics 'classical' refutes via topo_eval;
-    'intuitionistic' evaluates in the open-set algebra (valuations range
-    over opens); 'dual' in the closed-set algebra (over closeds).
-    mode 'frame' scans all frames, optionally filtered by
-    frame_properties ⊆ {reflexive, transitive, symmetric}.
+    mode 'space' with semantics 'classical' refutes with the sliced core
+    on each space; 'intuitionistic' evaluates in the open-set algebra
+    (valuations range over opens); 'dual' in the closed-set algebra
+    (over closeds). mode 'frame' (classical only) sweeps every frame
+    with the sliced core, keeping those with frame_properties ⊆
+    {reflexive, transitive, symmetric}. max_points may not exceed bound,
+    which defaults to DEFAULT_MAX_WORLDS in frame mode and to
+    DEFAULT_MAX_POINTS in space mode.
     """
-    if max_points > bound:
-        raise BoundExceeded("points", max_points, bound)
-    names = sorted(phi.atoms())
+    _choose("mode", mode, ("space", "frame"))
+    allowed = ("classical",) if mode == "frame" else ("classical", "intuitionistic", "dual")
+    _choose(f"{mode}-mode semantics", semantics, allowed)
+    for prop in frame_properties:
+        _choose("frame property", prop, FRAME_PROPERTIES)
     if mode == "frame":
+        what, limit = "worlds", DEFAULT_MAX_WORLDS
+    else:
+        what, limit = "points", DEFAULT_MAX_POINTS
+    bound = limit if bound is None else bound
+    if max_points > bound:
+        raise BoundExceeded(what, max_points, bound)
+    if mode == "frame":
+        prog, names = _compile(phi, "kripke")
+        reflexive = "reflexive" in frame_properties
         for worlds in range(1, max_points + 1):
-            for frame in enumerate_frames(worlds):
+            for frame in enumerate_frames(worlds, reflexive=reflexive):
                 cls = classify_frame(frame)
                 if any(not getattr(cls, prop) for prop in frame_properties):
                     continue
-                for masks in product(all_subsets(worlds), repeat=len(names)):
-                    model = KripkeModel(frame, dict(zip(names, masks)))
-                    for w in range(worlds):
-                        if not kripke_eval(model, w, phi):
-                            return SearchResult(frame, model.valuation, w)
+                modalities = _frame_modalities(frame)
+                hit = next(_failures(prog, len(names), worlds, modalities), None)
+                if hit is not None:
+                    return _witness(frame, names, worlds, hit)
         return None
-    if mode != "space":
-        raise ValueError(f"unknown mode {mode!r}")
+    if semantics == "classical":
+        prog, names = _compile(phi, "topological")
+        for points in range(1, max_points + 1):
+            for space in enumerate_topologies(points, bound=max(points, DEFAULT_MAX_POINTS)):
+                modalities = _space_modalities(space)
+                hit = next(_failures(prog, len(names), points, modalities), None)
+                if hit is not None:
+                    return _witness(space, names, points, hit)
+        return None
+    names = sorted(phi.atoms())
     for points in range(1, max_points + 1):
         for space in enumerate_topologies(points, bound=max(points, DEFAULT_MAX_POINTS)):
-            if semantics == "classical":
-                domains = [list(all_subsets(points))] * len(names)
-                for masks in product(*domains) if names else [()]:
-                    val = dict(zip(names, masks))
-                    value = topo_eval(space, val, phi)
-                    if value != space.full:
-                        missing = next(
-                            x for x in range(points) if not (value >> x) & 1
-                        )
-                        return SearchResult(space, val, missing)
-            elif semantics in ("intuitionistic", "dual"):
-                if semantics == "intuitionistic":
-                    alg = open_lattice(space)
-                    evaluate = eval_intuitionistic
-                else:
-                    alg = closed_lattice(space)
-                    evaluate = eval_dual
-                elements = range(alg.base.n)
-                for choice in product(elements, repeat=len(names)):
-                    assignment = dict(zip(names, choice))
-                    value = evaluate(phi, alg, assignment)
-                    if value != alg.base.top:
-                        value_set = alg.base.subsets[value]
-                        missing = next(
-                            x for x in range(points) if not (value_set >> x) & 1
-                        )
-                        val = {
-                            name: alg.base.subsets[el]
-                            for name, el in assignment.items()
-                        }
-                        return SearchResult(space, val, missing)
+            if semantics == "intuitionistic":
+                alg = open_lattice(space)
+                evaluate = eval_intuitionistic
             else:
-                raise ValueError(f"unknown semantics {semantics!r}")
+                alg = closed_lattice(space)
+                evaluate = eval_dual
+            elements = range(alg.base.n)
+            for choice in product(elements, repeat=len(names)):
+                assignment = dict(zip(names, choice))
+                value = evaluate(phi, alg, assignment)
+                if value != alg.base.top:
+                    value_set = alg.base.subsets[value]
+                    missing = next(
+                        x for x in range(points) if not (value_set >> x) & 1
+                    )
+                    val = {
+                        name: alg.base.subsets[el]
+                        for name, el in assignment.items()
+                    }
+                    return SearchResult(space, val, missing)
     return None
+
+
+def _choose(what: str, value: str, choices: tuple[str, ...]) -> None:
+    if value not in choices:
+        raise UnknownOption(what, value, choices)
+
+
+def _witness(structure, names: list[str], points: int, hit) -> SearchResult:
+    v, missing = hit
+    masks = _masks(v, len(names), points)
+    return SearchResult(structure, dict(zip(names, masks)), missing[0])
 
 
 def worked_examples() -> tuple[KripkeModel, KripkeModel]:

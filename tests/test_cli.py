@@ -253,6 +253,63 @@ def test_search_frame_mode(capsys):
     assert "frame n=3" in out
 
 
+@pytest.mark.parametrize("semantics", ["frame", "classical"])
+def test_search_rejects_unsupported_connective(capsys, semantics):
+    """∧ must not short-circuit past ~ on the sweep routes."""
+    code, out, err = run(
+        capsys, "search", "--semantics", semantics, "--formula", "p & ~p",
+        "--max-points", "2",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: connective 'conot'")
+
+
+def test_search_unknown_frame_property(capsys):
+    code, out, err = run(
+        capsys, "search", "--semantics", "frame", "--formula", "[]p -> p",
+        "--require", "reflexiv",
+    )
+    assert code == 2
+    assert out == ""
+    assert "unknown frame property 'reflexiv'" in err
+
+
+@pytest.mark.parametrize("semantics", ["frame", "classical", "intuitionistic"])
+def test_search_above_library_bound(capsys, monkeypatch, semantics):
+    """--max-points is checked against the library bound (4 worlds for
+    frames, 4 points for spaces); BIHEYT_MAX_POINTS can only lower it.
+    "p" fails on the first structure, so a missing guard returns at once."""
+    monkeypatch.setenv("BIHEYT_MAX_POINTS", "9")
+    code, out, err = run(
+        capsys, "search", "--semantics", semantics, "--formula", "p",
+        "--max-points", "5",
+    )
+    assert code == 2
+    assert out == ""
+    assert "5 exceeds configured bound 4" in err
+    monkeypatch.setenv("BIHEYT_MAX_POINTS", "2")
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--semantics", semantics, "--formula", "p", "--max-points", "3"])
+    assert exc.value.code == 2
+    assert "BIHEYT_MAX_POINTS=2" in capsys.readouterr().err
+
+
+DEEP = "!" * 3000 + "p"
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "--formula", DEEP, "--max-points", "1"),
+    ("modal", "eval", "--model", "example1", "--formula", DEEP),
+    ("eval", "--algebra", "chain3", "--formula", DEEP),
+])
+def test_deep_formula_is_an_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: formula nests too deeply\n"
+
+
 # -- algebra eval -----------------------------------------------------------------------
 
 

@@ -1,7 +1,11 @@
+from itertools import combinations, product
+
 import pytest
 
 from biheyt import (
     BoundExceeded,
+    FiniteSpace,
+    UnknownOption,
     KripkeFrame,
     KripkeModel,
     UnboundAtom,
@@ -10,6 +14,7 @@ from biheyt import (
     classify_frame,
     countermodel_search,
     enumerate_frames,
+    enumerate_topologies,
     kripke_eval,
     model_from_space,
     parse_formula,
@@ -20,8 +25,10 @@ from biheyt import (
     valid_in_model,
     worked_examples,
 )
+import biheyt.modal as modal
 from biheyt.bitsets import all_subsets
 from biheyt.formulas import atom, conj, dia, disj, enumerate_formulas
+from biheyt.modal import S4_SCHEMAS, SchemaReport, SearchResult
 
 
 # -- classification -----------------------------------------------------------
@@ -360,3 +367,276 @@ def test_frame_class_validity_hierarchy():
     assert k <= t <= s4 <= s5
     t_axiom = parse_formula("[]p -> p")
     assert t_axiom in t and t_axiom not in k
+
+
+# -- sliced core against the per-valuation references -------------------------------
+#
+# The oracles below are the per-valuation loops the sliced core replaced:
+# one kripke_eval per world or one topo_eval per valuation, valuations in
+# itertools.product order, frames from the full scan filtered by
+# classify_frame.
+
+FRAME_FORMULAS = [
+    "[]p -> p",
+    "[]p -> [][]p",
+    "p -> []<>p",
+    "<>p -> []<>p",
+    "[](p -> q) -> ([]p -> []q)",
+    "p | !p",
+    "[]p | []!p",
+    "<>[]p -> []<>p",
+    "(p & q) -> <>r",
+    "T",
+    "_|_",
+    "[]_|_ -> <>q",
+]
+
+
+def oracle_suite(structure):
+    reports = []
+    if isinstance(structure, FiniteSpace):
+        subsets = list(all_subsets(structure.points))
+        for name, phi in S4_SCHEMAS:
+            bad = [
+                (vp, vq)
+                for vp in subsets
+                for vq in subsets
+                if topo_eval(structure, {"p": vp, "q": vq}, phi) != structure.full
+            ]
+            reports.append(SchemaReport(name, phi, len(subsets) ** 2, tuple(bad)))
+        return reports
+    subsets = list(all_subsets(structure.worlds))
+    for name, phi in S4_SCHEMAS:
+        bad = []
+        for vp in subsets:
+            for vq in subsets:
+                model = KripkeModel(structure, {"p": vp, "q": vq})
+                for w in range(structure.worlds):
+                    if not kripke_eval(model, w, phi):
+                        bad.append((vp, vq, w))
+        reports.append(SchemaReport(name, phi, len(subsets) ** 2, tuple(bad)))
+    return reports
+
+
+def oracle_search(phi, max_points, mode, frame_properties=()):
+    names = sorted(phi.atoms())
+    for n in range(1, max_points + 1):
+        if mode == "frame":
+            structures = [
+                f for f in enumerate_frames(n)
+                if all(getattr(classify_frame(f), prop) for prop in frame_properties)
+            ]
+        else:
+            structures = list(enumerate_topologies(n))
+        for st in structures:
+            for masks in product(all_subsets(n), repeat=len(names)):
+                val = dict(zip(names, masks))
+                if mode == "frame":
+                    model = KripkeModel(st, val)
+                    failing = [w for w in range(n) if not kripke_eval(model, w, phi)]
+                else:
+                    value = topo_eval(st, val, phi)
+                    failing = [x for x in range(n) if not (value >> x) & 1]
+                if failing:
+                    return SearchResult(st, val, failing[0])
+    return None
+
+
+def oracle_valid_in_frame(frame, phi, names):
+    return all(
+        valid_in_model(KripkeModel(frame, dict(zip(names, masks))), phi)
+        for masks in product(all_subsets(frame.worlds), repeat=len(names))
+    )
+
+
+def sliced_sets(structure, phi, names):
+    """Truth set of phi under each valuation, in product order, read
+    off the sliced core's per-point vectors."""
+    if isinstance(structure, FiniteSpace):
+        points, modalities = structure.points, modal._space_modalities(structure)
+    else:
+        points, modalities = structure.worlds, modal._frame_modalities(structure)
+    prog, names = modal._compile(phi, "test", names)
+    sets = []
+    for base, full, atoms in modal._slices(points, len(names)):
+        vec = modal._evaluate(prog, atoms, full, points, modalities)
+        width = full.bit_length()
+        for v in range(min(width, (1 << points * len(names)) - base)):
+            sets.append(sum(((vec[x] >> v) & 1) << x for x in range(points)))
+    return sets
+
+
+def kripke_set(model, phi):
+    return sum(kripke_eval(model, w, phi) << w for w in range(model.frame.worlds))
+
+
+@pytest.fixture(params=[None, 3], ids=["one-slice", "3-bit-slices"])
+def slice_bits(request, monkeypatch):
+    """Run a test with the normal slice width and with 8-valuation slices,
+    so the ascending slice-by-slice path is covered at small sizes."""
+    if request.param is not None:
+        monkeypatch.setattr(modal, "SLICE_BITS", request.param)
+    return request.param
+
+
+def test_sliced_core_matches_topo_eval(spaces_3):
+    formulas = list(enumerate_formulas(2, ("p", "q")))
+    for sp in spaces_3:
+        vals = [
+            {"p": vp, "q": vq} for vp, vq in product(all_subsets(sp.points), repeat=2)
+        ]
+        for phi in formulas:
+            sets = sliced_sets(sp, phi, ("p", "q"))
+            assert sets == [topo_eval(sp, val, phi) for val in vals], (sp, phi)
+
+
+def test_sliced_core_matches_kripke_eval():
+    m1, m2 = worked_examples()
+    cases = [(f, enumerate_formulas(2, ("p", "q"))) for n in (1, 2) for f in enumerate_frames(n)]
+    cases += [(m.frame, enumerate_formulas(2, ("p", "q"))) for m in (m1, m2)]
+    cases += [(f, enumerate_formulas(1, ("p",))) for f in enumerate_frames(3)]
+    for frame, formulas in cases:
+        formulas = list(formulas)
+        names = sorted({a for phi in formulas for a in phi.atoms()})
+        models = [
+            KripkeModel(frame, dict(zip(names, masks)))
+            for masks in product(all_subsets(frame.worlds), repeat=len(names))
+        ]
+        for phi in formulas:
+            assert sliced_sets(frame, phi, names) == [kripke_set(m, phi) for m in models]
+
+
+def test_sliced_core_chunks_match_one_slice(monkeypatch):
+    """Slices of 8 valuations reproduce the single 2^12-valuation slice."""
+    frames = (
+        KripkeFrame.from_edges(3, [(0, 0), (0, 1), (1, 2), (2, 0), (2, 2)]),
+        worked_examples()[0].frame,
+    )
+    formulas = [parse_formula(t) for t in FRAME_FORMULAS]
+
+    def sweep():
+        return [sliced_sets(f, phi, ("p", "q", "r")) for f in frames for phi in formulas]
+
+    whole = sweep()
+    monkeypatch.setattr(modal, "SLICE_BITS", 3)
+    assert sweep() == whole
+
+
+def test_s4_suite_matches_oracle_on_spaces(spaces_4, slice_bits):
+    spaces = spaces_4 if slice_bits is None else spaces_4[:34]
+    for sp in spaces:
+        assert s4_axiom_suite(sp) == oracle_suite(sp), sp
+
+
+def test_s4_suite_matches_oracle_on_frames(slice_bits):
+    frames = [f for n in range(1, 4) for f in enumerate_frames(n)]
+    if slice_bits is not None:
+        frames = frames[::7]
+    for frame in frames:
+        assert s4_axiom_suite(frame) == oracle_suite(frame), frame
+
+
+REQUIRE_SUBSETS = [
+    sub for r in range(4) for sub in combinations(("reflexive", "transitive", "symmetric"), r)
+]
+
+
+def same_result(a, b):
+    if a is None or b is None:
+        return a is b
+    return (a.structure, a.valuation, a.point) == (b.structure, b.valuation, b.point)
+
+
+@pytest.mark.parametrize("require", REQUIRE_SUBSETS, ids=",".join)
+def test_frame_search_matches_oracle(require, slice_bits):
+    for text in FRAME_FORMULAS:
+        phi = parse_formula(text)
+        got = countermodel_search(phi, 3, mode="frame", frame_properties=require)
+        assert same_result(got, oracle_search(phi, 3, "frame", require)), (text, got)
+
+
+def test_space_search_matches_oracle(slice_bits):
+    for text in FRAME_FORMULAS:
+        phi = parse_formula(text)
+        got = countermodel_search(phi, 3, mode="space", semantics="classical")
+        assert same_result(got, oracle_search(phi, 3, "space")), (text, got)
+
+
+@pytest.mark.parametrize("worlds", [1, 2, 3, 4])
+def test_reflexive_frames_fast_path(worlds):
+    full_scan = [f for f in enumerate_frames(worlds) if classify_frame(f).reflexive]
+    assert list(enumerate_frames(worlds, reflexive=True)) == full_scan
+    assert len(full_scan) == 1 << (worlds * worlds - worlds)
+
+
+def test_valid_in_frame_matches_oracle(slice_bits):
+    formulas = [parse_formula(t) for t in FRAME_FORMULAS if "q" not in t and "r" not in t]
+    for frame in (f for n in range(1, 4) for f in enumerate_frames(n)):
+        for phi in formulas:
+            assert valid_in_frame(frame, phi, ["p"]) == oracle_valid_in_frame(
+                frame, phi, ["p"]
+            ), (frame, phi)
+
+
+def test_valid_in_frame_across_slices():
+    """4 worlds x 4 atoms = 2^16 valuations: sixteen 2^12-valuation slices."""
+    assert 4 * 4 > modal.SLICE_BITS
+    names = ["p", "q", "r", "s"]
+    s4 = KripkeFrame.from_edges(4, [(0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (1, 2), (0, 2)])
+    t = KripkeFrame.from_edges(4, [(0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (1, 2)])
+    cases = [
+        (s4, "[](p -> q) -> ([]r -> [][]r)"),  # valid: every slice is swept
+        (t, "[]r -> [][]r"),  # fails in the first slice
+        (s4, "[]p -> (q | r | s)"),  # first failure at p = {0}, in the second slice
+        (t, "<>p -> (q | r | s | [][]p)"),
+    ]
+    for frame, text in cases:
+        phi = parse_formula(text)
+        assert valid_in_frame(frame, phi, names) == oracle_valid_in_frame(frame, phi, names)
+    assert valid_in_frame(s4, parse_formula(cases[0][1]), names)
+    assert not valid_in_frame(s4, parse_formula(cases[2][1]), names)
+
+
+def test_sweeps_reject_unsupported_connectives_up_front():
+    """kripke_eval's ∧ short-circuits past ~p when p is false; the sweeps
+    compile first and reject the formula before any valuation."""
+    phi = parse_formula("p & ~p")
+    m = KripkeModel(KripkeFrame(1, (1,)), {"p": 0})
+    assert not kripke_eval(m, 0, phi)  # the reference route never reaches ~
+    for mode in ("frame", "space"):
+        with pytest.raises(UnsupportedConnective):
+            countermodel_search(phi, 2, mode=mode)
+    with pytest.raises(UnsupportedConnective):
+        valid_in_frame(KripkeFrame(1, (1,)), phi, ["p"])
+    with pytest.raises(UnboundAtom):
+        valid_in_frame(KripkeFrame(1, (1,)), parse_formula("p & z"), ["p"])
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"mode": "frames"},
+    {"semantics": "modal"},
+    {"mode": "frame", "semantics": "intuitionistic"},
+    {"mode": "frame", "frame_properties": ("reflexiv",)},
+    {"frame_properties": ("serial",)},
+])
+def test_search_rejects_unknown_options(kwargs):
+    with pytest.raises(UnknownOption):
+        countermodel_search(parse_formula("p"), 1, **kwargs)
+
+
+def test_frame_search_bound_defaults_to_max_worlds():
+    # "p" fails on the first frame, so a missing guard returns at once
+    assert modal.DEFAULT_MAX_WORLDS == 4
+    with pytest.raises(BoundExceeded) as exc:
+        countermodel_search(parse_formula("p"), 5, mode="frame")
+    assert exc.value.what == "worlds" and exc.value.bound == 4
+
+
+def test_deep_formula_compiles_without_recursion():
+    phi = atom("p")
+    for _ in range(5000):
+        phi = dia(phi)
+    prog, names = modal._compile(phi, "kripke")
+    assert len(prog) == 5001 and names == ["p"]
+    frame = KripkeFrame(1, (1,))
+    assert valid_in_frame(frame, disj(phi, parse_formula("!p")), ["p"])
