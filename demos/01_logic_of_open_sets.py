@@ -3,24 +3,23 @@ implication is the largest open set whose overlap with the antecedent
 stays inside the consequent. Double negation is where the logic stops
 being classical."""
 
-from biheyt import open_lattice, parse_formula, validate_topology
+from biheyt import eval_algebra, open_lattice, parse_formula, validate_topology
 from biheyt.bitsets import pattern
-from biheyt.duallogic import eval_intuitionistic
 
 space = validate_topology(3, [0b000, 0b001, 0b011, 0b111])
 print("space on {a,b,c} with opens:", [pattern(o, 3) for o in space.opens])
 
-alg = open_lattice(space)
-subs = alg.base.subsets
+lat = open_lattice(space)
+subs = lat.subsets
 show = lambda el: "{" + ",".join("abc"[i] for i in range(3) if (subs[el] >> i) & 1) + "}"
 
 a_b = subs.index(0b011)
 print(f"\nA = {show(a_b)}")
-print(f"¬A  = interior of complement = {show(alg.neg[a_b])}")
-print(f"¬¬A = {show(alg.neg[alg.neg[a_b]])}  — strictly bigger than A")
+print(f"¬A  = interior of complement = {show(lat.neg_table[a_b])}")
+print(f"¬¬A = {show(lat.neg_table[lat.neg_table[a_b]])}  — strictly bigger than A")
 
 print("\nexcluded middle, evaluated in the algebra:")
-for name, el in [("{a}", subs.index(0b001)), ("X", alg.base.top)]:
-    value = eval_intuitionistic(parse_formula("p | !p"), alg, {"p": el})
-    verdict = "= X, holds" if value == alg.base.top else f"= {show(value)}, fails"
+for name, el in [("{a}", subs.index(0b001)), ("X", lat.top)]:
+    value = eval_algebra(parse_formula("p | !p"), lat, {"p": el}, "intuitionistic")
+    verdict = "= X, holds" if value == lat.top else f"= {show(value)}, fails"
     print(f"  v(p) = {name:4}  p ∨ ¬p {verdict}")

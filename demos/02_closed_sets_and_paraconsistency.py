@@ -13,17 +13,17 @@ from biheyt import (
 from biheyt.bitsets import pattern
 
 space = validate_topology(3, [0b000, 0b001, 0b011, 0b111])
-alg = closed_lattice(space)
-subs = alg.base.subsets
+lat = closed_lattice(space)
+subs = lat.subsets
 show = lambda el: "{" + ",".join("abc"[i] for i in range(3) if (subs[el] >> i) & 1) + "}"
 
 print("closed sets:", [pattern(c, 3) for c in space.closeds])
 bc = subs.index(0b110)
 print(f"\nA = {show(bc)}")
-print(f"∼A = {show(alg.conot[bc])}   (closure of the complement)")
-print(f"∂A = A ∧ ∼A = {show(alg.boundary[bc])}   — a true contradiction, not ⊥")
-print(f"A ∨ ∼A = {show(alg.base.join[bc][alg.conot[bc]])}   — excluded middle still holds")
+print(f"∼A = {show(lat.conot_table[bc])}   (closure of the complement)")
+print(f"∂A = A ∧ ∼A = {show(lat.boundary_table[bc])}   — a true contradiction, not ⊥")
+print(f"A ∨ ∼A = {show(lat.join[bc][lat.conot_table[bc]])}   — excluded middle still holds")
 
 print("\nlaw suite on this algebra:")
-for rep in [*check_dual_de_morgan(alg), check_lem(alg), *check_boundary_laws(alg)]:
+for rep in [*check_dual_de_morgan(lat), check_lem(lat), *check_boundary_laws(lat)]:
     print(" ", rep)

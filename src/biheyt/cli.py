@@ -24,11 +24,10 @@ from .duallogic import (
     check_boundary_laws,
     check_dual_de_morgan,
     check_lem,
-    eval_dual,
-    eval_intuitionistic,
+    eval_algebra,
     find_paraconsistent_witness,
 )
-from .errors import BiheytError
+from .errors import BiheytError, BoundExceeded
 from .formulas import parse_formula
 from .lattice import (
     FiniteLattice,
@@ -40,9 +39,9 @@ from .lattice import (
 from .modal import (
     classify_frame,
     countermodel_search,
-    kripke_eval,
     s4_axiom_suite,
     topo_eval,
+    truth_set,
     valid_in_frame,
     valid_in_model,
     KripkeModel,
@@ -57,7 +56,13 @@ from .quotient import (
     quotient as quotient_by,
 )
 from .spectrum import induced_map, spectrum, verify_stone_embedding
-from .topology import FiniteSpace, closed_lattice, enumerate_topologies, open_lattice
+from .topology import (
+    MAX_SUITE_POINTS,
+    FiniteSpace,
+    closed_lattice,
+    enumerate_topologies,
+    open_lattice,
+)
 from .textfmt import (
     format_lattice_text,
     format_space_text,
@@ -191,8 +196,7 @@ def _cmd_space_check(args, out: _Output) -> int:
 
 def _space_algebra(args, out: _Output, closed: bool) -> int:
     space = _need(load_structure(args.path), FiniteSpace, "space")
-    alg = closed_lattice(space) if closed else open_lattice(space)
-    lat = alg.base
+    lat = closed_lattice(space) if closed else open_lattice(space)
     if out.json:
         out.record(
             record="closeds" if closed else "opens",
@@ -207,29 +211,32 @@ def _space_algebra(args, out: _Output, closed: bool) -> int:
     return 0
 
 
+def _suite_spaces(points: int):
+    """Every space on 1..points points; the cap is checked before the first."""
+    if points > MAX_SUITE_POINTS:
+        raise BoundExceeded("points", points, MAX_SUITE_POINTS)
+    return (sp for m in range(1, points + 1)
+            for sp in enumerate_topologies(m, bound=MAX_SUITE_POINTS))
+
+
 def _cmd_verify_dual_laws(args, out: _Output) -> int:
-    rows = []
     totals: dict[str, list] = {}
     spaces = 0
     paraconsistent = None
-    disjunctive_witness = None
-    for m in range(1, args.points + 1):
-        for sp in enumerate_topologies(m, bound=args.points):
-            spaces += 1
-            alg = closed_lattice(sp)
-            reports = [*check_dual_de_morgan(alg), check_lem(alg)]
-            reports += check_boundary_laws(alg)
-            for rep in reports:
-                slot = totals.setdefault(rep.law, [0, 0, None])
-                slot[0] += rep.checked
-                slot[1] += len(rep.violations)
-                if rep.violations and slot[2] is None:
-                    slot[2] = (sp, rep.violations[0])
-            if paraconsistent is None:
-                a = find_paraconsistent_witness(alg)
-                if a is not None:
-                    paraconsistent = (sp, a)
-    hard_laws = [law for law in totals if law != "disjunctive dual De Morgan"]
+    for sp in _suite_spaces(args.points):
+        spaces += 1
+        lat = closed_lattice(sp)
+        reports = [*check_dual_de_morgan(lat), check_lem(lat), *check_boundary_laws(lat)]
+        for rep in reports:
+            slot = totals.setdefault(rep.law, [0, 0, None])
+            slot[0] += rep.checked
+            slot[1] += len(rep.violations)
+            if rep.violations and slot[2] is None:
+                slot[2] = (sp, rep.violations[0])
+        if paraconsistent is None:
+            a = find_paraconsistent_witness(lat)
+            if a is not None:
+                paraconsistent = (sp, a)
     exit_code = 0
     out.text(f"{'law':38} {'checked':>8} {'violations':>10}  first witness")
     for law in sorted(totals):
@@ -246,7 +253,7 @@ def _cmd_verify_dual_laws(args, out: _Output) -> int:
             exit_code = 1
     if paraconsistent:
         sp, a = paraconsistent
-        subset = closed_lattice(sp).base.subsets[a]
+        subset = closed_lattice(sp).subsets[a]
         out.text(f"paraconsistency witness: boundary of {pattern(subset, sp.points)} "
                  f"is nonempty in opens={[pattern(o, sp.points) for o in sp.opens]}")
     out.record(record="dual-law-summary", spaces=spaces,
@@ -329,16 +336,15 @@ def _cmd_verify_s4(args, out: _Output) -> int:
     spaces = 0
     per_schema: dict[str, int] = {}
     failed: set[str] = set()
-    for m in range(1, args.points + 1):
-        for sp in enumerate_topologies(m, bound=args.points):
-            spaces += 1
-            for rep in s4_axiom_suite(sp, bound=args.points):
-                per_schema[rep.name] = per_schema.get(rep.name, 0) + rep.checked
-                if not rep.ok:
-                    exit_code = 1
-                    failed.add(rep.name)
-                    out.text(f"schema {rep.name} fails on opens="
-                             f"{[pattern(o, sp.points) for o in sp.opens]}")
+    for sp in _suite_spaces(args.points):
+        spaces += 1
+        for rep in s4_axiom_suite(sp, bound=MAX_SUITE_POINTS):
+            per_schema[rep.name] = per_schema.get(rep.name, 0) + rep.checked
+            if not rep.ok:
+                exit_code = 1
+                failed.add(rep.name)
+                out.text(f"schema {rep.name} fails on opens="
+                         f"{[pattern(o, sp.points) for o in sp.opens]}")
     for name in sorted(per_schema):
         ok = name not in failed
         out.text(f"{name:20} {per_schema[name]:>8} valuations: "
@@ -363,30 +369,24 @@ def _cmd_modal_eval(args, out: _Output) -> int:
     structure = load_structure(args.model)
     phi = parse_formula(args.formula)
     if isinstance(structure, FiniteSpace):
-        valuation = {
-            name: _subset_arg(raw, structure.points)
-            for name, raw in _assignments(args.assign)
-        }
+        valuation = _assignments(args.assign, lambda raw: _subset_arg(raw, structure.points))
         value = topo_eval(structure, valuation, phi)
         out.text(pattern(value, structure.points))
         out.record(record="topo-eval", value=bit_list(value))
         return 0 if value == structure.full else 1
     model = _need(structure, KripkeModel, "model")
+    holds = truth_set(model, phi)
     if args.world is not None:
         w = _world_index(args.world, model.frame.worlds)
-        value = kripke_eval(model, w, phi)
+        value = bool((holds >> w) & 1)
         out.text("true" if value else "false")
         out.record(record="modal-eval", world=w, value=value)
         return 0 if value else 1
-    all_true = True
-    results = {}
-    for w in range(model.frame.worlds):
-        value = kripke_eval(model, w, phi)
-        results[f"w{w}"] = value
-        all_true = all_true and value
-        out.text(f"w{w} {'true' if value else 'false'}")
+    results = {f"w{w}": bool((holds >> w) & 1) for w in range(model.frame.worlds)}
+    for name, value in results.items():
+        out.text(f"{name} {'true' if value else 'false'}")
     out.record(record="modal-eval", value=results)
-    return 0 if all_true else 1
+    return 0 if all(results.values()) else 1
 
 
 def _cmd_modal_valid(args, out: _Output) -> int:
@@ -447,55 +447,57 @@ def _cmd_modal_search(args, out: _Output) -> int:
 def _cmd_eval(args, out: _Output) -> int:
     structure = load_structure(args.algebra)
     phi = parse_formula(args.formula)
-    kinds = {k for k in ("conot", "coimp") if _uses(phi, k)}
-    dual = args.semantics == "dual" or (args.semantics == "auto" and kinds)
+    logic = args.semantics
+    if logic == "auto":
+        dual = any(f.kind in ("conot", "coimp") for f in phi.walk())
+        logic = "dual" if dual else "intuitionistic"
     if isinstance(structure, FiniteSpace):
-        alg = closed_lattice(structure) if dual else open_lattice(structure)
-        index = {s: i for i, s in enumerate(alg.base.subsets)}
-        assignment = {}
-        for name, raw in _assignments(args.assign):
+        dual = logic == "dual"
+        lat = closed_lattice(structure) if dual else open_lattice(structure)
+        index = {s: i for i, s in enumerate(lat.subsets)}
+
+        def element(raw):
             mask = _subset_arg(raw, structure.points)
             if mask not in index:
                 raise BiheytError(
                     f"{raw!r} is not {'a closed' if dual else 'an open'} set here"
                 )
-            assignment[name] = index[mask]
-        evaluate = eval_dual if dual else eval_intuitionistic
-        value = evaluate(phi, alg, assignment)
-        out.text(pattern(alg.base.subsets[value], structure.points))
-        out.record(record="algebra-eval", value=bit_list(alg.base.subsets[value]),
-                   top=value == alg.base.top)
-        return 0 if value == alg.base.top else 1
-    lat = _need(structure, FiniteLattice, "lattice or space")
-    from .lattice import coheyting, heyting  # local: avoid unused import in CLI scope
+            return index[mask]
 
-    alg = coheyting(lat) if dual else heyting(lat)
-    assignment = {}
-    for name, raw in _assignments(args.assign):
+        value = eval_algebra(phi, lat, _assignments(args.assign, element), logic)
+        out.text(pattern(lat.subsets[value], structure.points))
+        out.record(record="algebra-eval", value=bit_list(lat.subsets[value]),
+                   top=value == lat.top)
+        return 0 if value == lat.top else 1
+    lat = _need(structure, FiniteLattice, "lattice or space")
+
+    def element(raw):
         try:
             el = int(raw)
         except ValueError:
             raise BiheytError(f"bad element {raw!r}") from None
         if not 0 <= el < lat.n:
             raise BiheytError(f"element {el} out of range 0..{lat.n - 1}")
-        assignment[name] = el
-    evaluate = eval_dual if dual else eval_intuitionistic
-    value = evaluate(phi, alg, assignment)
+        return el
+
+    value = eval_algebra(phi, lat, _assignments(args.assign, element), logic)
     out.text(str(value))
     out.record(record="algebra-eval", value=value, top=value == lat.top)
     return 0 if value == lat.top else 1
 
 
-def _uses(phi, kind) -> bool:
-    return phi.kind == kind or any(_uses(a, kind) for a in phi.args)
-
-
-def _assignments(items):
+def _assignments(items, parse) -> dict:
+    """atom -> parse(value) for each ATOM=VALUE item; an atom may be
+    assigned only once."""
+    out = {}
     for item in items or ():
         if "=" not in item:
             raise BiheytError(f"assignment {item!r} is not of the form atom=value")
-        name, raw = item.split("=", 1)
-        yield name.strip(), raw.strip()
+        name, raw = (part.strip() for part in item.split("=", 1))
+        if name in out:
+            raise BiheytError(f"atom {name!r} is assigned more than once")
+        out[name] = parse(raw)
+    return out
 
 
 def _subset_arg(raw: str, points: int) -> int:

@@ -1,11 +1,14 @@
 """Algebra-valued formula evaluation and the dual-intuitionistic law
 suites.
 
-eval_intuitionistic interprets the {⊥,⊤,¬,∧,∨,→} fragment in a Heyting
-structure; eval_dual interprets {⊥,⊤,∼,∧,∨,←} in a co-Heyting
-structure. Each rejects the other fragment's connectives (and the
-modal ones) instead of coercing, because the two negations mean
-different things.
+eval_algebra reads one finite distributive lattice two ways: logic
+"intuitionistic" interprets {⊥,⊤,¬,∧,∨,→} in it as a Heyting algebra
+(¬φ = φ→⊥), logic "dual" interprets {⊥,⊤,∼,∧,∨,←} as a co-Heyting
+algebra (∼φ = ⊤←φ). compile_formula rejects the other fragment's
+connectives (and the modal ones) instead of coercing, because the two
+negations mean different things; each node is then looked up in the
+lattice's cached tables. algebra_evaluator keeps one compiled formula
+for sweeps over many assignments.
 
 The law suites scan whole operation tables and report every violation
 with a witness; over lattices of closed sets the conjunctive De Morgan
@@ -17,71 +20,54 @@ general — that failure is the point, so suites never stop early.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional, Sequence
 
-from .errors import UnboundAtom, UnsupportedConnective
-from .lattice import (
-    CoHeytingStructure,
-    FiniteLattice,
-    HeytingStructure,
-    is_boolean,
-)
-from .formulas import Formula
+from .errors import UnknownOption
+from .formulas import Formula, compile_formula
+from .lattice import FiniteLattice, is_boolean
 
-_INTUITIONISTIC = {"atom", "bot", "top", "not", "and", "or", "imp"}
-_DUAL = {"atom", "bot", "top", "conot", "and", "or", "coimp"}
+LOGICS = ("intuitionistic", "dual")
+# connective -> the FiniteLattice table that interprets it
+_TABLES = {"not": "neg_table", "conot": "conot_table", "and": "meet",
+           "or": "join", "imp": "implies_table", "coimp": "minus_table"}
 
 
-def eval_intuitionistic(
-    phi: Formula, alg: HeytingStructure, assignment: Mapping[str, int]
+def eval_algebra(
+    phi: Formula, lat: FiniteLattice, assignment: Mapping[str, int], logic: str
 ) -> int:
-    """Value of phi in the Heyting algebra; ¬φ is φ→⊥."""
-    if phi.kind not in _INTUITIONISTIC:
-        raise UnsupportedConnective(phi.kind, "intuitionistic")
-    base = alg.base
-    if phi.kind == "atom":
-        if phi.name not in assignment:
-            raise UnboundAtom(phi.name)
-        return assignment[phi.name]
-    if phi.kind == "bot":
-        return base.bottom
-    if phi.kind == "top":
-        return base.top
-    if phi.kind == "not":
-        return alg.neg[eval_intuitionistic(phi.args[0], alg, assignment)]
-    a = eval_intuitionistic(phi.args[0], alg, assignment)
-    b = eval_intuitionistic(phi.args[1], alg, assignment)
-    if phi.kind == "and":
-        return base.meet[a][b]
-    if phi.kind == "or":
-        return base.join[a][b]
-    return alg.implies[a][b]
+    """Value of phi in lat under assignment (atom -> element), read in
+    the given logic. A non-distributive lattice is refused up front."""
+    if logic not in LOGICS:
+        raise UnknownOption("logic", logic, LOGICS)
+    lat.require_distributive()
+    prog, names = compile_formula(phi, logic, sorted(assignment))
+    return algebra_evaluator(prog, lat)([assignment[name] for name in names])
 
 
-def eval_dual(
-    phi: Formula, alg: CoHeytingStructure, assignment: Mapping[str, int]
-) -> int:
-    """Value of phi in the co-Heyting algebra; ∼φ is ⊤←φ."""
-    if phi.kind not in _DUAL:
-        raise UnsupportedConnective(phi.kind, "dual")
-    base = alg.base
-    if phi.kind == "atom":
-        if phi.name not in assignment:
-            raise UnboundAtom(phi.name)
-        return assignment[phi.name]
-    if phi.kind == "bot":
-        return base.bottom
-    if phi.kind == "top":
-        return base.top
-    if phi.kind == "conot":
-        return alg.conot[eval_dual(phi.args[0], alg, assignment)]
-    a = eval_dual(phi.args[0], alg, assignment)
-    b = eval_dual(phi.args[1], alg, assignment)
-    if phi.kind == "and":
-        return base.meet[a][b]
-    if phi.kind == "or":
-        return base.join[a][b]
-    return alg.minus[a][b]
+def algebra_evaluator(
+    prog: list[tuple], lat: FiniteLattice
+) -> Callable[[Sequence[int]], int]:
+    """Evaluator of a compiled formula in lat: it maps the atoms'
+    elements, in the compiled atom order, to the formula's value."""
+    tables = {node[0]: getattr(lat, _TABLES[node[0]])
+              for node in prog if node[0] in _TABLES}
+    constants = {"bot": lat.bottom, "top": lat.top}
+
+    def value(elements: Sequence[int]) -> int:
+        vals: list[int] = []
+        for node in prog:
+            kind = node[0]
+            if kind == "atom":
+                vals.append(elements[node[1]])
+            elif kind in constants:
+                vals.append(constants[kind])
+            elif len(node) == 2:
+                vals.append(tables[kind][vals[node[1]]])
+            else:
+                vals.append(tables[kind][vals[node[1]]][vals[node[2]]])
+        return vals[-1]
+
+    return value
 
 
 @dataclass
@@ -100,18 +86,17 @@ class LawReport:
         return f"{self.law}: {state} over {self.checked} cases{first}"
 
 
-def check_dual_de_morgan(alg: CoHeytingStructure) -> list[LawReport]:
+def check_dual_de_morgan(lat: FiniteLattice) -> list[LawReport]:
     """The conjunctive law ∼(a∧b) = ∼a∨∼b (a theorem here) and the
     disjunctive law ∼(a∨b) = ∼a∧∼b (which fails in general)."""
-    base = alg.base
-    n = base.n
+    n, meet, join, conot = lat.n, lat.meet, lat.join, lat.conot_table
     conj_bad = []
     disj_bad = []
     for a in range(n):
         for b in range(n):
-            if alg.conot[base.meet[a][b]] != base.join[alg.conot[a]][alg.conot[b]]:
+            if conot[meet[a][b]] != join[conot[a]][conot[b]]:
                 conj_bad.append((a, b))
-            if alg.conot[base.join[a][b]] != base.meet[alg.conot[a]][alg.conot[b]]:
+            if conot[join[a][b]] != meet[conot[a]][conot[b]]:
                 disj_bad.append((a, b))
     return [
         LawReport("conjunctive dual De Morgan", n * n, tuple(conj_bad)),
@@ -119,33 +104,30 @@ def check_dual_de_morgan(alg: CoHeytingStructure) -> list[LawReport]:
     ]
 
 
-def check_lem(alg: CoHeytingStructure) -> LawReport:
+def check_lem(lat: FiniteLattice) -> LawReport:
     """a ∨ ∼a = ⊤ for every a."""
-    base = alg.base
-    bad = tuple(
-        (a,) for a in range(base.n) if base.join[a][alg.conot[a]] != base.top
-    )
-    return LawReport("excluded middle", base.n, bad)
+    conot = lat.conot_table
+    bad = tuple((a,) for a in range(lat.n) if lat.join[a][conot[a]] != lat.top)
+    return LawReport("excluded middle", lat.n, bad)
 
 
-def find_paraconsistent_witness(alg: CoHeytingStructure) -> Optional[int]:
+def find_paraconsistent_witness(lat: FiniteLattice) -> Optional[int]:
     """Some a with ∂a ≠ ⊥, or None (None exactly on Boolean algebras)."""
-    for a in range(alg.base.n):
-        if alg.boundary[a] != alg.base.bottom:
+    for a in range(lat.n):
+        if lat.boundary_table[a] != lat.bottom:
             return a
     return None
 
 
-def check_boundary_laws(alg: CoHeytingStructure) -> list[LawReport]:
+def check_boundary_laws(lat: FiniteLattice) -> list[LawReport]:
     """The four boundary identities:
     1. ∂(a∧b) = (∂a∧b) ∨ (a∧∂b)
     2. ∂a ∨ ∂b = ∂(a∨b) ∨ ∂(a∧b)
     3. ∂∂a = ∂a
     4. a = ∼∼a ∨ ∂a
     """
-    base = alg.base
-    n = base.n
-    meet, join, bd, conot = base.meet, base.join, alg.boundary, alg.conot
+    n, meet, join = lat.n, lat.meet, lat.join
+    bd, conot = lat.boundary_table, lat.conot_table
     leibniz = []
     join_split = []
     for a in range(n):

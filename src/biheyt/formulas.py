@@ -7,6 +7,12 @@ and the dual co-negation ∼ are distinct nodes on purpose: the
 evaluators reject the fragment they do not interpret instead of
 coercing one negation into the other.
 
+compile_formula is the one compiler behind every evaluator except the
+recursive references (kripke_eval, topo_eval). It checks a formula
+against a fragment (FRAGMENTS: the Kripke/topological, intuitionistic
+and dual connectives) and turns it into a post-order node list with
+indexed atoms, iteratively, so nesting depth is bounded only by memory.
+
 Concrete syntax (ASCII aliases in parentheses): unary ¬ (!), ∼ (~),
 □ ([]), ◇ (<>) bind tightest, then ∧ (&), then ∨ (|), then → (->,
 right associative) and ← (<-, left associative) at the loosest level.
@@ -16,12 +22,19 @@ right associative) and ← (<-, left associative) at the loosest level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
-from .errors import FormulaSyntaxError
+from .errors import FormulaSyntaxError, UnboundAtom, UnsupportedConnective
 
 UNARY = ("not", "conot", "box", "dia")
 BINARY = ("and", "or", "imp", "coimp")
+
+KRIPKE = frozenset({"atom", "bot", "top", "not", "and", "or", "imp", "box", "dia"})
+INTUITIONISTIC = frozenset({"atom", "bot", "top", "not", "and", "or", "imp"})
+DUAL = frozenset({"atom", "bot", "top", "conot", "and", "or", "coimp"})
+# logic -> the connectives it interprets; kripke and topological share one
+FRAGMENTS = {"kripke": KRIPKE, "topological": KRIPKE,
+             "intuitionistic": INTUITIONISTIC, "dual": DUAL}
 
 _UNARY_ASCII = {"not": "!", "conot": "~", "box": "[]", "dia": "<>"}
 _BINARY_ASCII = {"and": "&", "or": "|", "imp": "->", "coimp": "<-"}
@@ -37,18 +50,19 @@ class Formula:
     def __str__(self) -> str:
         return _render(self, 0)
 
+    def walk(self) -> Iterator["Formula"]:
+        """Every subformula occurrence, pre-order, without recursion."""
+        stack = [self]
+        while stack:
+            f = stack.pop()
+            yield f
+            stack.extend(reversed(f.args))
+
     def atoms(self) -> set[str]:
-        if self.kind == "atom":
-            return {self.name}
-        out: set[str] = set()
-        for a in self.args:
-            out |= a.atoms()
-        return out
+        return {f.name for f in self.walk() if f.kind == "atom"}
 
     def connective_count(self) -> int:
-        return (0 if self.kind in ("atom", "bot", "top") else 1) + sum(
-            a.connective_count() for a in self.args
-        )
+        return sum(1 for f in self.walk() if f.args)
 
 
 BOT = Formula("bot")
@@ -290,6 +304,47 @@ class _Parser:
 
 def parse_formula(text: str) -> Formula:
     return _Parser(text).parse()
+
+
+def compile_formula(
+    phi: Formula, logic: str, names: Optional[Sequence[str]] = None
+) -> tuple[list[tuple], list[str]]:
+    """Post-order node list of phi and the atom names it is evaluated
+    over (the given names, else phi's atoms sorted). A node is
+    ("atom", j) for names[j], or its kind followed by the indices of
+    its children's nodes. The walk is iterative, and a connective
+    outside FRAGMENTS[logic] or an atom outside names is rejected
+    before anything is evaluated."""
+    fragment = FRAGMENTS[logic]
+    nodes: list[tuple] = []
+    done: list[int] = []  # node indices of the finished subformulas
+    stack = [(phi, False)]
+    while stack:
+        f, ready = stack.pop()
+        if f.kind not in fragment:
+            raise UnsupportedConnective(f.kind, logic)
+        if f.args and not ready:
+            stack.append((f, True))
+            stack.extend((a, False) for a in reversed(f.args))
+            continue
+        if f.kind == "atom":
+            nodes.append(("atom", f.name))
+        else:
+            split = len(done) - len(f.args)
+            nodes.append((f.kind, *done[split:]))
+            del done[split:]
+        done.append(len(nodes) - 1)
+    if names is None:
+        names = sorted({node[1] for node in nodes if node[0] == "atom"})
+    index = {name: j for j, name in enumerate(names)}
+    prog = []
+    for node in nodes:
+        if node[0] == "atom":
+            if node[1] not in index:
+                raise UnboundAtom(node[1])
+            node = ("atom", index[node[1]])
+        prog.append(node)
+    return prog, list(names)
 
 
 def enumerate_formulas(

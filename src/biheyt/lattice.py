@@ -10,6 +10,10 @@ A lattice is distributive iff a∧(b∨c) = (a∧b)∨(a∧c) for all triples;
 the Heyting implication a→b = ⋁{x | a∧x ≤ b} and the co-Heyting
 subtraction a←b = ⋀{x | a ≤ b∨x} are only well behaved (residuation /
 co-residuation) on distributive lattices, so both refuse otherwise.
+A finite distributive lattice is therefore a Heyting and a co-Heyting
+algebra at once: FiniteLattice itself carries →, ←, ¬, ∼ and ∂ as the
+tables implies_table, minus_table, neg_table, conot_table and
+boundary_table, and every caller reads them there.
 
 enumerate_distributive_lattices lists the distributive lattices up to
 MAX_ENUMERATION_SIZE elements through Birkhoff duality, as down-set
@@ -83,7 +87,7 @@ class FiniteLattice:
                         return (a, b, c)
         return None
 
-    def _require_distributive(self):
+    def require_distributive(self):
         bad = self.distributive_failure
         if bad is not None:
             raise NotDistributive(*bad)
@@ -91,7 +95,7 @@ class FiniteLattice:
     @cached_property
     def implies_table(self) -> tuple[tuple[int, ...], ...]:
         """implies[a][b] = ⋁{x | a∧x ≤ b}. Requires distributivity."""
-        self._require_distributive()
+        self.require_distributive()
         meet, join, down = self.meet, self.join, self.down
         table = []
         for a in range(self.n):
@@ -110,7 +114,7 @@ class FiniteLattice:
     @cached_property
     def minus_table(self) -> tuple[tuple[int, ...], ...]:
         """minus[a][b] = ⋀{x | a ≤ b∨x}. Requires distributivity."""
-        self._require_distributive()
+        self.require_distributive()
         meet, join = self.meet, self.join
         table = []
         for a in range(self.n):
@@ -234,26 +238,6 @@ def check_distributive(lat: FiniteLattice) -> bool:
     return lat.distributive_failure is None
 
 
-def heyting_implies(lat: FiniteLattice, a: int, b: int) -> int:
-    return lat.implies_table[a][b]
-
-
-def heyting_not(lat: FiniteLattice, a: int) -> int:
-    return lat.neg_table[a]
-
-
-def coheyting_minus(lat: FiniteLattice, a: int, b: int) -> int:
-    return lat.minus_table[a][b]
-
-
-def coheyting_not(lat: FiniteLattice, a: int) -> int:
-    return lat.conot_table[a]
-
-
-def boundary(lat: FiniteLattice, a: int) -> int:
-    return lat.boundary_table[a]
-
-
 def dualize(lat: FiniteLattice) -> FiniteLattice:
     """Same carrier with the opposite order: meets and joins swap,
     bottom and top swap. Involution."""
@@ -265,7 +249,7 @@ def dualize(lat: FiniteLattice) -> FiniteLattice:
 def is_boolean(lat: FiniteLattice) -> bool:
     """True iff every element has a complement. Refuses non-distributive
     input, where complements need not be unique."""
-    lat._require_distributive()
+    lat.require_distributive()
     for a in range(lat.n):
         if not any(
             lat.meet[a][x] == lat.bottom and lat.join[a][x] == lat.top
@@ -284,41 +268,6 @@ def cover_pairs(lat: FiniteLattice) -> list[tuple[int, int]]:
                 out.append((i, j))
     out.sort()
     return out
-
-
-class HeytingStructure:
-    """A distributive bounded lattice bundled with its implication and
-    negation tables (¬a = a→⊥)."""
-
-    def __init__(self, base: FiniteLattice):
-        self.base = base
-        self.implies = base.implies_table
-        self.neg = base.neg_table
-
-    def __repr__(self):
-        return f"HeytingStructure(n={self.base.n})"
-
-
-class CoHeytingStructure:
-    """A distributive bounded lattice bundled with subtraction,
-    co-negation (∼a = ⊤←a) and boundary (∂a = a∧∼a) tables."""
-
-    def __init__(self, base: FiniteLattice):
-        self.base = base
-        self.minus = base.minus_table
-        self.conot = base.conot_table
-        self.boundary = base.boundary_table
-
-    def __repr__(self):
-        return f"CoHeytingStructure(n={self.base.n})"
-
-
-def heyting(lat: FiniteLattice) -> HeytingStructure:
-    return HeytingStructure(lat)
-
-
-def coheyting(lat: FiniteLattice) -> CoHeytingStructure:
-    return CoHeytingStructure(lat)
 
 
 # ---------------------------------------------------------------------------

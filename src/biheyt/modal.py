@@ -14,12 +14,14 @@ core below is tested against.
 
 Sliced core. The valuation sweeps (s4_axiom_suite, valid_in_frame,
 and countermodel_search on the frame route and the classical space
-route) compile a formula once into a post-order node list and check
-every valuation at once. A point's truth value is one int with one bit
-per valuation: with k atoms in sweep order over n points, valuation
-index v = Σ masks[j] << n·(k−1−j), which is the lexicographic order of
-itertools.product over the atoms' subset masks. On a frame, □ at w is
-the AND of its successors' vectors and ◇ their OR. On a space, □ at x
+route) compile a formula once with formulas.compile_formula and check
+every valuation at once; truth_set and valid_in_model run the same
+core on a model's one valuation, as a one-bit slice. A point's truth
+value is one int with one bit per valuation: with k atoms in sweep
+order over n points, valuation index v = Σ masks[j] << n·(k−1−j),
+which is the lexicographic order of itertools.product over the atoms'
+subset masks. On a frame, □ at w is the AND of its successors' vectors
+and ◇ their OR. On a space, □ at x
 is the OR, over the opens containing x, of the AND of the open's
 vectors, and ◇ uses the closeds in the same way; the specialization
 preorder is never consulted, so the space route stays independent of
@@ -28,8 +30,11 @@ wider sweeps run slice by slice in ascending order. The lowest zero bit
 names the first failing valuation, so witnesses and violation lists
 come out in the order of a per-valuation loop.
 
-← and ∼ get no Kripke clauses; they belong to the algebra evaluators,
-and the compiler rejects them before any sweep starts.
+← and ∼ get no Kripke clauses; they belong to the algebra evaluator,
+and the compiler rejects them before any sweep starts. The algebra
+route of countermodel_search compiles once per search too and runs
+duallogic.algebra_evaluator on the open (or closed) set lattice of
+each space.
 """
 
 from __future__ import annotations
@@ -40,10 +45,11 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 from .bitsets import iter_bits
 from .errors import BoundExceeded, UnboundAtom, UnknownOption, UnsupportedConnective
-from .formulas import Formula, atom, box, dia, neg, parse_formula
-from .duallogic import eval_dual, eval_intuitionistic
+from .formulas import KRIPKE, Formula, atom, box, compile_formula, dia, neg, parse_formula
+from .duallogic import algebra_evaluator
 from .topology import (
     DEFAULT_MAX_POINTS,
+    MAX_SUITE_POINTS,
     FiniteSpace,
     closed_lattice,
     closure,
@@ -53,8 +59,6 @@ from .topology import (
     open_lattice,
     specialization_preorder,
 )
-
-_KRIPKE = {"atom", "bot", "top", "not", "and", "or", "imp", "box", "dia"}
 
 DEFAULT_MAX_WORLDS = 4
 FRAME_PROPERTIES = ("reflexive", "transitive", "symmetric")
@@ -134,7 +138,7 @@ def kripke_eval(model: KripkeModel, world: int, phi: Formula) -> bool:
     """Truth at a world: classical boolean clauses, □ = all successors,
     ◇ = some successor."""
     kind = phi.kind
-    if kind not in _KRIPKE:
+    if kind not in KRIPKE:
         raise UnsupportedConnective(kind, "kripke")
     if kind == "atom":
         if phi.name not in model.valuation:
@@ -164,8 +168,19 @@ def kripke_eval(model: KripkeModel, world: int, phi: Formula) -> bool:
     return any(kripke_eval(model, u, phi.args[0]) for u in iter_bits(succ))
 
 
+def truth_set(model: KripkeModel, phi: Formula) -> int:
+    """Mask of the worlds where phi holds, by the sliced core on the
+    model's one valuation (a one-bit slice). Unlike kripke_eval it
+    rejects an unsupported connective or unbound atom anywhere in phi."""
+    n = model.frame.worlds
+    prog, names = compile_formula(phi, "kripke", sorted(model.valuation))
+    atoms = [[(model.valuation[name] >> w) & 1 for w in range(n)] for name in names]
+    vec = _evaluate(prog, atoms, 1, n, _frame_modalities(model.frame))
+    return sum(bit << w for w, bit in enumerate(vec))
+
+
 def valid_in_model(model: KripkeModel, phi: Formula) -> bool:
-    return all(kripke_eval(model, w, phi) for w in range(model.frame.worlds))
+    return truth_set(model, phi) == (1 << model.frame.worlds) - 1
 
 
 def valid_in_frame(
@@ -180,51 +195,12 @@ def valid_in_frame(
         raise BoundExceeded(
             "valuation space bits", frame.worlds * len(names), bound_bits
         )
-    prog, names = _compile(phi, "kripke", names)
+    prog, names = compile_formula(phi, "kripke", names)
     failures = _failures(prog, len(names), frame.worlds, _frame_modalities(frame))
     return next(failures, None) is None
 
 
 # --- sliced core ----------------------------------------------------------
-
-
-def _compile(
-    phi: Formula, context: str, names: Optional[Sequence[str]] = None
-) -> tuple[list[tuple], list[str]]:
-    """Post-order node list of phi and the atom names it is swept over
-    (the given names, else phi's atoms sorted). A node is ("atom", j)
-    for names[j], or its kind followed by the indices of its children's
-    nodes. The walk is iterative, and a connective outside the Kripke
-    fragment or an atom outside names is rejected before any sweep."""
-    nodes: list[tuple] = []
-    done: list[int] = []  # node indices of the finished subformulas
-    stack = [(phi, False)]
-    while stack:
-        f, ready = stack.pop()
-        if f.kind not in _KRIPKE:
-            raise UnsupportedConnective(f.kind, context)
-        if f.args and not ready:
-            stack.append((f, True))
-            stack.extend((a, False) for a in reversed(f.args))
-            continue
-        if f.kind == "atom":
-            nodes.append(("atom", f.name))
-        else:
-            split = len(done) - len(f.args)
-            nodes.append((f.kind, *done[split:]))
-            del done[split:]
-        done.append(len(nodes) - 1)
-    if names is None:
-        names = sorted({node[1] for node in nodes if node[0] == "atom"})
-    index = {name: j for j, name in enumerate(names)}
-    prog = []
-    for node in nodes:
-        if node[0] == "atom":
-            if node[1] not in index:
-                raise UnboundAtom(node[1])
-            node = ("atom", index[node[1]])
-        prog.append(node)
-    return prog, list(names)
 
 
 def _slices(points: int, natoms: int) -> Iterator[tuple[int, int, list[list[int]]]]:
@@ -357,7 +333,7 @@ def topo_eval(space: FiniteSpace, valuation: Mapping[str, int], phi: Formula) ->
     """Set-valued semantics on a finite space: classical connectives as
     set operations, □ = interior, ◇ = closure (both at any nesting)."""
     kind = phi.kind
-    if kind not in _KRIPKE:
+    if kind not in KRIPKE:
         raise UnsupportedConnective(kind, "topological")
     if kind == "atom":
         if phi.name not in valuation:
@@ -401,7 +377,7 @@ S4_SCHEMAS: tuple[tuple[str, Formula], ...] = (
     ("dual reflection", parse_formula("p -> <>p")),
     ("dual transitivity", parse_formula("<><>p -> <>p")),
 )
-_S4_PROGRAMS = [_compile(phi, "kripke", ("p", "q"))[0] for _, phi in S4_SCHEMAS]
+_S4_PROGRAMS = [compile_formula(phi, "kripke", ("p", "q"))[0] for _, phi in S4_SCHEMAS]
 
 
 @dataclass
@@ -416,7 +392,7 @@ class SchemaReport:
         return not self.violations
 
 
-def s4_axiom_suite(structure, bound: int = 5) -> list[SchemaReport]:
+def s4_axiom_suite(structure, bound: int = MAX_SUITE_POINTS) -> list[SchemaReport]:
     """Check the five schemas over every valuation of {p, q}, with the
     sliced core: on a space through its opens and closeds, on a frame at
     every world. Violations are (vp, vq) on a space and (vp, vq, w) on a
@@ -516,7 +492,7 @@ def countermodel_search(
     if max_points > bound:
         raise BoundExceeded(what, max_points, bound)
     if mode == "frame":
-        prog, names = _compile(phi, "kripke")
+        prog, names = compile_formula(phi, "kripke")
         reflexive = "reflexive" in frame_properties
         for worlds in range(1, max_points + 1):
             for frame in enumerate_frames(worlds, reflexive=reflexive):
@@ -529,7 +505,7 @@ def countermodel_search(
                     return _witness(frame, names, worlds, hit)
         return None
     if semantics == "classical":
-        prog, names = _compile(phi, "topological")
+        prog, names = compile_formula(phi, "topological")
         for points in range(1, max_points + 1):
             for space in enumerate_topologies(points, bound=max(points, DEFAULT_MAX_POINTS)):
                 modalities = _space_modalities(space)
@@ -537,28 +513,17 @@ def countermodel_search(
                 if hit is not None:
                     return _witness(space, names, points, hit)
         return None
-    names = sorted(phi.atoms())
+    prog, names = compile_formula(phi, semantics)
+    lattice = open_lattice if semantics == "intuitionistic" else closed_lattice
     for points in range(1, max_points + 1):
         for space in enumerate_topologies(points, bound=max(points, DEFAULT_MAX_POINTS)):
-            if semantics == "intuitionistic":
-                alg = open_lattice(space)
-                evaluate = eval_intuitionistic
-            else:
-                alg = closed_lattice(space)
-                evaluate = eval_dual
-            elements = range(alg.base.n)
-            for choice in product(elements, repeat=len(names)):
-                assignment = dict(zip(names, choice))
-                value = evaluate(phi, alg, assignment)
-                if value != alg.base.top:
-                    value_set = alg.base.subsets[value]
-                    missing = next(
-                        x for x in range(points) if not (value_set >> x) & 1
-                    )
-                    val = {
-                        name: alg.base.subsets[el]
-                        for name, el in assignment.items()
-                    }
+            lat = lattice(space)
+            value = algebra_evaluator(prog, lat)
+            for choice in product(range(lat.n), repeat=len(names)):
+                found = lat.subsets[value(choice)]
+                if found != space.full:
+                    missing = next(x for x in range(points) if not (found >> x) & 1)
+                    val = {name: lat.subsets[el] for name, el in zip(names, choice)}
                     return SearchResult(space, val, missing)
     return None
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .bitsets import iter_bits
-from .errors import BoundExceeded, NotDistributive, WrongKind
+from .errors import BoundExceeded, WrongKind
 from .lattice import MAX_ENUMERATION_SIZE, FiniteLattice
 from .quotient import FilterOrIdeal, LatticeHom, filters, _is_filter_mask
 from .topology import FiniteSpace, generate_from_basis, open_lattice
@@ -61,8 +61,7 @@ class SpectralSpace:
 
 
 def spectrum(lat: FiniteLattice, bound: int = DEFAULT_MAX_SPECTRUM) -> SpectralSpace:
-    if lat.distributive_failure is not None:
-        raise NotDistributive(*lat.distributive_failure)
+    lat.require_distributive()
     if lat.n > bound:
         raise BoundExceeded("lattice size", lat.n, bound)
     pts = tuple(f.members for f in prime_filters(lat, bound))
@@ -111,10 +110,10 @@ def verify_stone_embedding(lat: FiniteLattice, bound: int = DEFAULT_MAX_SPECTRUM
         violations.append("beta is not onto the opens of the spectrum")
     else:
         ol = open_lattice(spec.space)
-        index = {s: i for i, s in enumerate(ol.base.subsets)}
+        index = {s: i for i, s in enumerate(ol.subsets)}
         for a in range(lat.n):
             for b in range(lat.n):
-                spectral = ol.base.subsets[ol.implies[index[beta[a]]][index[beta[b]]]]
+                spectral = ol.subsets[ol.implies_table[index[beta[a]]][index[beta[b]]]]
                 if beta[lat.implies_table[a][b]] != spectral:
                     violations.append(
                         f"beta(a→b) != spectral implication at ({a}, {b})"
@@ -211,11 +210,11 @@ def open_map_criterion(
     if continuous:
         tl = open_lattice(target)
         sl = open_lattice(source)
-        sindex = {s: i for i, s in enumerate(sl.base.subsets)}
-        tindex = {s: i for i, s in enumerate(tl.base.subsets)}
+        sindex = {s: i for i, s in enumerate(sl.subsets)}
+        tindex = {s: i for i, s in enumerate(tl.subsets)}
         induces = all(
-            preimage(tl.base.subsets[tl.implies[tindex[u]][tindex[v]]])
-            == sl.base.subsets[sl.implies[sindex[preimage(u)]][sindex[preimage(v)]]]
+            preimage(tl.subsets[tl.implies_table[tindex[u]][tindex[v]]])
+            == sl.subsets[sl.implies_table[sindex[preimage(u)]][sindex[preimage(v)]]]
             for u in target.opens
             for v in target.opens
         )

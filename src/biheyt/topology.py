@@ -24,16 +24,11 @@ from .errors import (
     NotClosedUnderIntersection,
     NotClosedUnderUnion,
 )
-from .lattice import (
-    CoHeytingStructure,
-    HeytingStructure,
-    closed_relation_rows,
-    coheyting,
-    heyting,
-    lattice_of_subsets,
-)
+from .lattice import FiniteLattice, closed_relation_rows, lattice_of_subsets
 
 DEFAULT_MAX_POINTS = 4
+# Most points the exhaustive suites sweep: 6,942 spaces on 5, 209,527 on 6.
+MAX_SUITE_POINTS = 5
 
 
 class FiniteSpace:
@@ -139,16 +134,16 @@ def complement(space: FiniteSpace, subset: int) -> int:
     return space.full & ~subset
 
 
-def open_lattice(space: FiniteSpace) -> HeytingStructure:
+def open_lattice(space: FiniteSpace) -> FiniteLattice:
     """The opens under inclusion, with →(A,B) = ⋁{open C | A∩C ⊆ B}
-    (= interior of Aᶜ∪B). Element i stands for subset base.subsets[i]."""
-    return heyting(lattice_of_subsets(space.opens))
+    (= interior of Aᶜ∪B). Element i stands for subset subsets[i]."""
+    return lattice_of_subsets(space.opens)
 
 
-def closed_lattice(space: FiniteSpace) -> CoHeytingStructure:
+def closed_lattice(space: FiniteSpace) -> FiniteLattice:
     """The closeds under inclusion (∅ bottom, X top), with
     A←B = ⋀{closed C | A ⊆ B∪C} (= closure of A∩Bᶜ)."""
-    return coheyting(lattice_of_subsets(space.closeds))
+    return lattice_of_subsets(space.closeds)
 
 
 def generate_from_basis(points: int, basis: Iterable[int]) -> FiniteSpace:

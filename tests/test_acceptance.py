@@ -16,7 +16,6 @@ from biheyt import (
     check_lem,
     classify_frame,
     closed_lattice,
-    coheyting_minus,
     compose,
     congruence_from_filter,
     congruence_from_ideal,
@@ -26,7 +25,6 @@ from biheyt import (
     enumerate_topologies,
     filters,
     find_paraconsistent_witness,
-    heyting_implies,
     ideals,
     induced_map,
     kripke_eval,
@@ -51,13 +49,14 @@ def _report(number, name, started, detail):
 
 def test_criterion_1_double_negation_worked_example():
     space = validate_topology(3, [0b000, 0b001, 0b011, 0b111])
-    alg = open_lattice(space)  # tables built here
+    alg = open_lattice(space)
+    alg.neg_table  # tables built here
     started = time.perf_counter()
-    a = alg.base.subsets.index(0b011)  # A = {a, b}
-    not_a = alg.neg[a]
-    not_not_a = alg.neg[not_a]
-    assert alg.base.subsets[not_a] == 0b000
-    assert alg.base.subsets[not_not_a] == 0b111
+    a = alg.subsets.index(0b011)  # A = {a, b}
+    not_a = alg.neg_table[a]
+    not_not_a = alg.neg_table[not_a]
+    assert alg.subsets[not_a] == 0b000
+    assert alg.subsets[not_not_a] == 0b111
     assert not_not_a != a
     check_time = time.perf_counter() - started
     assert check_time < 0.001
@@ -157,7 +156,7 @@ def test_criterion_6_boolean_criterion():
     for m in range(1, 5):
         for sp in enumerate_topologies(m):
             spaces += 1
-            assert boolean_iff_trivial_boundary(open_lattice(sp).base).consistent, sp
+            assert boolean_iff_trivial_boundary(open_lattice(sp)).consistent, sp
     _report(6, "Boolean ⟺ trivial boundary ⟺ involutive ¬¬", started,
             f"{len(lattices)} lattices ≤7 and {spaces} spaces ≤4 points agree")
 
@@ -284,15 +283,15 @@ def test_criterion_11_residuation_probes():
     pool = list(enumerate_distributive_lattices(7))
     for m in range(1, 4):
         for sp in enumerate_topologies(m):
-            pool.append(open_lattice(sp).base)
-            pool.append(closed_lattice(sp).base)
+            pool.append(open_lattice(sp))
+            pool.append(closed_lattice(sp))
     probes = 10_000
     for _ in range(probes):
         lat = rng.choice(pool)
         a = rng.randrange(lat.n)
         b = rng.randrange(lat.n)
         x = rng.randrange(lat.n)
-        assert lat.leq(lat.meet[a][x], b) == lat.leq(x, heyting_implies(lat, a, b))
-        assert lat.leq(coheyting_minus(lat, a, b), x) == lat.leq(a, lat.join[b][x])
+        assert lat.leq(lat.meet[a][x], b) == lat.leq(x, lat.implies_table[a][b])
+        assert lat.leq(lat.minus_table[a][b], x) == lat.leq(a, lat.join[b][x])
     _report(11, "randomized residuation probes", started,
             f"{probes} seeded probes over {len(pool)} algebras, zero failures")

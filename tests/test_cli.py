@@ -176,6 +176,44 @@ def test_empty_range_is_a_usage_error(capsys, argv):
     assert "empty range" in capsys.readouterr().err
 
 
+def _no_enumeration(*_args, **_kwargs):
+    raise AssertionError("spaces were enumerated past the cap")
+
+
+@pytest.mark.parametrize("suite", ["s4", "dual-laws"])
+def test_verify_suites_refuse_points_above_the_cap_up_front(capsys, monkeypatch, suite):
+    import biheyt.cli as cli
+
+    assert cli.MAX_SUITE_POINTS == 5
+    monkeypatch.setattr(cli, "enumerate_topologies", _no_enumeration)
+    code, out, err = run(capsys, "verify", suite, "--points", "6")
+    assert code == 2
+    assert out == ""
+    assert "points 6 exceeds configured bound 5" in err
+
+
+@pytest.mark.parametrize("suite", ["s4", "dual-laws"])
+def test_verify_suites_run_at_the_cap(capsys, monkeypatch, suite):
+    import biheyt.cli as cli
+
+    monkeypatch.setattr(cli, "MAX_SUITE_POINTS", 3)
+    code, out, _ = run(capsys, "verify", suite, "--points", "3")
+    assert code == 0
+    assert out.splitlines()[-1] == "34 spaces checked"
+    monkeypatch.setattr(cli, "enumerate_topologies", _no_enumeration)
+    code, out, err = run(capsys, "verify", suite, "--points", "4")
+    assert code == 2
+    assert out == ""
+    assert "points 4 exceeds configured bound 3" in err
+
+
+def test_env_cap_only_lowers_the_suite_cap(capsys, monkeypatch):
+    monkeypatch.setenv("BIHEYT_MAX_POINTS", "9")
+    code, out, err = run(capsys, "verify", "s4", "--points", "6")
+    assert code == 2 and out == ""
+    assert "exceeds configured bound 5" in err
+
+
 # -- modal ----------------------------------------------------------------------------
 
 
@@ -310,6 +348,32 @@ def test_deep_formula_is_an_input_error(capsys, argv):
     assert err == "error: formula nests too deeply\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("modal", "eval", "--model", "example1", "--formula", "p & ~p", "--world", "w0"),
+    ("modal", "eval", "--model", "example1", "--formula", "p & ~p"),
+    ("modal", "valid", "--model", "example1", "--formula", "p & ~p"),
+    ("modal", "eval", "--model", "example1", "--formula", "T | r", "--world", "w0"),
+    ("modal", "eval", "--model", "example1", "--formula", "T | r"),
+    ("modal", "valid", "--model", "example1", "--formula", "T | r"),
+])
+def test_modal_model_routes_reject_before_evaluating(capsys, argv):
+    """∧ and ∨ must not short-circuit past ~ or an unbound atom."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "'conot'" in err or "'r' has no assigned value" in err
+
+
+def test_modal_eval_rejects_repeated_assignment(capsys):
+    code, out, err = run(
+        capsys, "modal", "eval", "--model", "threepoint", "--formula", "<>p",
+        "--assign", "p=110", "--assign", "p=100",
+    )
+    assert code == 2
+    assert out == ""
+    assert "atom 'p' is assigned more than once" in err
+
+
 # -- algebra eval -----------------------------------------------------------------------
 
 
@@ -347,6 +411,26 @@ def test_eval_rejects_non_element(capsys):
     )
     assert code == 2
     assert "not an open set" in err
+
+
+def test_eval_rejects_repeated_assignment(capsys):
+    code, out, err = run(
+        capsys, "eval", "--algebra", "chain3", "--formula", "p",
+        "--assign", "p=1", "--assign", "p=2",
+    )
+    assert code == 2
+    assert out == ""
+    assert "atom 'p' is assigned more than once" in err
+
+
+def test_eval_refuses_non_distributive_lattice(capsys, tmp_path):
+    f = tmp_path / "m3.lat"
+    f.write_text("lattice n=5\nle 0 1\nle 0 2\nle 0 3\nle 1 4\nle 2 4\nle 3 4\n")
+    code, out, err = run(capsys, "eval", "--algebra", str(f), "--formula", "p",
+                         "--assign", "p=1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: distributivity fails at (1, 2, 3)")
 
 
 # -- output modes and determinism ----------------------------------------------------------

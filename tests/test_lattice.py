@@ -5,16 +5,11 @@ from biheyt import (
     NotAPartialOrder,
     NotBounded,
     NotDistributive,
-    boundary,
     build_lattice,
     chain,
     check_distributive,
-    coheyting_minus,
-    coheyting_not,
     cover_pairs,
     dualize,
-    heyting_implies,
-    heyting_not,
     is_boolean,
     lattice_of_subsets,
 )
@@ -33,8 +28,8 @@ def test_one_element_lattice():
     assert one.bottom == one.top == 0
     assert one.meet[0][0] == one.join[0][0] == 0
     assert check_distributive(one) and is_boolean(one)
-    assert heyting_implies(one, 0, 0) == 0
-    assert coheyting_minus(one, 0, 0) == 0
+    assert one.implies_table[0][0] == 0
+    assert one.minus_table[0][0] == 0
 
 
 def test_chain_is_min_max():
@@ -118,14 +113,14 @@ def test_open_set_lattices_are_distributive(spaces_3):
     from biheyt import open_lattice
 
     for sp in spaces_3:
-        assert check_distributive(open_lattice(sp).base)
+        assert check_distributive(open_lattice(sp))
 
 
 def test_heyting_refused_on_m3(m3_diamond):
     with pytest.raises(NotDistributive):
-        heyting_implies(m3_diamond, 1, 2)
+        m3_diamond.implies_table[1][2]
     with pytest.raises(NotDistributive):
-        coheyting_minus(m3_diamond, 1, 2)
+        m3_diamond.minus_table[1][2]
     with pytest.raises(NotDistributive):
         is_boolean(m3_diamond)
 
@@ -150,30 +145,30 @@ def test_implies_against_max_candidate_oracle(lattices_6):
     for lat in lattices_6:
         for a in range(lat.n):
             for b in range(lat.n):
-                assert heyting_implies(lat, a, b) == greatest_x_with_meet_below(lat, a, b)
-                assert coheyting_minus(lat, a, b) == least_x_with_join_above(lat, a, b)
+                assert lat.implies_table[a][b] == greatest_x_with_meet_below(lat, a, b)
+                assert lat.minus_table[a][b] == least_x_with_join_above(lat, a, b)
 
 
 def test_implies_top_iff_leq(lattices_6):
     for lat in lattices_6:
         for a in range(lat.n):
             for b in range(lat.n):
-                assert (heyting_implies(lat, a, b) == lat.top) == lat.leq(a, b)
+                assert (lat.implies_table[a][b] == lat.top) == lat.leq(a, b)
 
 
 def test_implies_examples(chain3):
-    assert heyting_implies(chain3, 1, 0) == 0
+    assert chain3.implies_table[1][0] == 0
     for b in range(3):
-        assert heyting_implies(chain3, 0, b) == chain3.top
-    assert heyting_not(chain3, 0) == 2
-    assert heyting_not(chain3, 1) == 0
-    assert heyting_not(chain3, heyting_not(chain3, 1)) == 2  # ¬¬m = ⊤ ≠ m
+        assert chain3.implies_table[0][b] == chain3.top
+    assert chain3.neg_table[0] == 2
+    assert chain3.neg_table[1] == 0
+    assert chain3.neg_table[chain3.neg_table[1]] == 2  # ¬¬m = ⊤ ≠ m
 
 
 def test_boolean_two_chain_double_negation():
     two = chain(2)
     for a in range(2):
-        assert heyting_not(two, heyting_not(two, a)) == a
+        assert two.neg_table[two.neg_table[a]] == a
 
 
 def test_residuation_invariant(lattices_6):
@@ -182,9 +177,9 @@ def test_residuation_invariant(lattices_6):
             for b in range(lat.n):
                 for x in range(lat.n):
                     assert lat.leq(lat.meet[a][x], b) == lat.leq(
-                        x, heyting_implies(lat, a, b)
+                        x, lat.implies_table[a][b]
                     )
-                    assert lat.leq(coheyting_minus(lat, a, b), x) == lat.leq(
+                    assert lat.leq(lat.minus_table[a][b], x) == lat.leq(
                         a, lat.join[b][x]
                     )
 
@@ -192,14 +187,14 @@ def test_residuation_invariant(lattices_6):
 def test_double_negation_bounds(lattices_6):
     for lat in lattices_6:
         for a in range(lat.n):
-            assert lat.leq(a, heyting_not(lat, heyting_not(lat, a)))
-            assert lat.leq(coheyting_not(lat, coheyting_not(lat, a)), a)
+            assert lat.leq(a, lat.neg_table[lat.neg_table[a]])
+            assert lat.leq(lat.conot_table[lat.conot_table[a]], a)
 
 
 def test_conot_is_least_complementing_join(lattices_6):
     for lat in lattices_6:
         for a in range(lat.n):
-            c = coheyting_not(lat, a)
+            c = lat.conot_table[a]
             assert lat.join[a][c] == lat.top
             for x in range(lat.n):
                 if lat.join[a][x] == lat.top:
@@ -219,21 +214,21 @@ def test_closed_set_subtraction_example():
     supersets = [s for s in closeds if 0b010 & ~s == 0]
     cl_b = min(supersets, key=subset_key)
     assert cl_b == 0b110
-    assert lat.subsets[coheyting_minus(lat, bc, c)] == cl_b
-    assert coheyting_not(lat, bc) == full
-    assert boundary(lat, bc) == bc
-    assert coheyting_not(lat, full) == idx[0]
-    assert boundary(lat, full) == idx[0]
+    assert lat.subsets[lat.minus_table[bc][c]] == cl_b
+    assert lat.conot_table[bc] == full
+    assert lat.boundary_table[bc] == bc
+    assert lat.conot_table[full] == idx[0]
+    assert lat.boundary_table[full] == idx[0]
     # minus(a, bottom) = a and minus(bottom, b) = bottom
     for a in range(lat.n):
-        assert coheyting_minus(lat, a, idx[0]) == a
-        assert coheyting_minus(lat, idx[0], a) == idx[0]
-        assert coheyting_minus(lat, a, a) == idx[0]
+        assert lat.minus_table[a][idx[0]] == a
+        assert lat.minus_table[idx[0]][a] == idx[0]
+        assert lat.minus_table[a][a] == idx[0]
 
 
 def test_boolean_boundary_trivial(boolean4):
     for a in range(4):
-        assert boundary(boolean4, a) == boolean4.bottom
+        assert boolean4.boundary_table[a] == boolean4.bottom
 
 
 # -- dualize -----------------------------------------------------------------
@@ -257,9 +252,9 @@ def test_dual_tables_transpose_residuals(lattices_6):
         d = dualize(lat)
         for a in range(lat.n):
             for b in range(lat.n):
-                assert coheyting_minus(d, a, b) == heyting_implies(lat, b, a)
-                assert heyting_implies(d, a, b) == coheyting_minus(lat, b, a)
-            assert coheyting_not(d, a) == heyting_not(lat, a)
+                assert d.minus_table[a][b] == lat.implies_table[b][a]
+                assert d.implies_table[a][b] == lat.minus_table[b][a]
+            assert d.conot_table[a] == lat.neg_table[a]
 
 
 # -- boolean test ------------------------------------------------------------

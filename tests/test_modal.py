@@ -21,13 +21,14 @@ from biheyt import (
     s4_axiom_suite,
     specialization_preorder,
     topo_eval,
+    truth_set,
     valid_in_frame,
     valid_in_model,
     worked_examples,
 )
 import biheyt.modal as modal
 from biheyt.bitsets import all_subsets
-from biheyt.formulas import atom, conj, dia, disj, enumerate_formulas
+from biheyt.formulas import atom, compile_formula, conj, dia, disj, enumerate_formulas
 from biheyt.modal import S4_SCHEMAS, SchemaReport, SearchResult
 
 
@@ -126,6 +127,34 @@ def test_valid_in_model(sierpinski):
     m1, _ = worked_examples()
     assert valid_in_model(m1, parse_formula("p | !p"))
     assert not valid_in_model(m1, parse_formula("p"))
+
+
+def test_truth_set_matches_kripke_eval():
+    """The one-bit slice of the sliced core against the per-world reference."""
+    models = list(worked_examples()) + [
+        KripkeModel(frame, {"p": v})
+        for n in (1, 2) for frame in enumerate_frames(n) for v in all_subsets(n)
+    ]
+    for phi in enumerate_formulas(2, ("p",)):
+        for model in models:
+            want = kripke_set(model, phi)
+            assert truth_set(model, phi) == want, (model, str(phi))
+            assert valid_in_model(model, phi) == (want == (1 << model.frame.worlds) - 1)
+
+
+@pytest.mark.parametrize("text, error", [
+    ("p & ~p", UnsupportedConnective),
+    ("T | r", UnboundAtom),
+    ("!p | (r & ~p)", UnsupportedConnective),
+])
+def test_truth_set_rejects_what_kripke_eval_skips(text, error):
+    m1, _ = worked_examples()
+    phi = parse_formula(text)
+    kripke_eval(m1, 0, phi)  # the reference short-circuits at w0
+    with pytest.raises(error):
+        truth_set(m1, phi)
+    with pytest.raises(error):
+        valid_in_model(m1, phi)
 
 
 def test_frame_validity_bound():
@@ -238,13 +267,13 @@ def test_search_double_negation_witness():
     # oracle: ¬p = int({1}) = ∅, ¬¬p = X, X → {0} misses point 1
     sp = result.structure
     from biheyt import open_lattice
-    from biheyt import eval_intuitionistic
+    from biheyt import eval_algebra
 
     alg = open_lattice(sp)
-    value = eval_intuitionistic(
-        parse_formula("!!p -> p"), alg, {"p": alg.base.subsets.index(0b01)}
+    value = eval_algebra(
+        parse_formula("!!p -> p"), alg, {"p": alg.subsets.index(0b01)}, "intuitionistic"
     )
-    assert alg.base.subsets[value] == 0b01
+    assert alg.subsets[value] == 0b01
 
 
 def test_search_classical_tautology_has_no_witness():
@@ -444,8 +473,9 @@ def oracle_search(phi, max_points, mode, frame_properties=()):
 
 def oracle_valid_in_frame(frame, phi, names):
     return all(
-        valid_in_model(KripkeModel(frame, dict(zip(names, masks))), phi)
+        kripke_eval(KripkeModel(frame, dict(zip(names, masks))), w, phi)
         for masks in product(all_subsets(frame.worlds), repeat=len(names))
+        for w in range(frame.worlds)
     )
 
 
@@ -456,7 +486,7 @@ def sliced_sets(structure, phi, names):
         points, modalities = structure.points, modal._space_modalities(structure)
     else:
         points, modalities = structure.worlds, modal._frame_modalities(structure)
-    prog, names = modal._compile(phi, "test", names)
+    prog, names = compile_formula(phi, "kripke", names)
     sets = []
     for base, full, atoms in modal._slices(points, len(names)):
         vec = modal._evaluate(prog, atoms, full, points, modalities)
@@ -636,7 +666,7 @@ def test_deep_formula_compiles_without_recursion():
     phi = atom("p")
     for _ in range(5000):
         phi = dia(phi)
-    prog, names = modal._compile(phi, "kripke")
+    prog, names = compile_formula(phi, "kripke")
     assert len(prog) == 5001 and names == ["p"]
     frame = KripkeFrame(1, (1,))
     assert valid_in_frame(frame, disj(phi, parse_formula("!p")), ["p"])

@@ -9,7 +9,6 @@ from biheyt import (
     compose,
     complement,
     enumerate_homs,
-    heyting_implies,
     induced_map,
     interior,
     is_prime_filter,
@@ -94,7 +93,7 @@ def test_stone_isomorphism_up_to_six(lattices_6):
 
 def test_stone_implication_identity(chain3):
     spec = spectrum(chain3)
-    m_to_bottom = heyting_implies(chain3, 1, 0)
+    m_to_bottom = chain3.implies_table[1][0]
     assert m_to_bottom == 0
     want = interior(
         spec.space, complement(spec.space, spec.beta[1]) | spec.beta[0]

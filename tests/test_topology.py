@@ -101,53 +101,53 @@ def test_operator_laws(spaces_3):
 
 def test_open_lattice_double_negation(threepoint):
     alg = open_lattice(threepoint)
-    i_ab = alg.base.subsets.index(0b011)
-    assert alg.base.subsets[alg.neg[i_ab]] == 0
-    assert alg.base.subsets[alg.neg[alg.neg[i_ab]]] == 0b111
+    i_ab = alg.subsets.index(0b011)
+    assert alg.subsets[alg.neg_table[i_ab]] == 0
+    assert alg.subsets[alg.neg_table[alg.neg_table[i_ab]]] == 0b111
 
 
 def test_closed_lattice_paraconsistency(threepoint):
     alg = closed_lattice(threepoint)
-    i_bc = alg.base.subsets.index(0b110)
-    assert alg.base.subsets[alg.boundary[i_bc]] == 0b110
+    i_bc = alg.subsets.index(0b110)
+    assert alg.subsets[alg.boundary_table[i_bc]] == 0b110
 
 
 def test_discrete_open_equals_closed(discrete2):
     ol, cl_ = open_lattice(discrete2), closed_lattice(discrete2)
-    assert ol.base == cl_.base
-    assert ol.base.n == 4 and is_boolean(ol.base)
+    assert ol == cl_
+    assert ol.n == 4 and is_boolean(ol)
 
 
 def test_lattice_meets_joins_are_set_operations(spaces_3):
     for sp in spaces_3:
         alg = open_lattice(sp)
-        subs = alg.base.subsets
-        for a in range(alg.base.n):
-            for b in range(alg.base.n):
-                assert subs[alg.base.meet[a][b]] == subs[a] & subs[b]
-                assert subs[alg.base.join[a][b]] == subs[a] | subs[b]
+        subs = alg.subsets
+        for a in range(alg.n):
+            for b in range(alg.n):
+                assert subs[alg.meet[a][b]] == subs[a] & subs[b]
+                assert subs[alg.join[a][b]] == subs[a] | subs[b]
 
 
 def test_open_implication_is_interior_formula(spaces_3):
     # dual route: candidate-scan implication vs int(Aᶜ ∪ B)
     for sp in spaces_3:
         alg = open_lattice(sp)
-        subs = alg.base.subsets
-        for a in range(alg.base.n):
-            for b in range(alg.base.n):
+        subs = alg.subsets
+        for a in range(alg.n):
+            for b in range(alg.n):
                 want = interior(sp, complement(sp, subs[a]) | subs[b])
-                assert subs[alg.implies[a][b]] == want
+                assert subs[alg.implies_table[a][b]] == want
 
 
 def test_closed_subtraction_is_closure_formula(spaces_3):
     # dual route: candidate-scan subtraction vs cl(A ∩ Bᶜ)
     for sp in spaces_3:
         alg = closed_lattice(sp)
-        subs = alg.base.subsets
-        for a in range(alg.base.n):
-            for b in range(alg.base.n):
+        subs = alg.subsets
+        for a in range(alg.n):
+            for b in range(alg.n):
                 want = closure(sp, subs[a] & complement(sp, subs[b]))
-                assert subs[alg.minus[a][b]] == want
+                assert subs[alg.minus_table[a][b]] == want
 
 
 # -- basis generation ----------------------------------------------------------
@@ -248,28 +248,28 @@ def test_bound_exceeded():
 def test_open_lattices_satisfy_residuation(spaces_4):
     for sp in spaces_4:
         alg = open_lattice(sp)
-        lat = alg.base
+        lat = alg
         for a in range(lat.n):
             for b in range(lat.n):
-                assert (alg.implies[a][b] == lat.top) == lat.leq(a, b)
+                assert (alg.implies_table[a][b] == lat.top) == lat.leq(a, b)
                 for x in range(lat.n):
-                    assert lat.leq(lat.meet[a][x], b) == lat.leq(x, alg.implies[a][b])
+                    assert lat.leq(lat.meet[a][x], b) == lat.leq(x, alg.implies_table[a][b])
 
 
 def test_closed_lattices_satisfy_coresiduation(spaces_4):
     for sp in spaces_4:
         alg = closed_lattice(sp)
-        lat = alg.base
+        lat = alg
         for a in range(lat.n):
-            assert lat.leq(alg.conot[alg.conot[a]], a)
-            c = alg.conot[a]
+            assert lat.leq(alg.conot_table[alg.conot_table[a]], a)
+            c = alg.conot_table[a]
             assert lat.join[a][c] == lat.top
             for x in range(lat.n):
                 if lat.join[a][x] == lat.top:
                     assert lat.leq(c, x)
             for b in range(lat.n):
                 for x in range(lat.n):
-                    assert lat.leq(alg.minus[a][b], x) == lat.leq(a, lat.join[b][x])
+                    assert lat.leq(alg.minus_table[a][b], x) == lat.leq(a, lat.join[b][x])
 
 
 # -- boolean criterion ---------------------------------------------------------
@@ -278,7 +278,7 @@ def test_closed_lattices_satisfy_coresiduation(spaces_4):
 def test_boolean_iff_clopen_iff_symmetric(spaces_4):
     for sp in spaces_4:
         ol = open_lattice(sp)
-        boolean = is_boolean(ol.base)
+        boolean = is_boolean(ol)
         clopen = set(sp.opens) == set(sp.closeds)
         symmetric = specialization_preorder(sp).symmetric()
         assert boolean == clopen == symmetric
