@@ -39,6 +39,34 @@ def all_subsets(n: int) -> range:
     return range(1 << n)
 
 
+def unions(rows: Iterable[int]) -> set[int]:
+    """Every union of some of the given sets, the empty union 0 included.
+
+    After each row the family is closed under union, so a row that is
+    already a member adds nothing and is skipped."""
+    family = {0}
+    for row in rows:
+        if row not in family:
+            family |= {s | row for s in family}
+    return family
+
+
+def closed_relation(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Reflexive-transitive closure of the pairs (i, j) on 0..n-1, as
+    rows: row i is the mask of every j reachable from i (Warshall)."""
+    rows = [1 << i for i in range(n)]
+    for a, b in pairs:
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"pair ({a}, {b}) references elements outside 0..{n-1}")
+        rows[a] |= 1 << b
+    for k in range(n):
+        rk = rows[k]
+        for i in range(n):
+            if (rows[i] >> k) & 1:
+                rows[i] |= rk
+    return rows
+
+
 def pattern(mask: int, width: int) -> str:
     """Bit-pattern string, position i = element i (e.g. {0,2} -> '101')."""
     return "".join("1" if (mask >> i) & 1 else "0" for i in range(width))

@@ -67,6 +67,7 @@ from .textfmt import (
     format_lattice_text,
     format_space_text,
     load_structure,
+    parse_subset,
 )
 
 
@@ -369,12 +370,16 @@ def _cmd_modal_eval(args, out: _Output) -> int:
     structure = load_structure(args.model)
     phi = parse_formula(args.formula)
     if isinstance(structure, FiniteSpace):
+        if args.world is not None:
+            raise BiheytError("--world needs a Kripke model; a space is evaluated as a whole")
         valuation = _assignments(args.assign, lambda raw: _subset_arg(raw, structure.points))
         value = topo_eval(structure, valuation, phi)
         out.text(pattern(value, structure.points))
         out.record(record="topo-eval", value=bit_list(value))
         return 0 if value == structure.full else 1
     model = _need(structure, KripkeModel, "model")
+    if args.assign:
+        raise BiheytError("--assign needs a space; a Kripke model has its own valuation")
     holds = truth_set(model, phi)
     if args.world is not None:
         w = _world_index(args.world, model.frame.worlds)
@@ -488,7 +493,7 @@ def _cmd_eval(args, out: _Output) -> int:
 
 def _assignments(items, parse) -> dict:
     """atom -> parse(value) for each ATOM=VALUE item; an atom may be
-    assigned only once."""
+    assigned only once, and a ValueError from parse is bad input."""
     out = {}
     for item in items or ():
         if "=" not in item:
@@ -496,19 +501,16 @@ def _assignments(items, parse) -> dict:
         name, raw = (part.strip() for part in item.split("=", 1))
         if name in out:
             raise BiheytError(f"atom {name!r} is assigned more than once")
-        out[name] = parse(raw)
+        try:
+            out[name] = parse(raw)
+        except ValueError as err:
+            raise BiheytError(f"bad value in {item!r}: {err}") from None
     return out
 
 
 def _subset_arg(raw: str, points: int) -> int:
-    if set(raw) <= {"0", "1"} and len(raw) == points and points > 1:
-        from .bitsets import from_pattern
-
-        return from_pattern(raw)
-    try:
-        return sum(1 << int(tok) for tok in raw.replace(",", " ").split())
-    except ValueError:
-        raise BiheytError(f"bad subset {raw!r}") from None
+    """A bit pattern or comma/space separated point indices."""
+    return parse_subset(raw.replace(",", " ").split(), points)
 
 
 # --- parser ----------------------------------------------------------------

@@ -17,15 +17,17 @@ boundary_table, and every caller reads them there.
 
 enumerate_distributive_lattices lists the distributive lattices up to
 MAX_ENUMERATION_SIZE elements through Birkhoff duality, as down-set
-lattices of unlabelled posets of join-irreducibles.
+lattices of unlabelled posets of join-irreducibles. The down-sets are
+the unions of the principal down-sets (bitsets.unions), the same
+construction as the opens of a finite space from its preorder.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
-from .bitsets import iter_bits, subset_key
+from .bitsets import closed_relation, iter_bits, subset_key, unions
 from .errors import (
     BoundExceeded,
     NotALattice,
@@ -198,18 +200,7 @@ def _lattice_from_rows(up: Sequence[int], subsets=None) -> FiniteLattice:
 def build_lattice(n: int, leq_pairs) -> FiniteLattice:
     """Construct the lattice whose order is the reflexive-transitive
     closure of the given pairs (i, j) meaning i <= j."""
-    up = [1 << i for i in range(n)]
-    for a, b in leq_pairs:
-        if not (0 <= a < n and 0 <= b < n):
-            raise ValueError(f"pair ({a}, {b}) references elements outside 0..{n-1}")
-        up[a] |= 1 << b
-    # Warshall closure over bitmask rows.
-    for k in range(n):
-        rk = up[k]
-        for i in range(n):
-            if (up[i] >> k) & 1:
-                up[i] |= rk
-    return _lattice_from_rows(up)
+    return _lattice_from_rows(closed_relation(n, leq_pairs))
 
 
 def lattice_of_subsets(family: Sequence[int]) -> FiniteLattice:
@@ -271,54 +262,6 @@ def cover_pairs(lat: FiniteLattice) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration. Reflexive transitive relations are generated row by row
-# with incremental pruning: once rows i and j are both assigned, the
-# constraint (j in row i => row j ⊆ row i) is transitivity itself.
-
-
-def closed_relation_rows(
-    m: int, antisymmetric: bool = False
-) -> Iterator[tuple[int, ...]]:
-    """All reflexive transitive relations on 0..m-1 as row-mask tuples,
-    in lexicographic row order. With antisymmetric=True, partial orders."""
-    if m == 0:
-        yield ()
-        return
-    rows: list[int] = []
-
-    def consistent(i, ri):
-        for j in range(i):
-            rj = rows[j]
-            if (ri >> j) & 1:
-                if rj & ~ri:
-                    return False
-                if antisymmetric and (rj >> i) & 1:
-                    return False
-            if (rj >> i) & 1 and ri & ~rj:
-                return False
-        return True
-
-    def assign(i):
-        if i == m:
-            yield tuple(rows)
-            return
-        for mask in range(1 << m):
-            if not (mask >> i) & 1:
-                continue
-            if consistent(i, mask):
-                rows.append(mask)
-                yield from assign(i + 1)
-                rows.pop()
-
-    yield from assign(0)
-
-
-def enumerate_posets(m: int) -> Iterator[tuple[int, ...]]:
-    """All labeled partial orders on m points, rows up[i] = {j | i <= j}."""
-    return closed_relation_rows(m, antisymmetric=True)
-
-
-# ---------------------------------------------------------------------------
 # Distributive lattices via Birkhoff duality: a finite distributive
 # lattice is the lattice of down-sets of its poset of join-irreducibles,
 # and non-isomorphic posets give non-isomorphic lattices. So the lattices
@@ -330,17 +273,14 @@ def enumerate_posets(m: int) -> Iterator[tuple[int, ...]]:
 MAX_ENUMERATION_SIZE = 12
 
 
-def _downsets(up_rows: Sequence[int]) -> list[int]:
-    """All down-closed subsets of the poset with rows up[i] = {j | i <= j}.
-
-    Elements join top-down (fewest upper bounds first), each as a new
-    minimal element x: the old down-sets that miss x's strict up-set
-    stay, and each old down-set also gains a copy with x in it."""
-    downs = [0]
-    for x in sorted(range(len(up_rows)), key=lambda i: up_rows[i].bit_count()):
-        above = up_rows[x] & ~(1 << x)
-        downs = [d for d in downs if not d & above] + [d | 1 << x for d in downs]
-    return downs
+def _downsets(up_rows: Sequence[int]) -> set[int]:
+    """All down-closed subsets of the poset with rows up[i] = {j | i <= j}:
+    the unions of its principal down-sets."""
+    down = [0] * len(up_rows)
+    for i, row in enumerate(up_rows):
+        for j in iter_bits(row):
+            down[j] |= 1 << i
+    return unions(down)
 
 
 def _lex_min_rows(up_rows: Sequence[int]) -> tuple[int, ...]:

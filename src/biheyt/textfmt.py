@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 from typing import Union
 
-from .bitsets import bit_list, from_pattern, mask_of, pattern
+from .bitsets import bit_list, closed_relation, from_pattern, mask_of, pattern
 from .catalog import builtin
 from .errors import ParseError
 from .lattice import FiniteLattice, build_lattice, cover_pairs
@@ -78,7 +78,9 @@ def format_lattice_text(lat: FiniteLattice) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_subset(no: int, parts: list[str], m: int) -> int:
+def parse_subset(parts: list[str], m: int) -> int:
+    """A subset of 0..m-1 given as one bit pattern of length m (m > 1,
+    position i = point i) or as point indices. Raises ValueError."""
     if len(parts) == 1 and set(parts[0]) <= {"0", "1"} and len(parts[0]) == m and m > 1:
         return from_pattern(parts[0])
     points = []
@@ -86,9 +88,9 @@ def _parse_subset(no: int, parts: list[str], m: int) -> int:
         try:
             x = int(tok)
         except ValueError:
-            raise ParseError(no, f"bad point {tok!r}") from None
+            raise ValueError(f"bad point {tok!r}") from None
         if not 0 <= x < m:
-            raise ParseError(no, f"point {x} out of range 0..{m - 1}")
+            raise ValueError(f"point {x} out of range 0..{m - 1}")
         points.append(x)
     return mask_of(points)
 
@@ -104,7 +106,10 @@ def parse_space_text(text: str) -> FiniteSpace:
     for no, line in lines[1:]:
         parts = line.split()
         if parts[0] == "open":
-            opens.append(_parse_subset(no, parts[1:], m) if len(parts) > 1 else 0)
+            try:
+                opens.append(parse_subset(parts[1:], m))
+            except ValueError as err:
+                raise ParseError(no, str(err)) from None
         elif parts[0] == "preorder" and len(parts) == 3:
             try:
                 a, b = int(parts[1]), int(parts[2])
@@ -118,14 +123,7 @@ def parse_space_text(text: str) -> FiniteSpace:
     if preorder_pairs and opens:
         raise ParseError(lines[1][0], "mix of open and preorder lines")
     if preorder_pairs:
-        rel = [1 << i for i in range(m)]
-        for a, b in preorder_pairs:
-            rel[a] |= 1 << b
-        for k in range(m):
-            for i in range(m):
-                if (rel[i] >> k) & 1:
-                    rel[i] |= rel[k]
-        return from_preorder(Preorder(m, tuple(rel)))
+        return from_preorder(Preorder(m, tuple(closed_relation(m, preorder_pairs))))
     return validate_topology(m, opens)
 
 

@@ -4,9 +4,10 @@ A finite space is a point count plus the family of open subsets (as
 bitmasks, canonically sorted by size then bit pattern). Finite spaces
 are all Alexandrov: opens are closed under arbitrary intersections, so
 every point has a smallest open neighbourhood and the space is
-interchangeable with its specialization preorder. Topology enumeration
-goes through preorders, which is exact and far smaller than scanning
-raw subset families.
+interchangeable with its specialization preorder. The opens are the
+unions of those neighbourhoods (bitsets.unions), so no construction
+here scans all 2^n subsets. Topology enumeration goes through
+preorders, which is exact and far smaller than scanning subset families.
 
 The open sets form a Heyting algebra under inclusion and the closed
 sets a co-Heyting algebra under inclusion (∅ bottom, X top, ∧=∩, ∨=∪).
@@ -17,14 +18,14 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .bitsets import all_subsets, iter_bits, subset_key
+from .bitsets import iter_bits, subset_key, unions
 from .errors import (
     BoundExceeded,
     MissingEmptyOrFull,
     NotClosedUnderIntersection,
     NotClosedUnderUnion,
 )
-from .lattice import FiniteLattice, closed_relation_rows, lattice_of_subsets
+from .lattice import FiniteLattice, lattice_of_subsets
 
 DEFAULT_MAX_POINTS = 4
 # Most points the exhaustive suites sweep: 6,942 spaces on 5, 209,527 on 6.
@@ -59,14 +60,20 @@ class FiniteSpace:
     @cached_property
     def min_open(self) -> tuple[int, ...]:
         """Smallest open neighbourhood of each point."""
-        out = []
-        for x in range(self.points):
-            acc = self.full
-            for o in self.opens:
-                if (o >> x) & 1:
-                    acc &= o
-            out.append(acc)
-        return tuple(out)
+        return _smallest_around(self.points, self.opens)
+
+
+def _smallest_around(points: int, family: Iterable[int]) -> tuple[int, ...]:
+    """For each point, the intersection of the full set and the members
+    of the family around it. Raises ValueError for a member with points
+    outside 0..points-1."""
+    out = [(1 << points) - 1] * points
+    for s in family:
+        if s >> points:
+            raise ValueError(f"set {s:#b} uses points outside 0..{points - 1}")
+        for x in iter_bits(s):
+            out[x] &= s
+    return tuple(out)
 
 
 class Preorder:
@@ -147,32 +154,11 @@ def closed_lattice(space: FiniteSpace) -> FiniteLattice:
 
 
 def generate_from_basis(points: int, basis: Iterable[int]) -> FiniteSpace:
-    """Coarsest topology containing the family, treated as a subbasis:
-    close under pairwise intersection, then under union, add ∅ and X."""
-    full = (1 << points) - 1
-    fam = set(basis)
-    fam.add(full)
-    changed = True
-    while changed:
-        changed = False
-        items = list(fam)
-        for i, s in enumerate(items):
-            for t in items[i + 1 :]:
-                if s & t not in fam:
-                    fam.add(s & t)
-                    changed = True
-    changed = True
-    while changed:
-        changed = False
-        items = list(fam)
-        for i, s in enumerate(items):
-            for t in items[i + 1 :]:
-                if s | t not in fam:
-                    fam.add(s | t)
-                    changed = True
-    fam.add(0)
-    fam.add(full)
-    return FiniteSpace(points, tuple(sorted(fam, key=subset_key)))
+    """Coarsest topology containing the family, treated as a subbasis.
+    The finite intersections of its members around a point give the
+    point's smallest open neighbourhood, and the opens are the unions of
+    those. Raises ValueError for a member outside 0..points-1."""
+    return from_preorder(Preorder(points, _smallest_around(points, basis)))
 
 
 def specialization_preorder(space: FiniteSpace) -> Preorder:
@@ -182,26 +168,31 @@ def specialization_preorder(space: FiniteSpace) -> Preorder:
 
 
 def from_preorder(pre: Preorder) -> FiniteSpace:
-    """Opens = the up-closed sets of the preorder (Alexandrov)."""
-    rel = pre.rel
-    fam = []
-    for s in all_subsets(pre.points):
-        t = s
-        ok = True
-        while t:
-            low = t & -t
-            if rel[low.bit_length() - 1] & ~s:
-                ok = False
-                break
-            t ^= low
-        if ok:
-            fam.append(s)
-    return FiniteSpace(pre.points, tuple(sorted(fam, key=subset_key)))
+    """Opens = the up-closed sets of the preorder (Alexandrov): the
+    unions of the principal up-sets pre.rel[x], which must be closed."""
+    return FiniteSpace(pre.points, tuple(sorted(unions(pre.rel), key=subset_key)))
 
 
 def enumerate_preorders(points: int) -> Iterator[Preorder]:
-    for rows in closed_relation_rows(points):
-        yield Preorder(points, rows)
+    """Every preorder on 0..points-1, in lexicographic row order. Rows
+    are fixed one point at a time; row i holds i and is transitive with
+    each row j fixed before it (j in row i => row j ⊆ row i, and back)."""
+
+    def extend(rows: tuple[int, ...]) -> Iterator[Preorder]:
+        i = len(rows)
+        if i == points:
+            yield Preorder(points, rows)
+            return
+        for ri in range(1 << points):
+            if not (ri >> i) & 1:
+                continue
+            for j, rj in enumerate(rows):
+                if (ri >> j) & 1 and rj & ~ri or (rj >> i) & 1 and ri & ~rj:
+                    break
+            else:
+                yield from extend(rows + (ri,))
+
+    return extend(())
 
 
 def enumerate_topologies(

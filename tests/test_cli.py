@@ -374,6 +374,45 @@ def test_modal_eval_rejects_repeated_assignment(capsys):
     assert "atom 'p' is assigned more than once" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("--model", "example1", "--formula", "p", "--assign", "p=0,1,2", "--world", "w0"),
+     "--assign needs a space"),
+    (("--model", "example1", "--formula", "p", "--assign", "p=0"), "--assign needs a space"),
+    (("--model", "threepoint", "--formula", "p", "--assign", "p=110", "--world", "w2"),
+     "--world needs a Kripke model"),
+])
+def test_modal_eval_rejects_the_flag_that_does_not_fit(capsys, argv, message):
+    code, out, err = run(capsys, "modal", "eval", *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("command", [
+    ("modal", "eval", "--model", "threepoint", "--formula", "!p"),
+    ("modal", "eval", "--model", "threepoint", "--formula", "p"),
+    ("eval", "--algebra", "threepoint", "--formula", "p"),
+])
+@pytest.mark.parametrize("value,message", [
+    ("7", "point 7 out of range 0..2"),
+    ("0,1,2,5", "point 5 out of range 0..2"),
+    ("0,x", "bad point 'x'"),
+    ("1011", "point 1011 out of range 0..2"),
+])
+def test_subset_values_are_range_checked(capsys, command, value, message):
+    code, out, err = run(capsys, *command, "--assign", f"p={value}")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad value in 'p={value}': {message}\n"
+
+
+def test_subset_values_by_points_and_by_pattern_agree(capsys):
+    for value in ("0,1", "0 1", "110", "1,0,1"):
+        code, out, _ = run(capsys, "modal", "eval", "--model", "threepoint",
+                           "--formula", "p", "--assign", f"p={value}")
+        assert (code, out) == (1, "110\n")
+
+
 # -- algebra eval -----------------------------------------------------------------------
 
 

@@ -43,6 +43,10 @@ def test_lattice_parse_comments_and_blanks():
         ("lattice n=2\nle 0 5", 2),
         ("lattice n=2\nedge 0 1", 2),
         ("space m=2\nle 0 1", 2),
+        ("space m=3\nopen 000\nopen 3", 3),
+        ("space m=3\nopen 0 -1", 2),
+        ("space m=3\nopen x", 2),
+        ("space m=3\nopen 0111", 2),
     ],
 )
 def test_parse_errors_carry_line(text, line):
@@ -73,6 +77,14 @@ def test_space_parse_patterns_and_point_lists(threepoint):
 def test_space_parse_preorder_block(threepoint):
     sp = parse_space_text("space m=3\npreorder 1 0\npreorder 2 1\n")
     assert sp == threepoint
+
+
+def test_space_parse_long_preorder_chain():
+    # the opens are built from the 30 up-sets, not by a scan of 2^30 subsets
+    text = "space m=30\n" + "".join(f"preorder {i} {i + 1}\n" for i in range(29))
+    sp = parse_space_text(text)
+    assert len(sp.opens) == 31
+    assert sp.opens == tuple(((1 << 30) - 1) & ~((1 << i) - 1) for i in range(30, -1, -1))
 
 
 def test_space_mixed_lines_rejected():

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from biheyt import (
@@ -18,7 +20,7 @@ from biheyt import (
     specialization_preorder,
     validate_topology,
 )
-from biheyt.bitsets import all_subsets
+from biheyt.bitsets import all_subsets, iter_bits, subset_key
 
 
 # -- validation --------------------------------------------------------------
@@ -159,6 +161,36 @@ def test_basis_examples(threepoint, discrete2):
     assert generate_from_basis(3, []).opens == (0, 0b111)
 
 
+def reference_generate_from_basis(points, basis):
+    """The pairwise-closure construction: close the family under pairwise
+    intersection, then under union, and add ∅ and X."""
+    full = (1 << points) - 1
+    fam = set(basis) | {full}
+    for op in (int.__and__, int.__or__):
+        changed = True
+        while changed:
+            items = list(fam)
+            new = {op(s, t) for i, s in enumerate(items) for t in items[i + 1 :]} - fam
+            fam |= new
+            changed = bool(new)
+    fam |= {0, full}
+    return tuple(sorted(fam, key=subset_key))
+
+
+def test_basis_matches_pairwise_closure():
+    # every family of proper nonempty subsets on 1..4 points
+    for m in range(1, 5):
+        proper = range(1, (1 << m) - 1)
+        for bits in range(1 << len(proper)):
+            fam = [s for k, s in enumerate(proper) if (bits >> k) & 1]
+            assert generate_from_basis(m, fam).opens == reference_generate_from_basis(m, fam)
+
+
+def test_basis_rejects_points_outside_the_space():
+    with pytest.raises(ValueError, match="outside 0..2"):
+        generate_from_basis(3, [0b001, 0b1000])
+
+
 def test_any_family_generates_a_topology():
     # subbasis treatment: no family is rejected and the result validates
     for fam_bits in range(1 << 6):
@@ -193,6 +225,35 @@ def test_specialization_discrete_identity(discrete2):
 def test_specialization_indiscrete_total():
     indiscrete = validate_topology(3, [0, 0b111])
     assert specialization_preorder(indiscrete).rel == (0b111, 0b111, 0b111)
+
+
+def reference_from_preorder(pre):
+    """Scan all 2^n subsets and keep the up-closed ones."""
+    fam = [
+        s for s in all_subsets(pre.points)
+        if all(not pre.rel[x] & ~s for x in iter_bits(s))
+    ]
+    return tuple(sorted(fam, key=subset_key))
+
+
+def test_from_preorder_matches_subset_scan():
+    count = 0
+    for m in range(1, 6):
+        for pre in enumerate_preorders(m):
+            assert from_preorder(pre).opens == reference_from_preorder(pre)
+            count += 1
+    assert count == 1 + 4 + 29 + 355 + 6942
+
+
+def test_preorders_in_lexicographic_row_order():
+    # reference: every relation in row order, kept if reflexive and transitive
+    for m in range(5):
+        want = [
+            rows for rows in product(range(1 << m), repeat=m)
+            if all((rows[x] >> x) & 1 for x in range(m))
+            and all(not rows[y] & ~rows[x] for x in range(m) for y in iter_bits(rows[x]))
+        ]
+        assert [pre.rel for pre in enumerate_preorders(m)] == want
 
 
 def test_round_trips(spaces_4):
