@@ -2,10 +2,13 @@
 
 A verified hom preserves bottom, top, meet and join; the 'heyting'
 flavor additionally preserves implication and 'coheyting' preserves
-subtraction. Congruences are equivalence relations compatible with
-meet and join; quotients rebuild the block lattice from scratch and
-cross-check it against the projected tables, which catches any relation
-that merely pretends to be a congruence.
+subtraction. Homs are enumerated through finite Birkhoff duality, one
+candidate per order-preserving map from the target's join-irreducibles
+to the source's, and two-valued homs from the principal filters; every
+candidate is still verified. Congruences are equivalence relations
+compatible with meet and join; quotients rebuild the block lattice from
+scratch and cross-check it against the projected tables, which catches
+any relation that merely pretends to be a congruence.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from functools import cached_property
 from itertools import product
 from typing import Sequence
 
-from .bitsets import all_subsets, iter_bits, subset_key
+from .bitsets import iter_bits, subset_key
 from .errors import (
     BoundExceeded,
     NotACongruence,
@@ -201,27 +204,52 @@ def is_hom(map, source, target, flavor="lattice") -> bool:
         return False
 
 
+def _join_irreducibles(lat: FiniteLattice) -> list[int]:
+    """Elements other than ⊥ that are not the join of the elements below them."""
+    out = []
+    for j in range(lat.n):
+        acc = lat.bottom
+        for x in iter_bits(lat.down[j] & ~(1 << j)):
+            acc = lat.join[acc][x]
+        if j != lat.bottom and acc != j:
+            out.append(j)
+    return out
+
+
 def enumerate_homs(source, target, flavor="lattice", bound: int = 6) -> list[LatticeHom]:
-    """All homs source→target by exhaustive search over maps fixing ⊥,⊤."""
+    """All homs source→target, sorted by map, through finite Birkhoff duality.
+
+    A hom φ is fixed by f(j) = ⋀φ⁻¹(↑j), the least a with j ≤ φ(a), over
+    the join-irreducibles j of the target: φ(a) = ⋁{j | f(j) ≤ a}, and f
+    is order-preserving into the source's elements other than ⊥. When the
+    target is distributive each j is join-prime, so f(j) is
+    join-irreducible and only those images are tried. Every candidate is
+    verified with check_hom; into a non-distributive target several f
+    can give the same map, which is kept once."""
     if source.n > bound:
         raise BoundExceeded("lattice size", source.n, bound)
-    free = [a for a in range(source.n) if a not in (source.bottom, source.top)]
-    out = []
-    if source.bottom == source.top:
-        # one-element source: single candidate, valid iff target bounds coincide
-        candidate = [target.bottom] * source.n
-        if is_hom(candidate, source, target, flavor):
-            out.append(LatticeHom(source, target, candidate, flavor))
-        return out
-    for images in product(range(target.n), repeat=len(free)):
-        m = [0] * source.n
-        m[source.bottom] = target.bottom
-        m[source.top] = target.top
-        for a, v in zip(free, images):
-            m[a] = v
-        if is_hom(m, source, target, flavor):
-            out.append(LatticeHom(source, target, m, flavor))
-    return out
+    points = _join_irreducibles(target)
+    if target.distributive_failure is None:
+        images = _join_irreducibles(source)
+    else:
+        images = [a for a in range(source.n) if a != source.bottom]
+    below = [(p, q) for p, j in enumerate(points) for q, k in enumerate(points)
+             if p != q and target.leq(j, k)]
+    found = {}
+    for f in product(images, repeat=len(points)):
+        if not all(source.leq(f[p], f[q]) for p, q in below):
+            continue
+        m = []
+        for a in range(source.n):
+            acc = target.bottom
+            for j, fj in zip(points, f):
+                if source.leq(fj, a):
+                    acc = target.join[acc][j]
+            m.append(acc)
+        m = tuple(m)
+        if m not in found and is_hom(m, source, target, flavor):
+            found[m] = LatticeHom(source, target, m, flavor)
+    return [found[m] for m in sorted(found)]
 
 
 def compose(g: LatticeHom, f: LatticeHom) -> LatticeHom:
@@ -254,19 +282,19 @@ def preimage_of_top(phi: LatticeHom) -> int:
 
 def two_valued_homs(lat: FiniteLattice) -> list[LatticeHom]:
     """All surjective bounded-lattice homs onto the two-element algebra,
-    found by scanning every 0/1 labelling of the carrier.
+    in subset_key order of φ⁻¹(⊤).
 
     These are the two-valued truth assignments; φ⁻¹(⊤) ranges exactly
-    over the prime filters. Some of them also preserve implication, but
-    requiring that would break the prime-filter bijection (on the
-    3-chain, the assignment sending the middle to 0 maps m→⊥ to 0 while
-    φ(m)→φ(⊥) = 1)."""
+    over the prime filters. In a finite lattice every proper filter is
+    some ↑a with a ≠ ⊥, so those n−1 up-sets are the only candidates,
+    each verified with is_hom. Some of the homs also preserve
+    implication, but requiring that would break the prime-filter
+    bijection (on the 3-chain, the assignment sending the middle to 0
+    maps m→⊥ to 0 while φ(m)→φ(⊥) = 1)."""
     two = chain(2)
     out = []
-    for s in sorted(all_subsets(lat.n), key=subset_key):
+    for s in sorted((lat.up[a] for a in range(lat.n) if a != lat.bottom), key=subset_key):
         m = [(s >> a) & 1 for a in range(lat.n)]
-        if len(set(m)) < 2:
-            continue
         if is_hom(m, lat, two, "lattice"):
             out.append(LatticeHom(lat, two, m, "lattice"))
     return out

@@ -6,7 +6,9 @@ generate the spectral topology. In the finite distributive case β is
 an isomorphism onto the opens, which verify_stone_embedding checks
 equation by equation. Lattice homs induce continuous point maps in the
 opposite direction (preimage of a prime filter), giving the instance
-level functoriality exercised by the test suites.
+level functoriality exercised by the test suites. induced_map
+re-verifies each preimage as a prime filter, so `verify functoriality`
+calls it once per hom and checks compositions on the point maps.
 """
 
 from __future__ import annotations
@@ -171,7 +173,8 @@ def induced_map(
                 mask |= 1 << k
         return mask
 
-    continuous = all(preimage(o) in set(sk.space.opens) for o in sh.space.opens)
+    target_opens = set(sk.space.opens)
+    continuous = all(preimage(o) in target_opens for o in sh.space.opens)
     identity_ok = all(
         preimage(sh.beta[h]) == sk.beta[phi.map[h]] for h in range(H.n)
     )

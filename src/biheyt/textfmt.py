@@ -162,10 +162,11 @@ def parse_model_text(text: str) -> KripkeModel:
                 raise ParseError(no, "missing atom name in val line")
             worlds = []
             for tok in parts[2:]:
-                w = int(tok) if tok.isdigit() else (int(tok[1:]) if tok.startswith("w") and tok[1:].isdigit() else None)
-                if w is None or not 0 <= w < n:
+                digits = tok[1:] if tok.startswith("w") else tok
+                # ASCII only: str.isdigit also accepts '²', which int() refuses
+                if not (digits.isascii() and digits.isdigit()) or not 0 <= int(digits) < n:
                     raise ParseError(no, f"bad world {tok!r} in val line")
-                worlds.append(w)
+                worlds.append(int(digits))
             valuation[name] = mask_of(worlds)
         else:
             raise ParseError(no, f"expected 'edge <i> <j>' or 'val <atom>: ...', got {line!r}")

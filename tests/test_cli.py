@@ -113,6 +113,75 @@ def test_verify_functoriality(capsys):
     assert "all contravariant" in out
 
 
+def test_verify_functoriality_at_the_cap(capsys):
+    code, out, _ = run(capsys, "verify", "functoriality", "--max-size", "6")
+    assert code == 0
+    assert out == ("identities: 13, beta identities: 2655, compositions: 755348, "
+                   "all contravariant\n")
+    code, out, err = run(capsys, "verify", "functoriality", "--max-size", "7")
+    assert code == 2
+    assert out == ""
+    assert "exceeds configured bound 6" in err
+
+
+def _functoriality_violations(capsys, monkeypatch, name, patched):
+    import biheyt.cli as cli
+
+    monkeypatch.setattr(cli, name, patched(getattr(cli, name)))
+    code, out, _ = run(capsys, "verify", "functoriality", "--max-size", "3")
+    assert code == 1
+    *violations, summary = out.splitlines()
+    assert summary.endswith(", violations found")
+    return violations
+
+
+def test_functoriality_reports_a_corrupted_point_map(capsys, monkeypatch):
+    def patched(induced_map):
+        def corrupt(phi, *spectra):
+            im = induced_map(phi, *spectra)
+            if phi.map == (0, 1, 1):  # 3-chain onto 2-chain: sends the point elsewhere
+                points = len(im.source_spec.points)
+                im.point_map = tuple((x + 1) % points for x in im.point_map)
+            return im
+        return corrupt
+
+    violations = _functoriality_violations(capsys, monkeypatch, "induced_map", patched)
+    assert violations and all(v.startswith("composition violation: ") for v in violations)
+
+
+def test_functoriality_reports_a_composite_missing_from_the_homs(capsys, monkeypatch):
+    def patched(enumerate_homs):
+        # (0, 0, 1) is (0, 1, 1) after (0, 0, 2), both still enumerated
+        return lambda h, k: [phi for phi in enumerate_homs(h, k) if phi.map != (0, 0, 1)]
+
+    violations = _functoriality_violations(capsys, monkeypatch, "enumerate_homs", patched)
+    assert violations
+    assert all(v.startswith("composition violation: ") and
+               v.endswith("composes to no enumerated hom") for v in violations)
+
+
+def test_functoriality_reports_a_discontinuous_induced_map(capsys, monkeypatch):
+    def patched(induced_map):
+        def discontinuous(phi, *spectra):
+            im = induced_map(phi, *spectra)
+            im.continuous = phi.map != (0, 1, 1)
+            return im
+        return discontinuous
+
+    violations = _functoriality_violations(capsys, monkeypatch, "induced_map", patched)
+    assert violations == ["beta identity violation for LatticeHom((0, 1, 1), flavor='lattice')"]
+
+
+@pytest.mark.parametrize("world", ["\u00b2", "w\u00b2"])
+def test_model_file_with_a_non_ascii_digit_is_an_input_error(capsys, tmp_path, world):
+    f = tmp_path / "bad.frm"
+    f.write_text(f"frame n=2\nedge 0 1\nval p: {world}\n", encoding="utf-8")
+    code, out, err = run(capsys, "modal", "eval", "--model", str(f), "--formula", "p")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: line 3: bad world {world!r} in val line\n"
+
+
 def test_verify_stone_at_the_cap(capsys):
     code, out, _ = run(capsys, "verify", "stone", "--max-size", "12")
     assert code == 0

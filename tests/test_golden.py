@@ -2,7 +2,8 @@
 commands, in both output formats, plus the stdout of every demo.
 
 The expected bytes live in golden/transcript.json. They were recorded
-before the evaluators were rewritten and pin what users see; an
+before the evaluators were rewritten (the functoriality group before
+that suite and the hom enumerator were) and pin what users see; an
 intended change of output means re-recording them with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -83,6 +84,8 @@ def commands() -> dict[str, list[list[str]]]:
         ["verify", "stone", "--max-size", "6"],
         ["verify", "s4", "--points", "3"],
     ]
+    groups["functoriality"] = [["verify", "functoriality", "--max-size", str(n)]
+                               for n in range(1, 6)]
     for semantics, phi in SEARCHES:
         for points in ("1", "3"):
             groups["search"].append(["search", "--semantics", semantics,

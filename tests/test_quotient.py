@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from biheyt import (
@@ -25,8 +27,9 @@ from biheyt import (
     quotient,
     two_valued_homs,
 )
-from biheyt.bitsets import iter_bits
-from biheyt.quotient import _is_filter_mask, _is_ideal_mask
+from biheyt.bitsets import iter_bits, subset_key
+from biheyt.lattice import build_lattice, enumerate_distributive_lattices
+from biheyt.quotient import LatticeHom, _is_filter_mask, _is_ideal_mask, is_hom
 
 
 def subsets_of(n):
@@ -168,6 +171,25 @@ def test_kernel_is_ideal_and_top_preimage_is_filter(lattices_6):
 
 
 # -- two valued homs --------------------------------------------------------------
+
+
+def reference_two_valued_homs(lat):
+    """The 2ⁿ scan two_valued_homs replaced: every non-constant 0/1
+    labelling of the carrier, in subset_key order, kept if it is a hom."""
+    two = chain(2)
+    out = []
+    for s in sorted(range(1 << lat.n), key=subset_key):
+        m = [(s >> a) & 1 for a in range(lat.n)]
+        if len(set(m)) == 2 and is_hom(m, lat, two):
+            out.append(LatticeHom(lat, two, m, "lattice"))
+    return out
+
+
+def test_two_valued_homs_match_the_labelling_scan(m3_diamond):
+    for lat in [*enumerate_distributive_lattices(8), m3_diamond]:
+        homs = two_valued_homs(lat)
+        assert [h.map for h in homs] == [h.map for h in reference_two_valued_homs(lat)]
+    assert two_valued_homs(m3_diamond) == []  # M3 has no prime filter
 
 
 def test_two_valued_counts(chain3):
@@ -327,6 +349,56 @@ def test_quotient_projection_preserves_lattice_ops(lattices_6):
 
 
 # -- hom enumeration / composition ---------------------------------------------------
+
+
+def reference_enumerate_homs(source, target, flavor="lattice"):
+    """The exhaustive scan enumerate_homs replaced: every map fixing ⊥
+    and ⊤, free elements in index order, kept if check_hom accepts it."""
+    if source.n == 1:
+        candidates = [(target.bottom,)]
+    else:
+        free = [a for a in range(source.n) if a not in (source.bottom, source.top)]
+        candidates = []
+        for images in product(range(target.n), repeat=len(free)):
+            m = [0] * source.n
+            m[source.bottom], m[source.top] = target.bottom, target.top
+            for a, v in zip(free, images):
+                m[a] = v
+            candidates.append(tuple(m))
+    return [m for m in candidates if is_hom(m, source, target, flavor)]
+
+
+def _assert_homs_match(lattices, flavor):
+    for src in lattices:
+        for dst in lattices:
+            homs = enumerate_homs(src, dst, flavor)
+            assert [h.map for h in homs] == reference_enumerate_homs(src, dst, flavor)
+            assert all(h.flavor == flavor for h in homs)
+
+
+def test_enumerate_homs_matches_the_scan(lattices_6):
+    assert len(lattices_6) == 13  # 169 pairs
+    _assert_homs_match(lattices_6, "lattice")
+
+
+@pytest.mark.parametrize("flavor", ["heyting", "coheyting"])
+def test_enumerate_homs_matches_the_scan_per_flavor(lattices_6, flavor):
+    _assert_homs_match([lat for lat in lattices_6 if lat.n <= 5], flavor)
+
+
+def test_enumerate_homs_on_nondistributive_lattices(m3_diamond, boolean4):
+    # into N5 or M3 a join-irreducible need not be join-prime, so its
+    # preimage filter can be generated by a join-reducible element:
+    # 2×2 → M3 sending the two atoms to two atoms generates ↑⊤
+    n5 = build_lattice(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
+    _assert_homs_match([chain(1), chain(2), chain(3), boolean4, m3_diamond, n5], "lattice")
+    assert (0, 1, 2, 4) in [h.map for h in enumerate_homs(boolean4, m3_diamond)]
+
+
+def test_enumerate_homs_bound(chain3):
+    with pytest.raises(BoundExceeded):
+        enumerate_homs(chain(7), chain3)
+    assert len(enumerate_homs(chain(6), chain(1))) == 1
 
 
 def test_enumerate_homs_identity_present(chain3):

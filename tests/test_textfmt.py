@@ -47,12 +47,16 @@ def test_lattice_parse_comments_and_blanks():
         ("space m=3\nopen 0 -1", 2),
         ("space m=3\nopen x", 2),
         ("space m=3\nopen 0111", 2),
+        ("frame n=2\nval p: \u00b2", 2),
+        ("frame n=2\nedge 0 1\nval p: w\u00b2", 3),
     ],
 )
 def test_parse_errors_carry_line(text, line):
     with pytest.raises(ParseError) as exc:
         if text.startswith("space"):
             parse_space_text(text)
+        elif text.startswith("frame"):
+            parse_model_text(text)
         else:
             parse_lattice_text(text)
     assert exc.value.line_no == line
