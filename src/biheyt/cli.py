@@ -67,6 +67,7 @@ from .textfmt import (
     format_lattice_text,
     format_space_text,
     load_structure,
+    parse_int,
     parse_subset,
 )
 
@@ -89,7 +90,7 @@ def _env_cap() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
+        return parse_int(raw)
     except ValueError:
         raise BiheytError(f"BIHEYT_MAX_POINTS={raw!r} is not an integer") from None
 
@@ -105,7 +106,7 @@ def _at_least_one(text: str) -> int:
     """argparse type for sizes and point counts: below 1 the range is
     empty and every check would pass vacuously."""
     try:
-        value = int(text)
+        value = parse_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
@@ -115,7 +116,7 @@ def _at_least_one(text: str) -> int:
 
 def _elements(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.replace(",", " ").split()]
+        return [parse_int(tok) for tok in text.replace(",", " ").split()]
     except ValueError:
         raise BiheytError(f"bad element list {text!r}") from None
 
@@ -362,7 +363,7 @@ def _cmd_verify_s4(args, out: _Output) -> int:
 def _world_index(text: str, worlds: int) -> int:
     raw = text[1:] if text.startswith("w") else text
     try:
-        w = int(raw)
+        w = parse_int(raw)
     except ValueError:
         raise BiheytError(f"bad world {text!r}") from None
     if not 0 <= w < worlds:
@@ -482,7 +483,7 @@ def _cmd_eval(args, out: _Output) -> int:
 
     def element(raw):
         try:
-            el = int(raw)
+            el = parse_int(raw)
         except ValueError:
             raise BiheytError(f"bad element {raw!r}") from None
         if not 0 <= el < lat.n:
@@ -618,17 +619,24 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     cap_field = getattr(args, "cap_field", None)
-    if cap_field is not None:
-        _capped(parser, getattr(args, cap_field), cap_field.replace("_", "-"))
     out = _Output(args.format)
     try:
-        return args.func(args, out)
+        if cap_field is not None:
+            _capped(parser, getattr(args, cap_field), cap_field.replace("_", "-"))
+        code = args.func(args, out)
+        sys.stdout.flush()  # a closed pipe shows up here, not at interpreter exit
+        return code
     except BiheytError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RecursionError:
         # the parser and the reference evaluators recurse once per nesting level
         print("error: formula nests too deeply", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader closed stdout; what is still buffered goes to devnull,
+        # so the flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

@@ -19,8 +19,7 @@ general — that failure is the point, so suites never stop early.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import UnknownOption
 from .formulas import Formula, compile_formula
@@ -70,8 +69,7 @@ def algebra_evaluator(
     return value
 
 
-@dataclass
-class LawReport:
+class LawReport(NamedTuple):
     law: str
     checked: int
     violations: tuple
@@ -146,8 +144,7 @@ def check_boundary_laws(lat: FiniteLattice) -> list[LawReport]:
     ]
 
 
-@dataclass
-class BooleanCriterion:
+class BooleanCriterion(NamedTuple):
     complemented: bool
     boundary_trivial: bool
     double_negation: bool

@@ -21,8 +21,7 @@ right associative) and ← (<-, left associative) at the loosest level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import FormulaSyntaxError, UnboundAtom, UnsupportedConnective
 
@@ -41,8 +40,7 @@ _BINARY_ASCII = {"and": "&", "or": "|", "imp": "->", "coimp": "<-"}
 _PREC = {"imp": 1, "coimp": 1, "or": 2, "and": 3}
 
 
-@dataclass(frozen=True)
-class Formula:
+class Formula(NamedTuple):
     kind: str
     name: Optional[str] = None
     args: tuple["Formula", ...] = ()

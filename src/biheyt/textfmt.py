@@ -38,12 +38,21 @@ def _meaningful_lines(text: str):
             yield no, line
 
 
+def parse_int(text: str) -> int:
+    """int(text) for ASCII digits after an optional '-'. int() alone
+    would also take '+', '_', spaces and non-ASCII digits."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def _header(no: int, line: str, keyword: str, field: str) -> int:
     parts = line.split()
     if len(parts) != 2 or parts[0] != keyword or not parts[1].startswith(field + "="):
         raise ParseError(no, f"expected header '{keyword} {field}=<count>'")
     try:
-        value = int(parts[1][len(field) + 1 :])
+        value = parse_int(parts[1][len(field) + 1 :])
     except ValueError:
         raise ParseError(no, f"bad count in {parts[1]!r}") from None
     if value < 0:
@@ -63,7 +72,7 @@ def parse_lattice_text(text: str) -> FiniteLattice:
         if parts[0] != "le" or len(parts) != 3:
             raise ParseError(no, f"expected 'le <i> <j>', got {line!r}")
         try:
-            a, b = int(parts[1]), int(parts[2])
+            a, b = parse_int(parts[1]), parse_int(parts[2])
         except ValueError:
             raise ParseError(no, f"bad element index in {line!r}") from None
         if not (0 <= a < n and 0 <= b < n):
@@ -86,7 +95,7 @@ def parse_subset(parts: list[str], m: int) -> int:
     points = []
     for tok in parts:
         try:
-            x = int(tok)
+            x = parse_int(tok)
         except ValueError:
             raise ValueError(f"bad point {tok!r}") from None
         if not 0 <= x < m:
@@ -112,7 +121,7 @@ def parse_space_text(text: str) -> FiniteSpace:
                 raise ParseError(no, str(err)) from None
         elif parts[0] == "preorder" and len(parts) == 3:
             try:
-                a, b = int(parts[1]), int(parts[2])
+                a, b = parse_int(parts[1]), parse_int(parts[2])
             except ValueError:
                 raise ParseError(no, f"bad point index in {line!r}") from None
             if not (0 <= a < m and 0 <= b < m):
@@ -150,7 +159,7 @@ def parse_model_text(text: str) -> KripkeModel:
         parts = line.split()
         if parts[0] == "edge" and len(parts) == 3:
             try:
-                a, b = int(parts[1]), int(parts[2])
+                a, b = parse_int(parts[1]), parse_int(parts[2])
             except ValueError:
                 raise ParseError(no, f"bad world index in {line!r}") from None
             if not (0 <= a < n and 0 <= b < n):

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from biheyt.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture()
@@ -199,8 +205,6 @@ def test_verify_s4(capsys):
 
 
 def test_verify_s4_reports_each_schema_on_its_own(capsys, monkeypatch):
-    import dataclasses
-
     import biheyt.cli as cli
     from biheyt.modal import S4_SCHEMAS
 
@@ -208,7 +212,7 @@ def test_verify_s4_reports_each_schema_on_its_own(capsys, monkeypatch):
 
     def t_fails(structure, bound):
         return [
-            dataclasses.replace(rep, violations=((0, 0),))
+            rep._replace(violations=((0, 0),))
             if rep.name == "T reflection" else rep
             for rep in real(structure, bound=bound)
         ]
@@ -599,3 +603,96 @@ def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "lattice", "check", "/nonexistent/file.lat")
     assert code == 2
     assert "error:" in err
+
+
+# -- integers are ASCII digits -------------------------------------------------------
+
+
+@pytest.mark.parametrize("command,text,message", [
+    (("lattice", "check"), "lattice n=2\nle 0 ١\n",
+     "error: line 2: bad element index in 'le 0 ١'\n"),
+    (("lattice", "check"), "lattice n=٢\n", "error: line 1: bad count in 'n=٢'\n"),
+    (("space", "check"), "space m=11\npreorder 1_0 0\n",
+     "error: line 2: bad point index in 'preorder 1_0 0'\n"),
+    (("space", "check"), "space m=2\nopen +1\n", "error: line 2: bad point '+1'\n"),
+    (("modal", "eval", "--formula", "p", "--model"), "frame n=2\nedge 0 ١\n",
+     "error: line 2: bad world index in 'edge 0 ١'\n"),
+])
+def test_structure_file_integers_are_ascii_digits(capsys, tmp_path, command, text, message):
+    f = tmp_path / "bad.txt"
+    f.write_text(text, encoding="utf-8")
+    assert run(capsys, *command, str(f)) == (2, "", message)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("lattice", "quotient", "chain3", "--by-ideal", "١"), "bad element list"),
+    (("eval", "--algebra", "chain3", "--formula", "p", "--assign", "p=1_0"),
+     "bad element '1_0'"),
+    (("modal", "eval", "--model", "example1", "--formula", "p", "--world", "w١"),
+     "bad world 'w١'"),
+    (("modal", "eval", "--model", "threepoint", "--formula", "p", "--assign", "p=١"),
+     "bad point '١'"),
+])
+def test_argument_integers_are_ascii_digits(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("value", ["٣", "1_0", "+3"])
+def test_size_options_take_ascii_digits_only(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "s4", "--points", value])
+    assert exc.value.code == 2
+    assert f"invalid int value: {value!r}" in capsys.readouterr().err
+
+
+def test_env_cap_takes_ascii_digits_only(capsys, monkeypatch):
+    monkeypatch.setenv("BIHEYT_MAX_POINTS", "٣")
+    code, out, err = run(capsys, "verify", "s4", "--points", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: BIHEYT_MAX_POINTS='٣' is not an integer\n"
+
+
+# -- the process around main ---------------------------------------------------------
+
+
+def _subprocess_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_closed_stdout_exits_2_without_a_traceback(tmp_path):
+    """A reader that stops early, like `| head -3`. The output (32,770
+    lines) is far larger than a pipe holds, so the write fails in main."""
+    f = tmp_path / "discrete.spc"
+    f.write_text("space m=15\npreorder 0 0\n")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "biheyt.cli", "space", "check", str(f)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_subprocess_env(),
+    )
+    head = [proc.stdout.readline() for _ in range(3)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert head == [b"space m=15\n", b"open 000000000000000\n", b"open 100000000000000\n"]
+    assert err == b""
+
+
+def test_cli_import_loads_no_source_inspection_modules():
+    """`import dataclasses` pulls in inspect, ast, dis and tokenize, which
+    every short run would pay for at start-up."""
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import biheyt.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "biheyt.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}

@@ -1,4 +1,4 @@
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -12,11 +12,13 @@ from biheyt import (
     UnsupportedConnective,
     agreement_closure,
     classify_frame,
+    closed_lattice,
     countermodel_search,
     enumerate_frames,
     enumerate_topologies,
     kripke_eval,
     model_from_space,
+    open_lattice,
     parse_formula,
     s4_axiom_suite,
     specialization_preorder,
@@ -24,10 +26,12 @@ from biheyt import (
     truth_set,
     valid_in_frame,
     valid_in_model,
+    validate_topology,
     worked_examples,
 )
 import biheyt.modal as modal
-from biheyt.bitsets import all_subsets
+from biheyt.bitsets import all_subsets, iter_bits, mask_of
+from biheyt.duallogic import algebra_evaluator
 from biheyt.formulas import atom, compile_formula, conj, dia, disj, enumerate_formulas
 from biheyt.modal import S4_SCHEMAS, SchemaReport, SearchResult
 
@@ -670,3 +674,84 @@ def test_deep_formula_compiles_without_recursion():
     assert len(prog) == 5001 and names == ["p"]
     frame = KripkeFrame(1, (1,))
     assert valid_in_frame(frame, disj(phi, parse_formula("!p")), ["p"])
+
+
+# -- algebra search: one lattice per T0 class against the per-space loop ------------
+
+
+def reference_algebra_search(phi, max_points, semantics):
+    """The algebra route as a loop over every labelled space: the open (or
+    closed) set lattice of each one, every assignment in product order."""
+    prog, names = compile_formula(phi, semantics)
+    lattice = open_lattice if semantics == "intuitionistic" else closed_lattice
+    for points in range(1, max_points + 1):
+        for space in enumerate_topologies(points, bound=max(points, 4)):
+            lat = lattice(space)
+            value = algebra_evaluator(prog, lat)
+            for choice in product(range(lat.n), repeat=len(names)):
+                found = lat.subsets[value(choice)]
+                if found != space.full:
+                    missing = next(x for x in range(points) if not (found >> x) & 1)
+                    val = {name: lat.subsets[el] for name, el in zip(names, choice)}
+                    return SearchResult(space, val, missing)
+    return None
+
+
+ALGEBRA_KINDS = {
+    "intuitionistic": ("not", "and", "or", "imp"),
+    "dual": ("conot", "and", "or", "coimp"),
+}
+
+
+@pytest.mark.parametrize("semantics", sorted(ALGEBRA_KINDS))
+def test_algebra_search_matches_reference_on_small_formulas(semantics):
+    formulas = list(enumerate_formulas(2, ("p", "q"), kinds=ALGEBRA_KINDS[semantics]))
+    assert len(formulas) == 1356
+    for phi in formulas:
+        got = countermodel_search(phi, 3, semantics=semantics)
+        assert repr(got) == repr(reference_algebra_search(phi, 3, semantics)), phi
+
+
+# The algebra-route formulas of one benchmark pass (all valid, so every
+# class is visited), then formulas whose first witness has 3 or 4 points.
+# The extra ones are intuitionistic: no dual formula over p, q with at
+# most three connectives has its first witness above two points.
+FOUR_POINT_ALGEBRA_FORMULAS = [
+    ("intuitionistic", "!!(!p | !!p)"),
+    ("intuitionistic", "(!!p | !!q) -> !(!p & !q)"),
+    ("intuitionistic", "(q & !p) -> q"),
+    ("intuitionistic", "!(q | !p) -> (!q & !!p)"),
+    ("dual", "p | ~p"),
+    ("dual", "q | ~q"),
+    ("dual", "~p | ~~p"),
+    ("dual", "(p <- q) | ~(p <- q)"),
+    ("intuitionistic", "(p -> q) | (q -> p)"),
+    ("intuitionistic", "!p | !!p"),
+    ("intuitionistic", "(p -> q) | (q -> r) | (r -> p)"),
+]
+
+
+@pytest.mark.parametrize("semantics,text", FOUR_POINT_ALGEBRA_FORMULAS)
+def test_algebra_search_matches_reference_on_four_points(semantics, text):
+    phi = parse_formula(text)
+    got = countermodel_search(phi, 4, semantics=semantics)
+    assert repr(got) == repr(reference_algebra_search(phi, 4, semantics))
+
+
+def test_t0_class_counts_follow_the_posets():
+    """Classes on at most 1..4 points: the posets on 1..k points (A000112
+    gives 1, 2, 5, 16 on exactly k), summed."""
+    keys = set()
+    counts = []
+    for points in range(1, 5):
+        keys |= {modal._t0_class(sp) for sp in enumerate_topologies(points)}
+        counts.append(len(keys))
+    assert counts == [1, 3, 8, 24]
+
+
+def test_t0_class_ignores_labels(spaces_4):
+    for sp in spaces_4:
+        key = modal._t0_class(sp)
+        for perm in permutations(range(sp.points)):
+            opens = [mask_of(perm[x] for x in iter_bits(o)) for o in sp.opens]
+            assert modal._t0_class(validate_topology(sp.points, opens)) == key, (sp, perm)

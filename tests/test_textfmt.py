@@ -17,6 +17,18 @@ from biheyt import (
     worked_examples,
 )
 from biheyt.lattice import enumerate_distributive_lattices
+from biheyt.textfmt import parse_int
+
+
+@pytest.mark.parametrize("text,value", [("0", 0), ("12", 12), ("-3", -3), ("007", 7)])
+def test_parse_int_takes_ascii_digits(text, value):
+    assert parse_int(text) == value
+
+
+@pytest.mark.parametrize("text", ["", "-", "+1", "1_0", " 1", "1 ", "\u0661", "\u00b2", "--1", "0x1"])
+def test_parse_int_refuses_what_int_would_stretch(text):
+    with pytest.raises(ValueError):
+        parse_int(text)
 
 
 def test_lattice_round_trip():
