@@ -40,7 +40,6 @@ from .modal import (
     classify_frame,
     countermodel_search,
     s4_axiom_suite,
-    topo_eval,
     truth_set,
     valid_in_frame,
     valid_in_model,
@@ -161,7 +160,7 @@ def _cmd_lattice_spectrum(args, out: _Output) -> int:
 
 def _cmd_lattice_quotient(args, out: _Output) -> int:
     lat = _need(load_structure(args.path), FiniteLattice, "lattice")
-    if args.by_ideal:
+    if args.by_ideal is not None:
         cong = congruence_from_ideal(lat, make_ideal(lat, _elements(args.by_ideal)))
     else:
         cong = congruence_from_filter(lat, make_filter(lat, _elements(args.by_filter)))
@@ -378,7 +377,7 @@ def _cmd_modal_eval(args, out: _Output) -> int:
         if args.world is not None:
             raise BiheytError("--world needs a Kripke model; a space is evaluated as a whole")
         valuation = _assignments(args.assign, lambda raw: _subset_arg(raw, structure.points))
-        value = topo_eval(structure, valuation, phi)
+        value = truth_set(structure, phi, valuation)
         out.text(pattern(value, structure.points))
         out.record(record="topo-eval", value=bit_list(value))
         return 0 if value == structure.full else 1
@@ -628,10 +627,6 @@ def main(argv=None) -> int:
         return code
     except BiheytError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        # the parser and the reference evaluators recurse once per nesting level
-        print("error: formula nests too deeply", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # the reader closed stdout; what is still buffered goes to devnull,

@@ -17,6 +17,10 @@ Concrete syntax (ASCII aliases in parentheses): unary ¬ (!), ∼ (~),
 □ ([]), ◇ (<>) bind tightest, then ∧ (&), then ∨ (|), then → (->,
 right associative) and ← (<-, left associative) at the loosest level.
 ⊥ is _|_ and ⊤ is T. Atoms are lowercase identifiers.
+
+parse_formula is one loop over an explicit stack of pending operators
+(precedence climbing), after a table-driven tokenizer, so like the
+compiler it accepts any nesting depth.
 """
 
 from __future__ import annotations
@@ -128,180 +132,97 @@ def _render(f: Formula, parent_prec: int) -> str:
     return f"({text})" if prec < parent_prec else text
 
 
-# --- tokenizer -------------------------------------------------------------
+# --- parser ----------------------------------------------------------------
 
-_SYMBOLS = {
-    "¬": "!",
-    "∼": "~",
-    "∧": "&",
-    "∨": "|",
-    "→": "->",
-    "←": "<-",
-    "□": "[]",
-    "◇": "<>",
-    "⊥": "_|_",
-    "⊤": "T",
+# literal text -> token: an ASCII operator string, or a constant. No
+# literal is a prefix of a longer one, so the tokenizer tries the
+# shortest first; none starts with a letter, so identifiers go first.
+_LITERALS = {
+    "!": "!", "~": "~", "&": "&", "|": "|", "(": "(", ")": ")",
+    "->": "->", "<-": "<-", "[]": "[]", "<>": "<>",
+    "¬": "!", "∼": "~", "∧": "&", "∨": "|", "→": "->", "←": "<-",
+    "□": "[]", "◇": "<>", "_|_": BOT, "⊥": BOT, "⊤": TOP,
 }
+_PREFIX = {"!": "not", "~": "conot", "[]": "box", "<>": "dia"}
+# binary token -> (strength, need, kind). A pending operator is reduced
+# when the next one's need is at most its strength, so & and | group to
+# the left, -> to the right, and <- to the left while staying inside
+# the right operand of a pending ->. Prefixes have strength 5 and an
+# open parenthesis 0; any other token has need 1, so it closes every
+# operator pending since the innermost open parenthesis.
+_INFIX = {"->": (1, 2, "imp"), "<-": (2, 2, "coimp"), "|": (3, 3, "or"), "&": (4, 4, "and")}
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
+def _tokenize(text: str) -> list[tuple[object, int]]:
+    """(token, position) pairs ending in (None, len(text))."""
     tokens = []
-    i = 0
-    n = len(text)
+    i, n = 0, len(text)
     while i < n:
         ch = text[i]
         if ch.isspace():
             i += 1
             continue
-        if ch in _SYMBOLS:
-            tokens.append((_SYMBOLS[ch], i))
-            i += 1
-            continue
-        if text.startswith("_|_", i):
-            tokens.append(("_|_", i))
-            i += 3
-            continue
-        if text.startswith("->", i):
-            tokens.append(("->", i))
-            i += 2
-            continue
-        if text.startswith("<-", i):
-            tokens.append(("<-", i))
-            i += 2
-            continue
-        if text.startswith("[]", i):
-            tokens.append(("[]", i))
-            i += 2
-            continue
-        if text.startswith("<>", i):
-            tokens.append(("<>", i))
-            i += 2
-            continue
-        if ch in "!~&|()":
-            tokens.append((ch, i))
-            i += 1
-            continue
-        if ch == "T" and not (i + 1 < n and (text[i + 1].isalnum() or text[i + 1] == "_")):
-            tokens.append(("T", i))
-            i += 1
-            continue
-        if ch.isalpha() or ch == "_":
+        if ch.isalpha() or ch == "_" and not text.startswith("_|_", i):
             j = i + 1
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append((("ident", text[i:j]), i))
+            word = text[i:j]
+            tokens.append((TOP if word == "T" else atom(word), i))
             i = j
             continue
-        raise FormulaSyntaxError(i, "a connective, atom, or parenthesis", ch)
-    tokens.append(("end", n))
+        for size in (1, 2, 3):
+            tok = _LITERALS.get(text[i : i + size])
+            if tok is not None:
+                tokens.append((tok, i))
+                i += size
+                break
+        else:
+            raise FormulaSyntaxError(i, "a connective, atom, or parenthesis", ch)
+    tokens.append((None, n))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos][0]
-
-    def here(self) -> int:
-        return self.tokens[self.pos][1]
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok[0]
-
-    def expect(self, tok: str):
-        if self.peek() != tok:
-            raise FormulaSyntaxError(self.here(), repr(tok), self._found())
-        self.take()
-
-    def _found(self) -> str:
-        tok = self.peek()
-        if tok == "end":
-            return "end of input"
-        if isinstance(tok, tuple):
-            return tok[1]
-        return tok
-
-    def parse(self) -> Formula:
-        f = self.implication()
-        if self.peek() != "end":
-            raise FormulaSyntaxError(
-                self.here(), "end of input or a binary connective", self._found()
-            )
-        return f
-
-    def implication(self) -> Formula:
-        left = self.disjunction()
-        while True:
-            tok = self.peek()
-            if tok == "->":
-                self.take()
-                # right associative: recurse at the same level
-                return imp(left, self.implication())
-            if tok == "<-":
-                self.take()
-                left = coimp(left, self.disjunction())
-                continue
-            return left
-
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
-        while self.peek() == "|":
-            self.take()
-            left = disj(left, self.conjunction())
-        return left
-
-    def conjunction(self) -> Formula:
-        left = self.unary()
-        while self.peek() == "&":
-            self.take()
-            left = conj(left, self.unary())
-        return left
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok == "!":
-            self.take()
-            return neg(self.unary())
-        if tok == "~":
-            self.take()
-            return coneg(self.unary())
-        if tok == "[]":
-            self.take()
-            return box(self.unary())
-        if tok == "<>":
-            self.take()
-            return dia(self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        tok = self.peek()
-        if tok == "_|_":
-            self.take()
-            return BOT
-        if tok == "T":
-            self.take()
-            return TOP
-        if tok == "(":
-            self.take()
-            f = self.implication()
-            self.expect(")")
-            return f
-        if isinstance(tok, tuple) and tok[0] == "ident":
-            self.take()
-            return atom(tok[1])
-        raise FormulaSyntaxError(
-            self.here(), "an atom, constant, unary connective, or '('", self._found()
-        )
+def _found(tok) -> str:
+    return "end of input" if tok is None else str(tok)
 
 
 def parse_formula(text: str) -> Formula:
-    return _Parser(text).parse()
+    """One loop over an explicit stack of pending operators, each with
+    its left operand; nesting depth is bounded only by memory."""
+    tokens = _tokenize(text)
+    pending: list[tuple[int, str, Optional[Formula]]] = []
+    i = 0
+    while True:
+        tok, pos = tokens[i]
+        i += 1
+        if tok in _PREFIX:
+            pending.append((5, _PREFIX[tok], None))
+            continue
+        if tok == "(":
+            pending.append((0, "(", None))
+            continue
+        if not isinstance(tok, Formula):
+            raise FormulaSyntaxError(
+                pos, "an atom, constant, unary connective, or '('", _found(tok)
+            )
+        operand = tok
+        while True:
+            tok, pos = tokens[i]
+            i += 1
+            strength, need, kind = _INFIX.get(tok, (0, 1, None))
+            while pending and pending[-1][0] >= need:
+                _, op, left = pending.pop()
+                operand = Formula(op, args=(operand,) if left is None else (left, operand))
+            if kind is not None:
+                pending.append((strength, kind, operand))
+                break
+            if tok == ")" and pending:
+                pending.pop()
+                continue
+            if tok is None and not pending:
+                return operand
+            expected = "')'" if pending else "end of input or a binary connective"
+            raise FormulaSyntaxError(pos, expected, _found(tok))
 
 
 def compile_formula(

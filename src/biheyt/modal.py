@@ -9,23 +9,23 @@ uniformly at every nesting depth. On a finite space the two semantics
 coincide through the specialization preorder (model_from_space);
 agreement_closure certifies that equivalence for every formula over
 given atoms by exhausting the reachable pairs of values. These
-per-valuation walkers are the independent references that the sliced
-core below is tested against.
+per-valuation walkers serve only as the independent references that
+the sliced core below is tested against; no command runs them.
 
 Sliced core. The valuation sweeps (s4_axiom_suite, valid_in_frame,
 and countermodel_search on the frame route and the classical space
 route) compile a formula once with formulas.compile_formula and check
-every valuation at once; truth_set and valid_in_model run the same
-core on a model's one valuation, as a one-bit slice. A point's truth
-value is one int with one bit per valuation: with k atoms in sweep
-order over n points, valuation index v = Σ masks[j] << n·(k−1−j),
-which is the lexicographic order of itertools.product over the atoms'
-subset masks. On a frame, □ at w is the AND of its successors' vectors
-and ◇ their OR. On a space, □ at x
-is the OR, over the opens containing x, of the AND of the open's
-vectors, and ◇ uses the closeds in the same way; the specialization
-preorder is never consulted, so the space route stays independent of
-the frame route. A slice holds at most 2**SLICE_BITS valuations and
+every valuation at once. truth_set and valid_in_model run the same
+core on one valuation, as a one-bit slice: truth_set takes a model, or
+a space with a valuation. A point's truth value is one int with one
+bit per valuation: with k atoms in sweep order over n points,
+valuation index v = Σ masks[j] << n·(k−1−j), which is the
+lexicographic order of itertools.product over the atoms' subset
+masks. On a frame, □ at w is the AND of its successors' vectors and ◇
+their OR. On a space, □ at x is the OR, over the opens containing x,
+of the AND of the open's vectors, and ◇ uses the closeds in the same
+way; the specialization preorder is never consulted, so the space
+route stays independent of the frame route. A slice holds at most 2**SLICE_BITS valuations and
 wider sweeps run slice by slice in ascending order. The lowest zero bit
 names the first failing valuation, so witnesses and violation lists
 come out in the order of a per-valuation loop.
@@ -171,14 +171,24 @@ def kripke_eval(model: KripkeModel, world: int, phi: Formula) -> bool:
     return any(kripke_eval(model, u, phi.args[0]) for u in iter_bits(succ))
 
 
-def truth_set(model: KripkeModel, phi: Formula) -> int:
-    """Mask of the worlds where phi holds, by the sliced core on the
-    model's one valuation (a one-bit slice). Unlike kripke_eval it
-    rejects an unsupported connective or unbound atom anywhere in phi."""
-    n = model.frame.worlds
-    prog, names = compile_formula(phi, "kripke", sorted(model.valuation))
-    atoms = [[(model.valuation[name] >> w) & 1 for w in range(n)] for name in names]
-    vec = _evaluate(prog, atoms, 1, n, _frame_modalities(model.frame))
+def truth_set(
+    structure, phi: Formula, valuation: Optional[Mapping[str, int]] = None
+) -> int:
+    """Mask of the worlds of a KripkeModel, or of the points of a
+    FiniteSpace under valuation (atom -> subset mask), where phi holds:
+    the sliced core on one valuation, as a one-bit slice. Unlike
+    kripke_eval and topo_eval it rejects an unsupported connective or
+    unbound atom anywhere in phi before evaluating."""
+    if isinstance(structure, FiniteSpace):
+        n, logic, modalities = structure.points, "topological", _space_modalities(structure)
+    else:
+        if valuation is not None:
+            raise TypeError("a Kripke model carries its own valuation")
+        n, logic, valuation = structure.frame.worlds, "kripke", structure.valuation
+        modalities = _frame_modalities(structure.frame)
+    prog, names = compile_formula(phi, logic, sorted(valuation))
+    atoms = [[(valuation[name] >> w) & 1 for w in range(n)] for name in names]
+    vec = _evaluate(prog, atoms, 1, n, modalities)
     return sum(bit << w for w, bit in enumerate(vec))
 
 

@@ -26,8 +26,6 @@ from .errors import (
 )
 from .lattice import FiniteLattice, _lattice_from_rows, chain
 
-DEFAULT_MAX_FILTER_LATTICE = 16
-
 
 class FilterOrIdeal:
     """A nonempty proper filter (up-closed, meet-closed) or ideal
@@ -85,15 +83,29 @@ def _is_ideal_mask(lat: FiniteLattice, members: int) -> bool:
     return True
 
 
+def _member_mask(lat: FiniteLattice, members) -> int:
+    """The element bitmask of members, given as a bitmask or as element
+    indices; an element outside 0..n-1 is refused."""
+    if isinstance(members, int):
+        if not 0 <= members < 1 << lat.n:
+            raise WrongKind(f"mask {members} has elements outside 0..{lat.n - 1}")
+        return members
+    members = set(members)
+    for a in sorted(members):
+        if not 0 <= a < lat.n:
+            raise WrongKind(f"element {a} out of range 0..{lat.n - 1}")
+    return sum(1 << a for a in members)
+
+
 def make_filter(lat: FiniteLattice, members) -> FilterOrIdeal:
-    mask = members if isinstance(members, int) else sum(1 << i for i in set(members))
+    mask = _member_mask(lat, members)
     if not _is_filter_mask(lat, mask):
         raise WrongKind(f"{sorted(iter_bits(mask))} is not a proper nonempty filter")
     return FilterOrIdeal(lat, mask, "filter")
 
 
 def make_ideal(lat: FiniteLattice, members) -> FilterOrIdeal:
-    mask = members if isinstance(members, int) else sum(1 << i for i in set(members))
+    mask = _member_mask(lat, members)
     if not _is_ideal_mask(lat, mask):
         raise WrongKind(f"{sorted(iter_bits(mask))} is not a proper nonempty ideal")
     return FilterOrIdeal(lat, mask, "ideal")
@@ -107,15 +119,11 @@ def principal_ideal(lat: FiniteLattice, a: int) -> FilterOrIdeal:
     return make_ideal(lat, lat.down[a])
 
 
-def filters(
-    lat: FiniteLattice, bound: int = DEFAULT_MAX_FILTER_LATTICE
-) -> list[FilterOrIdeal]:
+def filters(lat: FiniteLattice) -> list[FilterOrIdeal]:
     """All proper nonempty filters, canonically ordered.
 
     In a finite lattice every filter is principal, F = ↑(⋀F), and it is
     proper exactly when its generator is not ⊥."""
-    if lat.n > bound:
-        raise BoundExceeded("lattice size", lat.n, bound)
     return [
         FilterOrIdeal(lat, s, "filter")
         for s in sorted(
@@ -124,13 +132,9 @@ def filters(
     ]
 
 
-def ideals(
-    lat: FiniteLattice, bound: int = DEFAULT_MAX_FILTER_LATTICE
-) -> list[FilterOrIdeal]:
+def ideals(lat: FiniteLattice) -> list[FilterOrIdeal]:
     """All proper nonempty ideals, canonically ordered: the principal
     ideals ↓a for a ≠ ⊤ (dual to filters)."""
-    if lat.n > bound:
-        raise BoundExceeded("lattice size", lat.n, bound)
     return [
         FilterOrIdeal(lat, s, "ideal")
         for s in sorted(

@@ -38,14 +38,12 @@ def is_prime_filter(lat: FiniteLattice, filt: FilterOrIdeal) -> bool:
     return True
 
 
-def prime_filters(
-    lat: FiniteLattice, bound: int = DEFAULT_MAX_SPECTRUM
-) -> list[FilterOrIdeal]:
+def prime_filters(lat: FiniteLattice) -> list[FilterOrIdeal]:
     """The proper filters that pass is_prime_filter. Each candidate is
     tested on the lattice's join table rather than read off the
     join-irreducibles, so β stays an independent check (in M3 the
     atoms are join-irreducible, yet no filter is prime)."""
-    return [f for f in filters(lat, bound) if is_prime_filter(lat, f)]
+    return [f for f in filters(lat) if is_prime_filter(lat, f)]
 
 
 class SpectralSpace:
@@ -66,7 +64,7 @@ def spectrum(lat: FiniteLattice, bound: int = DEFAULT_MAX_SPECTRUM) -> SpectralS
     lat.require_distributive()
     if lat.n > bound:
         raise BoundExceeded("lattice size", lat.n, bound)
-    pts = tuple(f.members for f in prime_filters(lat, bound))
+    pts = tuple(f.members for f in prime_filters(lat))
     beta = []
     for h in range(lat.n):
         mask = 0

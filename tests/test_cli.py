@@ -6,6 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from biheyt import kripke_eval, parse_formula, topo_eval
+from biheyt.bitsets import mask_of, pattern
+from biheyt.catalog import builtin
 from biheyt.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -68,6 +71,21 @@ def test_lattice_quotient_by_filter(capsys, chain_file):
     code, out, _ = run(capsys, "lattice", "quotient", chain_file, "--by-filter", "1,2")
     assert code == 0
     assert "lattice n=2" in out
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--by-ideal", "5", "element 5 out of range 0..2"),
+    ("--by-filter", "7", "element 7 out of range 0..2"),
+    ("--by-ideal", "-1", "element -1 out of range 0..2"),
+    ("--by-filter", "-2", "element -2 out of range 0..2"),
+    ("--by-ideal", "", "[] is not a proper nonempty ideal"),
+    ("--by-filter", "", "[] is not a proper nonempty filter"),
+])
+def test_lattice_quotient_rejects_bad_elements(capsys, chain_file, option, value, message):
+    code, out, err = run(capsys, "lattice", "quotient", chain_file, option, value)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_space_check(capsys, space_file):
@@ -406,19 +424,44 @@ def test_search_above_library_bound(capsys, monkeypatch, semantics):
     assert "BIHEYT_MAX_POINTS=2" in capsys.readouterr().err
 
 
-DEEP = "!" * 3000 + "p"
+DEEP = 100_000  # nesting levels, far past the default recursion limit
 
 
-@pytest.mark.parametrize("argv", [
-    ("search", "--formula", DEEP, "--max-points", "1"),
-    ("modal", "eval", "--model", "example1", "--formula", DEEP),
-    ("eval", "--algebra", "chain3", "--formula", DEEP),
-])
-def test_deep_formula_is_an_input_error(capsys, argv):
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err == "error: formula nests too deeply\n"
+@pytest.mark.parametrize("argv, code, want", [
+    (("eval", "--algebra", "chain3", "--formula", "!" * DEEP + "p", "--assign", "p=1"),
+     0, "2\n"),
+    (("search", "--formula", "!" * DEEP + "p", "--max-points", "1"), 1, "falsified at 0\n"),
+], ids=["eval", "search"])
+def test_deep_formula_gets_a_verdict(capsys, argv, code, want):
+    """Run in process: the parser, the compiler and the evaluators all
+    keep explicit stacks."""
+    assert sys.getrecursionlimit() < DEEP
+    got, out, err = run(capsys, *argv)
+    assert (got, err) == (code, "")
+    assert out.endswith(want)
+
+
+@pytest.mark.parametrize("structure, deep, shallow, p_points", [
+    ("example1", "[]" * DEEP + "<>p", "[]<>p", None),
+    ("threepoint", "<>" * DEEP + "!p", "<>!p", (0,)),
+    ("threepoint", "!" * DEEP + "([]p -> p)", "[]p -> p", (1,)),
+], ids=["example1", "threepoint-dia", "threepoint-t"])
+def test_deep_modal_eval_matches_the_references(capsys, structure, deep, shallow, p_points):
+    """□ and ◇ are idempotent in S4 and ¬ is an involution, so the deep
+    formula means the shallow one, which the recursive references
+    kripke_eval and topo_eval evaluate."""
+    assert sys.getrecursionlimit() < DEEP
+    phi, st = parse_formula(shallow), builtin(structure)
+    argv = ["modal", "eval", "--model", structure, "--formula", deep]
+    if p_points is None:
+        truth = [kripke_eval(st, w, phi) for w in range(st.frame.worlds)]
+        want = "".join(f"w{w} {str(t).lower()}\n" for w, t in enumerate(truth))
+    else:
+        argv += ["--assign", "p=" + ",".join(map(str, p_points))]
+        value = topo_eval(st, {"p": mask_of(p_points)}, phi)
+        truth = [value == st.full]
+        want = pattern(value, st.points) + "\n"
+    assert run(capsys, *argv) == (0 if all(truth) else 1, want, "")
 
 
 @pytest.mark.parametrize("argv", [

@@ -161,6 +161,36 @@ def test_truth_set_rejects_what_kripke_eval_skips(text, error):
         valid_in_model(m1, phi)
 
 
+def test_truth_set_on_a_space_matches_topo_eval(spaces_3):
+    """The space route of the one-bit slice against the set-valued
+    reference, including atoms the formula does not use."""
+    formulas = list(enumerate_formulas(1, ("p", "q")))
+    for sp in spaces_3:
+        for vp in all_subsets(sp.points):
+            val = {"p": vp, "q": sp.full ^ vp, "r": 0}
+            for phi in formulas:
+                assert truth_set(sp, phi, val) == topo_eval(sp, val, phi), (sp, val, str(phi))
+
+
+@pytest.mark.parametrize("text, error", [
+    ("p & ~p", UnsupportedConnective),
+    ("T | r", UnboundAtom),
+    ("<>(p <- p)", UnsupportedConnective),
+])
+def test_truth_set_on_a_space_rejects_like_topo_eval(threepoint, text, error):
+    phi = parse_formula(text)
+    with pytest.raises(error):
+        topo_eval(threepoint, {"p": 0b011}, phi)
+    with pytest.raises(error):
+        truth_set(threepoint, phi, {"p": 0b011})
+
+
+def test_truth_set_takes_a_valuation_only_for_a_space():
+    m1, _ = worked_examples()
+    with pytest.raises(TypeError):
+        truth_set(m1, parse_formula("p"), {"p": 1})
+
+
 def test_frame_validity_bound():
     frame = KripkeFrame.from_edges(3, [(0, 0)])
     with pytest.raises(BoundExceeded):

@@ -82,11 +82,6 @@ def test_ideals_of_chain3(chain3):
     assert [i.members for i in ideals(chain3)] == [0b001, 0b011]
 
 
-def test_filter_bound():
-    with pytest.raises(BoundExceeded):
-        filters(chain(3), bound=2)
-
-
 def test_principal_filters_and_ideals_match_subset_scan(m3_diamond):
     """filters/ideals read off the principal ones; the reference scans
     all 2^n member masks, in the same canonical order."""
@@ -110,6 +105,16 @@ def test_make_filter_rejects_junk(chain3):
         make_filter(chain3, [0, 1, 2])  # improper
     with pytest.raises(WrongKind):
         make_ideal(chain3, [2])
+
+
+@pytest.mark.parametrize("members", [[5], [1, 2, 3], [-1], [0, -2], 0b1000, 0b1110, -1])
+def test_filter_and_ideal_members_must_be_elements(chain3, members):
+    """An element outside 0..n-1, as an index or as a mask bit, is refused
+    before any closure check (a negative index used to reach a shift)."""
+    with pytest.raises(WrongKind, match="outside|out of range"):
+        make_filter(chain3, members)
+    with pytest.raises(WrongKind, match="outside|out of range"):
+        make_ideal(chain3, members)
 
 
 # -- check_hom -------------------------------------------------------------------
