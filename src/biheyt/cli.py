@@ -617,6 +617,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        # argparse drops an option value that is exactly "--" (`--world=--`)
+        # and stores [] where the string would be
+        if isinstance(value, list) and (value == [] or [] in value):
+            parser.error(f"argument --{name.replace('_', '-')}: '--' is not a value")
     cap_field = getattr(args, "cap_field", None)
     out = _Output(args.format)
     try:

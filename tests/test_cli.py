@@ -267,6 +267,20 @@ def test_empty_range_is_a_usage_error(capsys, argv):
     assert "empty range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("modal", "eval", "--model=example1", "--formula=p", "--world=--"),
+    ("modal", "eval", "--model=--", "--formula=p"),
+    ("eval", "--algebra=chain3", "--formula=--"),
+    ("eval", "--algebra=chain3", "--formula=p", "--assign=--"),
+    ("lattice", "quotient", "chain3.lat", "--by-ideal=--"),
+])
+def test_bare_double_dash_value_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "'--' is not a value" in capsys.readouterr().err
+
+
 def _no_enumeration(*_args, **_kwargs):
     raise AssertionError("spaces were enumerated past the cap")
 
