@@ -49,8 +49,29 @@ class Formula(NamedTuple):
     name: Optional[str] = None
     args: tuple["Formula", ...] = ()
 
+    # Rendering, equality and hashing walk the tree without recursion;
+    # the tuple versions recurse once per nesting level, in C for hash. A
+    # pre-order walk with each node's arity fixes the tree, so equality
+    # and hashing compare those walks. A leaf still equals, and hashes
+    # as, the plain tuple it is; a compound formula equals no plain
+    # tuple, since it hashes its walk and not the nested tuple.
     def __str__(self) -> str:
-        return _render(self, 0)
+        return _render(self)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Formula):
+            return False if self.args else tuple.__eq__(self, other)
+        return all(f.kind == g.kind and f.name == g.name and len(f.args) == len(g.args)
+                   for f, g in zip(self.walk(), other.walk()))
+
+    def __ne__(self, other) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self) -> int:
+        if not self.args:  # a leaf hashes as the plain tuple it equals
+            return tuple.__hash__(self)
+        return hash(tuple((f.kind, f.name, len(f.args)) for f in self.walk()))
 
     def walk(self) -> Iterator["Formula"]:
         """Every subformula occurrence, pre-order, without recursion."""
@@ -107,29 +128,45 @@ def dia(f: Formula) -> Formula:
     return Formula("dia", args=(f,))
 
 
-def _render(f: Formula, parent_prec: int) -> str:
-    if f.kind == "atom":
-        return f.name
-    if f.kind == "bot":
-        return "_|_"
-    if f.kind == "top":
-        return "T"
-    if f.kind in UNARY:
-        return _UNARY_ASCII[f.kind] + _render(f.args[0], 4)
-    prec = _PREC[f.kind]
-    a, b = f.args
-    if f.kind == "imp":
-        # right associative; a bare coimp is fine on the left, an imp is not
-        left = _render(a, 1 if a.kind == "coimp" else 2)
-        right = _render(b, 1)
-    elif f.kind == "coimp":
-        # left associative
-        left = _render(a, 1 if a.kind == "coimp" else 2)
-        right = _render(b, 2)
-    else:
-        left, right = _render(a, prec), _render(b, prec + 1)
-    text = f"{left} {_BINARY_ASCII[f.kind]} {right}"
-    return f"({text})" if prec < parent_prec else text
+def _render(phi: Formula) -> str:
+    """ASCII text of phi with the fewest parentheses that parse back to
+    it. Each stack item is a piece of text or a subformula with the
+    precedence of the context it sits in; pieces come off in order."""
+    out: list[str] = []
+    stack: list = [(phi, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        f, parent_prec = item
+        if f.kind == "atom":
+            out.append(f.name)
+        elif f.kind == "bot":
+            out.append("_|_")
+        elif f.kind == "top":
+            out.append("T")
+        elif f.kind in UNARY:
+            out.append(_UNARY_ASCII[f.kind])
+            stack.append((f.args[0], 4))
+        else:
+            prec = _PREC[f.kind]
+            a, b = f.args
+            if f.kind == "imp":
+                # right associative; a bare coimp is fine on the left, an imp is not
+                left, right = 1 if a.kind == "coimp" else 2, 1
+            elif f.kind == "coimp":
+                # left associative
+                left, right = 1 if a.kind == "coimp" else 2, 2
+            else:
+                left, right = prec, prec + 1
+            parens = prec < parent_prec
+            if parens:
+                stack.append(")")
+            stack += [(b, right), f" {_BINARY_ASCII[f.kind]} ", (a, left)]
+            if parens:
+                out.append("(")
+    return "".join(out)
 
 
 # --- parser ----------------------------------------------------------------

@@ -284,25 +284,42 @@ def _downsets(up_rows: Sequence[int]) -> set[int]:
 
 
 def _lex_min_rows(up_rows: Sequence[int]) -> tuple[int, ...]:
-    """Canonical form of a poset: its least row tuple over all labellings.
+    """Canonical form of a poset: its least row tuple over all labellings."""
+    return _lex_min_form(up_rows)[0]
+
+
+def _lex_min_form(
+    up_rows: Sequence[int], sizes: Sequence[int] = ()
+) -> tuple[tuple[int, ...], int]:
+    """Canonical form of a poset whose elements may carry sizes: the
+    least row tuple over all labellings, then, among the labellings that
+    reach it, the least tuple of sizes in label order. Also the number
+    of labellings that give this form, which is the order of the
+    automorphism group (of the poset with its sizes).
 
     Labels are handed out top-down. Label i can only go to an element
     whose strict upper bounds all hold labels already: any other
     element's row has a bit above i, so it is at least 2^(i+1), while
     the rows of those elements are below that. Among them the least row
-    wins, and only ties branch."""
+    wins, and only ties branch, so every labelling with the least rows
+    is reached."""
     k = len(up_rows)
     above = [up_rows[x] & ~(1 << x) for x in range(k)]
     label = [0] * k
     rows: list[int] = []
+    order: list[int] = []  # order[i] = the element holding label i
     best: Optional[tuple[int, ...]] = None
+    count = 0
 
     def extend(done: int) -> None:
-        nonlocal best
+        nonlocal best, count
         i = len(rows)
         if i == k:
-            if best is None or tuple(rows) < best:
-                best = tuple(rows)
+            form = (*rows, *(sizes[x] for x in order)) if sizes else tuple(rows)
+            if best is None or form < best:
+                best, count = form, 1
+            elif form == best:
+                count += 1
             return
         least, ties = None, []
         for x in range(k):
@@ -318,11 +335,13 @@ def _lex_min_rows(up_rows: Sequence[int]) -> tuple[int, ...]:
         rows.append(least)
         for x in ties:
             label[x] = i
+            order.append(x)
             extend(done | 1 << x)
+            order.pop()
         rows.pop()
 
     extend(0)
-    return best
+    return best, count
 
 
 def enumerate_distributive_lattices(max_size: int) -> list[FiniteLattice]:

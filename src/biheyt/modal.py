@@ -33,12 +33,25 @@ come out in the order of a per-valuation loop.
 ← and ∼ get no Kripke clauses; they belong to the algebra evaluator,
 and the compiler rejects them before any sweep starts. The algebra
 route of countermodel_search compiles once per search too and runs
-duallogic.algebra_evaluator on the open (or closed) set lattice of one
-space per T0 class. That lattice is fixed up to isomorphism by the
-canonical form of the space's T0 quotient (_t0_class), so a space whose
-class has already held is skipped: on at most 4 points that is 24
-lattices instead of 389. The walk stays labelled and in order, so the
-first witness is the one a scan of every space would find.
+duallogic.algebra_evaluator on the open (or closed) set lattice of a
+space.
+
+Search by class. Whether a point count holds a countermodel does not
+change when points are relabelled, so countermodel_search decides each
+count on one space per homeomorphism class (topology.space_classes):
+the classical space route on every class, a frame search whose
+properties include reflexive and transitive on the classes whose
+preorder classify_frame keeps, and the algebra routes on the T0 classes
+alone, since a space's open and closed lattices are those of its T0
+quotient and every smaller quotient has been decided already. On at
+most 4 points that is 46 classes, or 24 T0 classes, against 389
+labelled spaces. On the classical routes a count on which some class
+fails is then walked in labelled enumeration order, so the first
+witness is the one a scan of every structure finds. The algebra routes
+need no walk: each T0 representative is the first labelled space of
+its class, and the classes come in the order that the labelled walk
+first meets them, so the first failing representative is the first
+failing labelled space.
 """
 
 from __future__ import annotations
@@ -46,11 +59,10 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .bitsets import iter_bits, mask_of
+from .bitsets import iter_bits
 from .errors import BoundExceeded, UnboundAtom, UnknownOption, UnsupportedConnective
 from .formulas import KRIPKE, Formula, atom, box, compile_formula, dia, neg, parse_formula
 from .duallogic import algebra_evaluator
-from .lattice import _lex_min_rows
 from .topology import (
     DEFAULT_MAX_POINTS,
     MAX_SUITE_POINTS,
@@ -61,6 +73,7 @@ from .topology import (
     enumerate_topologies,
     interior,
     open_lattice,
+    space_classes,
     specialization_preorder,
 )
 
@@ -486,8 +499,9 @@ def countermodel_search(
     (valuations range over opens); 'dual' in the closed-set algebra
     (over closeds). mode 'frame' (classical only) sweeps every frame
     with the sliced core, keeping those with frame_properties ⊆
-    {reflexive, transitive, symmetric}. max_points may not exceed bound,
-    which defaults to DEFAULT_MAX_WORLDS in frame mode and to
+    {reflexive, transitive, symmetric}. Point counts are decided per
+    class first (see the module docstring). max_points may not exceed
+    bound, which defaults to DEFAULT_MAX_WORLDS in frame mode and to
     DEFAULT_MAX_POINTS in space mode.
     """
     _choose("mode", mode, ("space", "frame"))
@@ -505,53 +519,68 @@ def countermodel_search(
     if mode == "frame":
         prog, names = compile_formula(phi, "kripke")
         reflexive = "reflexive" in frame_properties
+        # reflexive, transitive frames are preorders, so they come in classes
+        by_class = reflexive and "transitive" in frame_properties
+
+        def kept(frame: KripkeFrame) -> bool:
+            cls = classify_frame(frame)
+            return all(getattr(cls, prop) for prop in frame_properties)
+
         for worlds in range(1, max_points + 1):
+            if by_class and not any(
+                kept(frame) and _refutes(prog, names, frame)
+                for frame in (KripkeFrame(worlds, c.space.min_open)
+                              for c in space_classes(worlds, bound))
+            ):
+                continue
             for frame in enumerate_frames(worlds, reflexive=reflexive):
-                cls = classify_frame(frame)
-                if any(not getattr(cls, prop) for prop in frame_properties):
-                    continue
-                modalities = _frame_modalities(frame)
-                hit = next(_failures(prog, len(names), worlds, modalities), None)
-                if hit is not None:
-                    return _witness(frame, names, worlds, hit)
+                if kept(frame):
+                    hit = next(_failures(prog, len(names), worlds, _frame_modalities(frame)), None)
+                    if hit is not None:
+                        return _witness(frame, names, worlds, hit)
         return None
     if semantics == "classical":
         prog, names = compile_formula(phi, "topological")
         for points in range(1, max_points + 1):
-            for space in enumerate_topologies(points, bound=max(points, DEFAULT_MAX_POINTS)):
-                modalities = _space_modalities(space)
-                hit = next(_failures(prog, len(names), points, modalities), None)
+            if not any(_refutes(prog, names, c.space) for c in space_classes(points, bound)):
+                continue
+            for space in enumerate_topologies(points, bound=bound):
+                hit = next(_failures(prog, len(names), points, _space_modalities(space)), None)
                 if hit is not None:
                     return _witness(space, names, points, hit)
         return None
     prog, names = compile_formula(phi, semantics)
     lattice = open_lattice if semantics == "intuitionistic" else closed_lattice
-    valid: set[tuple[int, ...]] = set()  # T0 classes already found valid
     for points in range(1, max_points + 1):
-        for space in enumerate_topologies(points, bound=max(points, DEFAULT_MAX_POINTS)):
-            key = _t0_class(space)
-            if key in valid:
-                continue
-            lat = lattice(space)
-            value = algebra_evaluator(prog, lat)
-            for choice in product(range(lat.n), repeat=len(names)):
-                found = lat.subsets[value(choice)]
-                if found != space.full:
-                    missing = next(x for x in range(points) if not (found >> x) & 1)
-                    val = {name: lat.subsets[el] for name, el in zip(names, choice)}
-                    return SearchResult(space, val, missing)
-            valid.add(key)
+        for c in space_classes(points, bound):
+            if len(c.skeleton) == points:
+                found = _algebra_witness(prog, names, lattice(c.space), c.space)
+                if found is not None:
+                    return found
     return None
 
 
-def _t0_class(space: FiniteSpace) -> tuple[int, ...]:
-    """Canonical form of the space's T0 quotient: points with the same
-    smallest open neighbourhood merge, and the specialization order of
-    the classes goes through lattice._lex_min_rows. Spaces with equal
-    keys have isomorphic open lattices and isomorphic closed lattices."""
-    rows = space.min_open
-    index = {row: i for i, row in enumerate(sorted(set(rows)))}
-    return _lex_min_rows([mask_of(index[rows[y]] for y in iter_bits(row)) for row in index])
+def _refutes(prog, names: list[str], structure) -> bool:
+    """Whether some valuation falsifies the compiled formula on a frame or a space."""
+    if isinstance(structure, FiniteSpace):
+        points, modalities = structure.points, _space_modalities(structure)
+    else:
+        points, modalities = structure.worlds, _frame_modalities(structure)
+    return next(_failures(prog, len(names), points, modalities), None) is not None
+
+
+def _algebra_witness(prog, names: list[str], lat, space: FiniteSpace) -> Optional[SearchResult]:
+    """The first assignment of elements of lat, in product order, under
+    which the compiled formula is not the top, with the lowest point
+    outside its value; None if the formula holds in lat."""
+    value = algebra_evaluator(prog, lat)
+    for choice in product(range(lat.n), repeat=len(names)):
+        found = lat.subsets[value(choice)]
+        if found != space.full:
+            missing = next(x for x in range(space.points) if not (found >> x) & 1)
+            val = {name: lat.subsets[el] for name, el in zip(names, choice)}
+            return SearchResult(space, val, missing)
+    return None
 
 
 def _choose(what: str, value: str, choices: tuple[str, ...]) -> None:

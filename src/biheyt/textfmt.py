@@ -9,7 +9,7 @@ Space files:        `space m=<M>` then `open <bits|points...>` lines,
                     closure). Canonical form emits bit patterns,
                     position i = point i.
 Frame/model files:  `frame n=<N>`, `edge <i> <j>` lines, and
-                    `val <atom>: <worlds...>` lines.
+                    `val <atom>: <worlds...>` lines, at most one per atom.
 
 Blank lines and `#` comments are ignored everywhere. load_structure
 dispatches on the header keyword and accepts the built-in names from
@@ -169,6 +169,8 @@ def parse_model_text(text: str) -> KripkeModel:
             name = parts[1][:-1]
             if not name:
                 raise ParseError(no, "missing atom name in val line")
+            if name in valuation:
+                raise ParseError(no, f"atom {name!r} has more than one val line")
             worlds = []
             for tok in parts[2:]:
                 digits = tok[1:] if tok.startswith("w") else tok

@@ -9,14 +9,27 @@ unions of those neighbourhoods (bitsets.unions), so no construction
 here scans all 2^n subsets. Topology enumeration goes through
 preorders, which is exact and far smaller than scanning subset families.
 
+space_classes lists the spaces up to homeomorphism instead, one
+representative per class with the number of labelled spaces in the
+class (its orbit). A preorder is a poset of clusters (the points with
+the same smallest open neighbourhood), each cluster with a size. The
+classes on m points grow from those on m-1: one cluster gets a point
+more, or a new one-point cluster goes below an up-set of the clusters,
+as enumerate_distributive_lattices grows its posets. Children are kept
+once each under the lex-min canonical form of the cluster poset with
+its sizes (lattice._lex_min_form), which also counts the automorphisms.
+The labelled enumeration stays: it is the reference, and the route a
+caller takes to find the first labelled witness.
+
 The open sets form a Heyting algebra under inclusion and the closed
 sets a co-Heyting algebra under inclusion (∅ bottom, X top, ∧=∩, ∨=∪).
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import Iterable, Iterator
+from functools import cached_property, lru_cache
+from math import factorial, prod
+from typing import Iterable, Iterator, NamedTuple
 
 from .bitsets import iter_bits, subset_key, unions
 from .errors import (
@@ -25,7 +38,12 @@ from .errors import (
     NotClosedUnderIntersection,
     NotClosedUnderUnion,
 )
-from .lattice import FiniteLattice, lattice_of_subsets
+from .lattice import (
+    FiniteLattice,
+    _downsets,
+    _lex_min_form,
+    lattice_of_subsets,
+)
 
 DEFAULT_MAX_POINTS = 4
 # Most points the exhaustive suites sweep: 6,942 spaces on 5, 209,527 on 6.
@@ -204,3 +222,54 @@ def enumerate_topologies(
         raise BoundExceeded("points", points, bound)
     for pre in enumerate_preorders(points):
         yield from_preorder(pre)
+
+
+class SpaceClass(NamedTuple):
+    """One homeomorphism class of spaces on a given number of points."""
+
+    space: FiniteSpace  # a representative
+    orbit: int  # labelled spaces in the class: points! / automorphisms
+    skeleton: tuple[int, ...]  # canonical rows of the cluster poset (the T0 quotient)
+    sizes: tuple[int, ...]  # cluster sizes, in the skeleton's label order
+
+
+def space_classes(points: int, bound: int = MAX_SUITE_POINTS) -> tuple[SpaceClass, ...]:
+    """One space per homeomorphism class on exactly `points` points
+    (OEIS A001930: 1, 3, 9, 33, 139 on 1..5), ordered by canonical form.
+    The orbits sum to the labelled count (A000798), and the classes with
+    skeletons of `points` clusters are the T0 ones (A000112). A T0
+    representative is the first space of its class that
+    enumerate_topologies yields, and the T0 classes come in the order
+    that enumeration first meets them."""
+    if points > bound:
+        raise BoundExceeded("points", points, bound)
+    return _space_classes(points)
+
+
+@lru_cache(maxsize=None)
+def _space_classes(points: int) -> tuple[SpaceClass, ...]:
+    if points == 0:
+        return (SpaceClass(FiniteSpace(0, (0,)), 1, (), ()),)
+    grown: dict[tuple[int, ...], int] = {}  # canonical form -> automorphisms
+    for parent in _space_classes(points - 1):
+        rows, sizes = parent.skeleton, parent.sizes
+        k = len(rows)
+        children = [(rows, sizes[:c] + (sizes[c] + 1,) + sizes[c + 1 :]) for c in range(k)]
+        children += [
+            (rows + ((1 << k) | (((1 << k) - 1) & ~down),), sizes + (1,))
+            for down in _downsets(rows)
+        ]
+        for child in children:
+            form, automorphisms = _lex_min_form(*child)
+            grown[form] = automorphisms
+    out = []
+    for form in sorted(grown):
+        k = len(form) // 2
+        rows, sizes = form[:k], form[k:]
+        start = [sum(sizes[:c]) for c in range(k)]
+        cluster = [((1 << size) - 1) << first for size, first in zip(sizes, start)]
+        up = [sum(cluster[d] for d in iter_bits(row)) for row in rows]
+        pre = Preorder(points, tuple(up[c] for c in range(k) for _ in range(sizes[c])))
+        orbit = factorial(points) // (grown[form] * prod(map(factorial, sizes)))
+        out.append(SpaceClass(from_preorder(pre), orbit, rows, sizes))
+    return tuple(out)

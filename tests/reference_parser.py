@@ -1,10 +1,28 @@
 """The recursive-descent formula parser that biheyt.formulas.parse_formula
-replaced, kept verbatim as the reference for the differential tests in
-test_formulas.py. It recurses once per nesting level, so it is run only
-on shallow inputs."""
+replaced, and the recursive renderer that Formula.__str__ replaced, kept
+verbatim as the references for the differential tests in
+test_formulas.py. Both recurse once per nesting level, so they are run
+only on shallow inputs."""
 
 from biheyt.errors import FormulaSyntaxError
-from biheyt.formulas import BOT, TOP, Formula, atom, box, coimp, coneg, conj, dia, disj, imp, neg
+from biheyt.formulas import (
+    _BINARY_ASCII,
+    _PREC,
+    _UNARY_ASCII,
+    BOT,
+    TOP,
+    UNARY,
+    Formula,
+    atom,
+    box,
+    coimp,
+    coneg,
+    conj,
+    dia,
+    disj,
+    imp,
+    neg,
+)
 
 _SYMBOLS = {
     "¬": "!",
@@ -178,3 +196,28 @@ class _Parser:
 
 def reference_parse(text: str) -> Formula:
     return _Parser(text).parse()
+
+
+def reference_render(f: Formula, parent_prec: int = 0) -> str:
+    if f.kind == "atom":
+        return f.name
+    if f.kind == "bot":
+        return "_|_"
+    if f.kind == "top":
+        return "T"
+    if f.kind in UNARY:
+        return _UNARY_ASCII[f.kind] + reference_render(f.args[0], 4)
+    prec = _PREC[f.kind]
+    a, b = f.args
+    if f.kind == "imp":
+        # right associative; a bare coimp is fine on the left, an imp is not
+        left = reference_render(a, 1 if a.kind == "coimp" else 2)
+        right = reference_render(b, 1)
+    elif f.kind == "coimp":
+        # left associative
+        left = reference_render(a, 1 if a.kind == "coimp" else 2)
+        right = reference_render(b, 2)
+    else:
+        left, right = reference_render(a, prec), reference_render(b, prec + 1)
+    text = f"{left} {_BINARY_ASCII[f.kind]} {right}"
+    return f"({text})" if prec < parent_prec else text

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,8 @@ from biheyt import kripke_eval, parse_formula, topo_eval
 from biheyt.bitsets import mask_of, pattern
 from biheyt.catalog import builtin
 from biheyt.cli import main
+from biheyt.formulas import compile_formula
+from reference_labelled import reference_verify_dual_laws, reference_verify_s4
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -206,6 +209,14 @@ def test_model_file_with_a_non_ascii_digit_is_an_input_error(capsys, tmp_path, w
     assert err == f"error: line 3: bad world {world!r} in val line\n"
 
 
+def test_model_file_with_a_repeated_val_line_is_an_input_error(capsys, tmp_path):
+    f = tmp_path / "twice.frm"
+    f.write_text("frame n=2\nedge 0 1\nval p: 0\nval p: 1\n", encoding="utf-8")
+    code, out, err = run(capsys, "modal", "eval", "--model", str(f), "--formula", "p")
+    assert (code, out) == (2, "")
+    assert err == "error: line 4: atom 'p' has more than one val line\n"
+
+
 def test_verify_stone_at_the_cap(capsys):
     code, out, _ = run(capsys, "verify", "stone", "--max-size", "12")
     assert code == 0
@@ -310,6 +321,69 @@ def test_verify_suites_run_at_the_cap(capsys, monkeypatch, suite):
     assert code == 2
     assert out == ""
     assert "points 4 exceeds configured bound 3" in err
+
+
+def run_reference(capsys, reference, points, fmt):
+    import biheyt.cli as cli
+
+    code = reference(points, cli._Output(fmt))
+    return code, capsys.readouterr().out
+
+
+def assert_suite_matches_reference(capsys, suite, points):
+    reference = {"s4": reference_verify_s4, "dual-laws": reference_verify_dual_laws}[suite]
+    for fmt in ("human", "json"):
+        got = run(capsys, "--format", fmt, "verify", suite, "--points", str(points))[:2]
+        assert got == run_reference(capsys, reference, points, fmt), (suite, points, fmt)
+
+
+@pytest.mark.parametrize("suite", ["s4", "dual-laws"])
+def test_verify_suites_match_the_labelled_loop(capsys, suite):
+    for points in (1, 2, 3, 4):
+        assert_suite_matches_reference(capsys, suite, points)
+
+
+def test_verify_s4_names_each_failing_class(capsys, monkeypatch):
+    """The B axiom holds on the symmetric spaces only. Each failing class
+    is named once, by its representative and orbit, and the counts are
+    those of the labelled loop."""
+    import biheyt.modal as modal
+
+    b = parse_formula("p -> []<>p")
+    monkeypatch.setattr(modal, "S4_SCHEMAS", (*modal.S4_SCHEMAS, ("B symmetry", b)))
+    monkeypatch.setattr(modal, "_S4_PROGRAMS", [*modal._S4_PROGRAMS,
+                                                compile_formula(b, "kripke", ("p", "q"))[0]])
+    code, out, _ = run(capsys, "verify", "s4", "--points", "3")
+    want_code, want = run_reference(capsys, reference_verify_s4, 3, "human")
+    assert code == want_code == 1
+    failures = [line for line in out.splitlines() if line.startswith("schema ")]
+    assert all(line.startswith("schema B symmetry fails") for line in failures)
+    assert len(failures) == (1 + 3 + 9) - (1 + 2 + 3)  # classes that are not equivalences
+    orbits = [int(re.search(r"class of (\d+) spaces$", line)[1]) for line in failures]
+    assert sum(orbits) == (1 + 4 + 29) - (1 + 2 + 5)  # labelled spaces likewise
+    kept = [line for line in want.splitlines() if not line.startswith("schema ")]
+    assert [line for line in out.splitlines() if not line.startswith("schema ")] == kept
+    got = run(capsys, "--format", "json", "verify", "s4", "--points", "3")[:2]
+    assert got == run_reference(capsys, reference_verify_s4, 3, "json")
+
+
+def test_verify_dual_laws_failing_law_matches_the_labelled_loop(capsys, monkeypatch):
+    """Noncontradiction a ∧ ∼a = ⊥ in place of the excluded middle: it
+    fails off the Boolean lattices, and its first witness is named on a
+    labelled space."""
+    import biheyt.cli as cli
+    from biheyt.duallogic import LawReport
+
+    def noncontradiction(lat):
+        bad = tuple((a,) for a in range(lat.n)
+                    if lat.meet[a][lat.conot_table[a]] != lat.bottom)
+        return LawReport("noncontradiction", lat.n, bad)
+
+    monkeypatch.setattr(cli, "check_lem", noncontradiction)
+    assert_suite_matches_reference(capsys, "dual-laws", 3)
+    code, out, _ = run(capsys, "verify", "dual-laws", "--points", "3")
+    assert code == 1
+    assert "noncontradiction" in out
 
 
 def test_env_cap_only_lowers_the_suite_cap(capsys, monkeypatch):

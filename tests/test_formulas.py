@@ -1,9 +1,12 @@
+import os
 import random
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
-from reference_parser import reference_parse
+from reference_parser import reference_parse, reference_render
 
 from biheyt import (
     BOT,
@@ -146,7 +149,7 @@ DEPTH = 100_000
 
 def test_deep_nesting_parses_without_recursion():
     """Run under the default recursion limit: each shape is far deeper.
-    Checked by walking, since == on such a Formula recurses in C."""
+    Checked by walking the tree."""
     assert sys.getrecursionlimit() < DEPTH
     f = parse_formula("!" * DEPTH + "p")
     assert [g.kind for g in f.walk()] == ["not"] * DEPTH + ["atom"]
@@ -161,6 +164,51 @@ def test_deep_nesting_parses_without_recursion():
         assert f.kind == "coimp" and f.args[1] == p
         f = f.args[0]
     assert f == p
+
+
+def test_str_eq_hash_match_the_tuple_versions_on_small_formulas():
+    """The iterative __str__, == and hash against the recursive renderer
+    and a fresh copy of each formula; distinct formulas stay distinct."""
+    formulas = list(enumerate_formulas(2, ("p", "q"), kinds=KINDS))
+    for f in formulas:
+        text = str(f)
+        assert text == reference_render(f)
+        g = parse_formula(text)
+        assert g == f and not g != f and hash(g) == hash(f)
+    assert len(set(formulas)) == len(formulas)
+    assert all(a != b and not a == b for a, b in zip(formulas, formulas[1:]))
+    assert p == ("atom", "p", ()) and hash(p) == hash(("atom", "p", ()))
+    plain = ("not", None, (("atom", "p", ()),))
+    assert neg(p) != plain and plain != neg(p) and not neg(p) == plain and not plain == neg(p)
+    assert len({neg(p), plain}) == 2
+
+
+# The tuple hash crashes on the first shape at this depth; the others are
+# past the recursion limit, which is all that == and str needed to fail.
+DEEP_FORMULA_SCRIPT = f"""
+import sys
+from biheyt import parse_formula
+assert sys.getrecursionlimit() < 5000
+for text in ("!" * {DEPTH} + "p", " -> ".join(["p"] * 5000), "[]" * 5000 + "(p & q)"):
+    a, b = parse_formula(text), parse_formula(text)
+    other = parse_formula(text.replace("p", "r", 1))
+    assert hash(a) == hash(b) and hash(a) != hash(other)
+    assert a == b and not a != b
+    assert a != other and not a == other
+    assert str(a) == text
+print("ok")
+"""
+
+
+def test_deep_formula_str_eq_hash_in_a_subprocess():
+    """A crash in C (the tuple hash has no depth guard) fails this test
+    instead of ending the test run."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", DEEP_FORMULA_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
 
 
 def test_round_trip_property():

@@ -3,7 +3,9 @@ commands, in both output formats, plus the stdout of every demo.
 
 The expected bytes live in golden/transcript.json. They were recorded
 before the evaluators were rewritten (the functoriality group before
-that suite and the hom enumerator were) and pin what users see; an
+that suite and the hom enumerator were, the four_points group before the
+searches and suites decided per homeomorphism class) and pin what users
+see; an
 intended change of output means re-recording them with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -48,6 +50,33 @@ SEARCHES = (
     ("dual", "(p <- q) | q"), ("dual", "~(p & q) <- (~p | ~q)"),
     ("dual", "p <- (p | q)"),
 )
+# The four-point group: formulas that hold, and formulas whose first
+# countermodel has 2, 3 or 4 points (bounded depth and bounded cluster
+# width on the classical routes, bounded depth and width intuitionistically).
+# A dual formula that fails already fails on one point: by order duality
+# it fails iff the negation of an intuitionistic formula does, and by
+# Glivenko's theorem that is a classical failure.
+FOUR_POINT_SEARCHES = {
+    "classical": (
+        "[]p -> p", "[](p -> q) -> ([]p -> []q)", "<>[]p -> p", "p -> []p",
+        "<>([]q & !(<>[]p -> p)) -> q", "(<>(p & q) & <>(p & !q)) -> []p",
+        "<>([]r & !(<>([]q & !(<>[]p -> p)) -> q)) -> r",
+        "(<>(p & q) & <>(p & !q) & <>(!p & q)) -> [](p | q)",
+    ),
+    "intuitionistic": (
+        "p -> (q -> p)", "!!!p -> !p", "p | !p", "(p -> q) | (q -> p)", "!p | !!p",
+        "q | (q -> (p | !p))", "r | (r -> (q | (q -> (p | !p))))",
+        "(p -> q) | (q -> r) | (r -> p)",
+    ),
+    "dual": ("p | ~p", "~(p & ~p)", "~p | ~~p", "~~(p & ~p)", "(p <- q) | q"),
+}
+FOUR_POINT_ROUTES = (
+    ("classical", ("--semantics", "classical")),
+    ("classical", ("--semantics", "frame", "--require", "reflexive,transitive")),
+    ("classical", ("--semantics", "frame", "--require", "reflexive,transitive,symmetric")),
+    ("intuitionistic", ("--semantics", "intuitionistic")),
+    ("dual", ("--semantics", "dual")),
+)
 MODAL = (
     ("example1", "<>p & <>!p"), ("example1", "[]p -> p"), ("example1", "p"),
     ("example1", "[](p -> []p)"), ("example2", "<>p | <>q"),
@@ -86,6 +115,12 @@ def commands() -> dict[str, list[list[str]]]:
     ]
     groups["functoriality"] = [["verify", "functoriality", "--max-size", str(n)]
                                for n in range(1, 6)]
+    groups["four_points"] = [["verify", "s4", "--points", "4"],
+                             ["verify", "dual-laws", "--points", "4"]]
+    for formulas, route in FOUR_POINT_ROUTES:
+        for phi in FOUR_POINT_SEARCHES[formulas]:
+            groups["four_points"].append(["search", *route, "--formula", phi,
+                                          "--max-points", "4"])
     for semantics, phi in SEARCHES:
         for points in ("1", "3"):
             groups["search"].append(["search", "--semantics", semantics,

@@ -34,6 +34,7 @@ from biheyt.bitsets import all_subsets, iter_bits, mask_of
 from biheyt.duallogic import algebra_evaluator
 from biheyt.formulas import atom, compile_formula, conj, dia, disj, enumerate_formulas
 from biheyt.modal import S4_SCHEMAS, SchemaReport, SearchResult
+from reference_labelled import reference_search, t0_class
 
 
 # -- classification -----------------------------------------------------------
@@ -774,14 +775,103 @@ def test_t0_class_counts_follow_the_posets():
     keys = set()
     counts = []
     for points in range(1, 5):
-        keys |= {modal._t0_class(sp) for sp in enumerate_topologies(points)}
+        keys |= {t0_class(sp) for sp in enumerate_topologies(points)}
         counts.append(len(keys))
     assert counts == [1, 3, 8, 24]
 
 
 def test_t0_class_ignores_labels(spaces_4):
     for sp in spaces_4:
-        key = modal._t0_class(sp)
+        key = t0_class(sp)
         for perm in permutations(range(sp.points)):
             opens = [mask_of(perm[x] for x in iter_bits(o)) for o in sp.opens]
-            assert modal._t0_class(validate_topology(sp.points, opens)) == key, (sp, perm)
+            assert t0_class(validate_topology(sp.points, opens)) == key, (sp, perm)
+
+# -- searches decided per class against the labelled reference ---------------------
+
+CLASSICAL_ROUTES = [
+    {"mode": "space"},
+    {"mode": "frame", "frame_properties": ("reflexive", "transitive")},
+    {"mode": "frame", "frame_properties": ("reflexive", "transitive", "symmetric")},
+]
+SMALL_KRIPKE_FORMULAS = list(enumerate_formulas(2, ("p", "q")))
+
+
+def test_space_search_matches_reference_on_small_formulas():
+    assert len(SMALL_KRIPKE_FORMULAS) == 1684
+    for phi in SMALL_KRIPKE_FORMULAS:
+        got = countermodel_search(phi, 3)
+        assert repr(got) == repr(reference_search(phi, 3)), phi
+
+
+@pytest.mark.parametrize("require", REQUIRE_SUBSETS, ids=",".join)
+def test_frame_search_matches_reference_on_small_formulas(require):
+    """Every formula where the frames are preorders and so are decided
+    per class; elsewhere the search is the labelled walk itself, and
+    every eighth formula keeps the run short."""
+    preorders = {"reflexive", "transitive"} <= set(require)
+    for phi in SMALL_KRIPKE_FORMULAS if preorders else SMALL_KRIPKE_FORMULAS[::8]:
+        got = countermodel_search(phi, 3, mode="frame", frame_properties=require)
+        want = reference_search(phi, 3, mode="frame", frame_properties=require)
+        assert repr(got) == repr(want), phi
+
+
+# The search formulas of benchmark seeds 1-10, then formulas whose first
+# countermodel has 3 and 4 points: bounded depth, and (classically)
+# bounded cluster width.
+FOUR_POINT_SEARCHES = {
+    "classical": (
+    "[](p -> q) -> ([]p -> []q)", "[]q -> q", "[]p -> [][]p", "q -> <>q",
+    "<><>q -> <>q", "!!<>p", "[](q -> <>!q)", "(p -> (!<>q -> <>q))",
+    "[]((q & <>q) -> p)", "(![](q | q) -> p)", "!<>((p | p) -> p)", "[](q | q)",
+    "[]p -> p", "<><>p -> <>p", "([](p | !p) & p)", "<><>(!q -> (q & q))",
+    "([]q | []q)", "([]q -> (q -> p))", "(q | !p)", "(p & []q)", "[](p -> !p)",
+    "!<>!<>(!q -> q)", "<>!!!q", "(<>(<>p | q) & <>p)", "(<>q | (p | q))", "!!(!q & p)",
+    "[]!<>(!p -> p)", "(<>(<>p | p) -> q)", "p -> <>p", "<>[](!q & p)",
+    "<>((p | !q) -> []p)", "<>!<>((q & q) | q)", "[][](!p | !q)", "((!p -> p) | q)",
+    "<>([](p | !q) -> p)", "<>[]!q", "[](q -> p) -> ([]q -> []p)", "[]q -> [][]q",
+    "![](p | p)", "![]!p", "<><>(p & p)", "<>!<>(p -> !p)", "<>(!<>q | p)",
+    "<><>(!q -> q)", "!<>!<>q", "<>(q & p)", "(<>!p -> p)", "(<>p & (p -> q))",
+    "<>(p | (p | q))", "([]q -> []!p)", "[](!p -> []q)", "(p & <>q)",
+    "!((p & !<>p) | q)", "[](q | (p | <>p))", "!(!<>p | p)", "(([]q & []q) -> p)",
+    "(p -> (q | q))", "<>(p | (!q | p))", "(p & (<>[]q | q))", "[]!(<>q -> []q)",
+    "(!p -> q)", "(p & <>[]!(p -> p))", "!(!q & ([]q -> q))", "[](q | <>q)",
+    "([]<>(q & p) | p)", "[]!<>(q | p)", "(!<>q | p)", "[](q -> ![]p)",
+    "[]![](p -> !p)", "<>!!!p", "!((q | !q) | !p)", "[][]!!(q | !p)", "[][]!(q | !q)",
+    "<>((q & q) -> !q)", "((p & p) & p)", "(q & (p | (p & p)))", "(<>q & [](p | q))",
+    "<>[](q & (q | p))", "(q | []p)",
+    "<>([]q & !(<>[]p -> p)) -> q", "(<>(p & q) & <>(p & !q)) -> []p",
+    "<>([]r & !(<>([]q & !(<>[]p -> p)) -> q)) -> r",
+    "(<>(p & q) & <>(p & !q) & <>(!p & q)) -> [](p | q)",
+    ),
+    "intuitionistic": (
+    "!!(p | !p)", "(!q -> !p) -> (!!p -> !!q)", "(!!p | !!q) -> !(!p & !q)",
+    "q -> (q | !p)", "q -> (p -> q)", "(p -> (p -> !q)) -> (p -> !q)",
+    "!p -> (!p | !q)", "!p -> (!q -> !p)", "(q & !p) -> q",
+    "(q -> (q -> !p)) -> (q -> !p)", "!!!!q -> !!q", "!p -> (q -> !p)", "!!(!q | !!q)",
+    "(!q -> p) -> (!p -> !!q)", "(!q | !!p) -> !(q & !p)", "!(!q | p) -> (!!q & !p)",
+    "p -> (q -> p)", "!q -> (!q | !p)", "(!!q | !!p) -> !(!q & !p)",
+    "!(!p | !q) -> (!!p & !!q)", "(q & p) -> q", "!!!!p -> !!p", "!!(!p | !!p)",
+    "!(q | !p) -> (!q & !!p)", "!!!p -> !p", "!!(q | !q)", "!q -> (!q | p)",
+    "(!!p | !q) -> !(!p & q)", "q -> !!q", "(!p & q) -> !p", "!p -> !!!p",
+    "(p -> q) | (q -> p)", "!p | !!p", "q | (q -> (p | !p))",
+    "r | (r -> (q | (q -> (p | !p))))", "(p -> q) | (q -> r) | (r -> p)",
+    ),
+    "dual": (
+    "(q <- p) | ~(q <- p)", "(p & q) | ~(p & q)", "p | ~p", "q | ~q", "~p | ~~p",
+    "~q | ~~q", "(p | q) | ~(p | q)", "(p <- q) | ~(p <- q)",
+    ),
+}
+FOUR_POINT_ROUTES = [("classical", kwargs) for kwargs in CLASSICAL_ROUTES] + [
+    ("intuitionistic", {"semantics": "intuitionistic"}),
+    ("dual", {"semantics": "dual"}),
+]
+
+
+@pytest.mark.parametrize("formulas,kwargs", FOUR_POINT_ROUTES,
+                         ids=["space", "s4-frame", "s5-frame", "intuitionistic", "dual"])
+def test_search_matches_reference_on_four_points(formulas, kwargs):
+    for text in FOUR_POINT_SEARCHES[formulas]:
+        phi = parse_formula(text)
+        got = countermodel_search(phi, 4, **kwargs)
+        assert repr(got) == repr(reference_search(phi, 4, **kwargs)), text

@@ -114,6 +114,16 @@ def test_model_round_trip():
         assert parse_model_text(format_model_text(model)) == model
 
 
+def test_model_repeated_val_line_is_an_error():
+    """A second val line for an atom is refused instead of replacing the first."""
+    with pytest.raises(ParseError) as exc:
+        parse_model_text("frame n=2\nedge 0 1\nval p: 0\n# p again\nval p: 1\n")
+    assert exc.value.line_no == 5
+    assert "atom 'p' has more than one val line" in str(exc.value)
+    model = parse_model_text("frame n=2\nval p: 0\nval q: 1\n")
+    assert model.valuation == {"p": 0b01, "q": 0b10}
+
+
 def test_model_parse_w_names():
     model = parse_model_text("frame n=2\nedge 0 1\nval p: w1\nval q:\n")
     assert model.frame.edges() == [(0, 1)]

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -20,7 +20,9 @@ from biheyt import (
     specialization_preorder,
     validate_topology,
 )
-from biheyt.bitsets import all_subsets, iter_bits, subset_key
+from biheyt.bitsets import all_subsets, iter_bits, mask_of, subset_key
+from biheyt.topology import space_classes
+from reference_labelled import t0_class
 
 
 # -- validation --------------------------------------------------------------
@@ -301,6 +303,77 @@ def test_bound_exceeded():
     with pytest.raises(BoundExceeded):
         next(iter(enumerate_topologies(5)))
     assert sum(1 for _ in enumerate_topologies(5, bound=5)) > 355
+
+
+# -- homeomorphism classes -------------------------------------------------------
+
+
+def test_class_counts_follow_oeis():
+    """A001930 classes, A000112 T0 classes, A000798 labelled spaces."""
+    classes = [space_classes(m) for m in range(1, 6)]
+    assert [len(cs) for cs in classes] == [1, 3, 9, 33, 139]
+    assert [sum(len(c.skeleton) == m for c in cs)
+            for m, cs in enumerate(classes, 1)] == [1, 2, 5, 16, 63]
+    assert [sum(c.orbit for c in cs) for cs in classes] == [1, 4, 29, 355, 6942]
+    assert len(space_classes(6, bound=6)) == 718
+
+
+def relabelled(rows, perm):
+    """The preorder rows with point x renamed perm[x]."""
+    out = [0] * len(rows)
+    for x, row in enumerate(rows):
+        out[perm[x]] = mask_of(perm[y] for y in iter_bits(row))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_classes_partition_the_labelled_preorders(m):
+    """Brute force: the orbit of each representative under every
+    permutation of the points. Every labelled preorder lies in exactly
+    one orbit, whose size is the class's orbit count."""
+    labelled = {pre.rel for pre in enumerate_preorders(m)}
+    seen = set()
+    for c in space_classes(m):
+        rows = specialization_preorder(c.space).rel
+        orbit = {relabelled(rows, perm) for perm in permutations(range(m))}
+        assert len(orbit) == c.orbit, c
+        assert not orbit & seen and orbit <= labelled, c
+        seen |= orbit
+    assert seen == labelled
+
+
+def test_class_skeletons_are_t0_quotients(spaces_4):
+    """The skeleton is t0_class of the representative and of every
+    labelled space in the class; T0 classes have singleton clusters."""
+    by_skeleton = {}
+    for m in range(1, 5):
+        for c in space_classes(m):
+            assert c.space.points == m == sum(c.sizes)
+            assert t0_class(c.space) == c.skeleton
+            assert (len(c.skeleton) == m) == (set(c.sizes) == {1})
+            by_skeleton[c.skeleton] = by_skeleton.get(c.skeleton, 0) + c.orbit
+    labelled = {}
+    for sp in spaces_4:
+        key = t0_class(sp)
+        labelled[key] = labelled.get(key, 0) + 1
+    assert labelled == by_skeleton
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_t0_representatives_come_first_in_enumeration_order(m):
+    """A T0 class's representative is its lex-least labelled poset, so
+    it is the first space of its class that enumerate_topologies yields,
+    and the T0 classes come in the order that walk first meets them."""
+    firsts = {}
+    for sp in enumerate_topologies(m, bound=5):
+        firsts.setdefault(t0_class(sp), sp)
+    met = [sp for key, sp in firsts.items() if len(key) == m]
+    assert met == [c.space for c in space_classes(m) if len(c.skeleton) == m]
+
+
+def test_class_bound():
+    with pytest.raises(BoundExceeded):
+        space_classes(6)
 
 
 # -- structure invariants over the whole enumeration ----------------------------
