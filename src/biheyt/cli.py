@@ -245,7 +245,7 @@ def _cmd_verify_dual_laws(args, out: _Output) -> int:
             if paraconsistent is None:
                 a = find_paraconsistent_witness(lat)
                 if a is not None:
-                    paraconsistent = (c.space, a)
+                    paraconsistent = (c.space, lat.subsets[a])
         spaces += c.orbit
         for rep in decided[c.skeleton]:
             totals[rep.law][0] += rep.checked * c.orbit
@@ -265,8 +265,7 @@ def _cmd_verify_dual_laws(args, out: _Output) -> int:
         if bad and not expected_failure:
             exit_code = 1
     if paraconsistent:
-        sp, a = paraconsistent
-        subset = closed_lattice(sp).subsets[a]
+        sp, subset = paraconsistent
         out.text(f"paraconsistency witness: boundary of {pattern(subset, sp.points)} "
                  f"is nonempty in opens={[pattern(o, sp.points) for o in sp.opens]}")
     out.record(record="dual-law-summary", spaces=spaces,

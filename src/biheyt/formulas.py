@@ -40,8 +40,6 @@ FRAGMENTS = {"kripke": KRIPKE, "topological": KRIPKE,
              "intuitionistic": INTUITIONISTIC, "dual": DUAL}
 
 _UNARY_ASCII = {"not": "!", "conot": "~", "box": "[]", "dia": "<>"}
-_BINARY_ASCII = {"and": "&", "or": "|", "imp": "->", "coimp": "<-"}
-_PREC = {"imp": 1, "coimp": 1, "or": 2, "and": 3}
 
 
 class Formula(NamedTuple):
@@ -130,16 +128,21 @@ def dia(f: Formula) -> Formula:
 
 def _render(phi: Formula) -> str:
     """ASCII text of phi with the fewest parentheses that parse back to
-    it. Each stack item is a piece of text or a subformula with the
-    precedence of the context it sits in; pieces come off in order."""
+    it. A left operand needs them when its _INFIX strength is below the
+    operator's need, a right operand when its need is at most the
+    operator's strength (a prefix has strength 5). Stack items are text
+    or (subformula, parenthesize?) and come off in order."""
     out: list[str] = []
-    stack: list = [(phi, 0)]
+    stack: list = [(phi, False)]
     while stack:
         item = stack.pop()
         if isinstance(item, str):
             out.append(item)
             continue
-        f, parent_prec = item
+        f, parens = item
+        if parens:
+            out.append("(")
+            stack.append(")")
         if f.kind == "atom":
             out.append(f.name)
         elif f.kind == "bot":
@@ -148,24 +151,15 @@ def _render(phi: Formula) -> str:
             out.append("T")
         elif f.kind in UNARY:
             out.append(_UNARY_ASCII[f.kind])
-            stack.append((f.args[0], 4))
+            stack.append((f.args[0], f.args[0].kind in _INFIX_BY_KIND))
         else:
-            prec = _PREC[f.kind]
+            strength, need, text = _INFIX_BY_KIND[f.kind]
             a, b = f.args
-            if f.kind == "imp":
-                # right associative; a bare coimp is fine on the left, an imp is not
-                left, right = 1 if a.kind == "coimp" else 2, 1
-            elif f.kind == "coimp":
-                # left associative
-                left, right = 1 if a.kind == "coimp" else 2, 2
-            else:
-                left, right = prec, prec + 1
-            parens = prec < parent_prec
-            if parens:
-                stack.append(")")
-            stack += [(b, right), f" {_BINARY_ASCII[f.kind]} ", (a, left)]
-            if parens:
-                out.append("(")
+            stack += [
+                (b, b.kind in _INFIX_BY_KIND and _INFIX_BY_KIND[b.kind][1] <= strength),
+                text,
+                (a, a.kind in _INFIX_BY_KIND and _INFIX_BY_KIND[a.kind][0] < need),
+            ]
     return "".join(out)
 
 
@@ -188,6 +182,9 @@ _PREFIX = {"!": "not", "~": "conot", "[]": "box", "<>": "dia"}
 # open parenthesis 0; any other token has need 1, so it closes every
 # operator pending since the innermost open parenthesis.
 _INFIX = {"->": (1, 2, "imp"), "<-": (2, 2, "coimp"), "|": (3, 3, "or"), "&": (4, 4, "and")}
+# binary kind -> (strength, need, its text between the operands), for _render
+_INFIX_BY_KIND = {kind: (strength, need, f" {tok} ")
+                  for tok, (strength, need, kind) in _INFIX.items()}
 
 
 def _tokenize(text: str) -> list[tuple[object, int]]:

@@ -9,6 +9,7 @@ candidate is still verified. Congruences are equivalence relations
 compatible with meet and join; quotients rebuild the block lattice from
 scratch and cross-check it against the projected tables, which catches
 any relation that merely pretends to be a congruence.
+Ideals are the filters of the order dual (lattice.dualize).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (
     NotAHomomorphism,
     WrongKind,
 )
-from .lattice import FiniteLattice, _lattice_from_rows, chain
+from .lattice import FiniteLattice, _lattice_from_rows, chain, dualize
 
 
 class FilterOrIdeal:
@@ -70,17 +71,8 @@ def _is_filter_mask(lat: FiniteLattice, members: int) -> bool:
 
 
 def _is_ideal_mask(lat: FiniteLattice, members: int) -> bool:
-    full = (1 << lat.n) - 1
-    if members == 0 or members == full:
-        return False
-    for a in iter_bits(members):
-        if lat.down[a] & ~members:
-            return False
-    for a in iter_bits(members):
-        for b in iter_bits(members):
-            if not (members >> lat.join[a][b]) & 1:
-                return False
-    return True
+    """The ideals of a lattice are the filters of its order dual."""
+    return _is_filter_mask(dualize(lat), members)
 
 
 def _member_mask(lat: FiniteLattice, members) -> int:
@@ -133,14 +125,9 @@ def filters(lat: FiniteLattice) -> list[FilterOrIdeal]:
 
 
 def ideals(lat: FiniteLattice) -> list[FilterOrIdeal]:
-    """All proper nonempty ideals, canonically ordered: the principal
-    ideals ↓a for a ≠ ⊤ (dual to filters)."""
-    return [
-        FilterOrIdeal(lat, s, "ideal")
-        for s in sorted(
-            (lat.down[a] for a in range(lat.n) if a != lat.top), key=subset_key
-        )
-    ]
+    """All proper nonempty ideals, canonically ordered: the filters of
+    the order dual, the principal ideals ↓a for a ≠ ⊤."""
+    return [FilterOrIdeal(lat, f.members, "ideal") for f in filters(dualize(lat))]
 
 
 class LatticeHom:
@@ -265,23 +252,20 @@ def compose(g: LatticeHom, f: LatticeHom) -> LatticeHom:
                      f.source, g.target, flavor)
 
 
+def _preimage(phi: LatticeHom, value: int) -> int:
+    """The elements φ sends to value, as an element mask."""
+    return sum(1 << a for a, v in enumerate(phi.map) if v == value)
+
+
 def kernel(phi: LatticeHom) -> int:
     """Preimage of the target bottom, as an element mask. For targets
     with more than one element this is always a proper nonempty ideal;
     when the target is the one-element lattice it is the whole carrier."""
-    mask = 0
-    for a in range(phi.source.n):
-        if phi.map[a] == phi.target.bottom:
-            mask |= 1 << a
-    return mask
+    return _preimage(phi, phi.target.bottom)
 
 
 def preimage_of_top(phi: LatticeHom) -> int:
-    mask = 0
-    for a in range(phi.source.n):
-        if phi.map[a] == phi.target.top:
-            mask |= 1 << a
-    return mask
+    return _preimage(phi, phi.target.top)
 
 
 def two_valued_homs(lat: FiniteLattice) -> list[LatticeHom]:

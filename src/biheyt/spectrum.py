@@ -4,11 +4,14 @@ The points of the spectrum are the prime filters; each element h is
 sent to β(h) = the set of prime filters containing h, and those images
 generate the spectral topology. In the finite distributive case β is
 an isomorphism onto the opens, which verify_stone_embedding checks
-equation by equation. Lattice homs induce continuous point maps in the
-opposite direction (preimage of a prime filter), giving the instance
-level functoriality exercised by the test suites. induced_map
-re-verifies each preimage as a prime filter, so `verify functoriality`
-calls it once per hom and checks compositions on the point maps.
+equation by equation. The open-set implication U → V is computed in
+the space itself, as the interior of (X∖U) ∪ V, so it does not share
+code with the lattice's implies_table. Lattice homs induce continuous
+point maps in the opposite direction (preimage of a prime filter),
+giving the instance level functoriality exercised by the test suites.
+induced_map re-verifies each preimage as a prime filter, so `verify
+functoriality` calls it once per hom and checks compositions on the
+point maps.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from .bitsets import iter_bits
 from .errors import BoundExceeded, WrongKind
 from .lattice import MAX_ENUMERATION_SIZE, FiniteLattice
 from .quotient import FilterOrIdeal, LatticeHom, filters, _is_filter_mask
-from .topology import FiniteSpace, generate_from_basis, open_lattice
+# open_lattice is unused here, but bench/spans.py wraps spectrum.open_lattice by name
+from .topology import FiniteSpace, generate_from_basis, interior, open_lattice  # noqa: F401
 
 DEFAULT_MAX_SPECTRUM = MAX_ENUMERATION_SIZE
 
@@ -109,11 +113,10 @@ def verify_stone_embedding(lat: FiniteLattice, bound: int = DEFAULT_MAX_SPECTRUM
     if set(beta) != set(spec.space.opens):
         violations.append("beta is not onto the opens of the spectrum")
     else:
-        ol = open_lattice(spec.space)
-        index = {s: i for i, s in enumerate(ol.subsets)}
+        # ~U | V stands for (X∖U) ∪ V: interior only reads it inside X
         for a in range(lat.n):
             for b in range(lat.n):
-                spectral = ol.subsets[ol.implies_table[index[beta[a]]][index[beta[b]]]]
+                spectral = interior(spec.space, ~beta[a] | beta[b])
                 if beta[lat.implies_table[a][b]] != spectral:
                     violations.append(
                         f"beta(a→b) != spectral implication at ({a}, {b})"
@@ -209,13 +212,9 @@ def open_map_criterion(
     open_map = all(image(u) in tgt_opens for u in source.opens)
     induces = False
     if continuous:
-        tl = open_lattice(target)
-        sl = open_lattice(source)
-        sindex = {s: i for i, s in enumerate(sl.subsets)}
-        tindex = {s: i for i, s in enumerate(tl.subsets)}
-        induces = all(
-            preimage(tl.subsets[tl.implies_table[tindex[u]][tindex[v]]])
-            == sl.subsets[sl.implies_table[sindex[preimage(u)]][sindex[preimage(v)]]]
+        induces = all(  # U → V is the interior of ~U | V on each side
+            preimage(interior(target, ~u | v))
+            == interior(source, ~preimage(u) | preimage(v))
             for u in target.opens
             for v in target.opens
         )

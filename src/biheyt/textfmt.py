@@ -47,7 +47,13 @@ def parse_int(text: str) -> int:
     return int(text)
 
 
-def _header(no: int, line: str, keyword: str, field: str) -> int:
+def _body(text: str, keyword: str, field: str) -> tuple[int, list]:
+    """The count in the header line `<keyword> <field>=<count>` and the
+    (line number, line) pairs after it."""
+    lines = list(_meaningful_lines(text))
+    if not lines:
+        raise ParseError(0, f"empty {keyword} file")
+    no, line = lines[0]
     parts = line.split()
     if len(parts) != 2 or parts[0] != keyword or not parts[1].startswith(field + "="):
         raise ParseError(no, f"expected header '{keyword} {field}=<count>'")
@@ -57,27 +63,29 @@ def _header(no: int, line: str, keyword: str, field: str) -> int:
         raise ParseError(no, f"bad count in {parts[1]!r}") from None
     if value < 0:
         raise ParseError(no, "count must be nonnegative")
-    return value
+    return value, lines[1:]
+
+
+def _pair(no: int, line: str, n: int, noun: str) -> tuple[int, int]:
+    """The two indices in 0..n-1 that follow the keyword of a three-word line."""
+    parts = line.split()
+    try:
+        a, b = parse_int(parts[1]), parse_int(parts[2])
+    except ValueError:
+        raise ParseError(no, f"bad {noun} index in {line!r}") from None
+    if not (0 <= a < n and 0 <= b < n):
+        raise ParseError(no, f"{noun} out of range in {line!r}")
+    return a, b
 
 
 def parse_lattice_text(text: str) -> FiniteLattice:
-    lines = list(_meaningful_lines(text))
-    if not lines:
-        raise ParseError(0, "empty lattice file")
-    no, line = lines[0]
-    n = _header(no, line, "lattice", "n")
+    n, body = _body(text, "lattice", "n")
     pairs = []
-    for no, line in lines[1:]:
+    for no, line in body:
         parts = line.split()
         if parts[0] != "le" or len(parts) != 3:
             raise ParseError(no, f"expected 'le <i> <j>', got {line!r}")
-        try:
-            a, b = parse_int(parts[1]), parse_int(parts[2])
-        except ValueError:
-            raise ParseError(no, f"bad element index in {line!r}") from None
-        if not (0 <= a < n and 0 <= b < n):
-            raise ParseError(no, f"element out of range in {line!r}")
-        pairs.append((a, b))
+        pairs.append(_pair(no, line, n, "element"))
     return build_lattice(n, pairs)
 
 
@@ -105,14 +113,10 @@ def parse_subset(parts: list[str], m: int) -> int:
 
 
 def parse_space_text(text: str) -> FiniteSpace:
-    lines = list(_meaningful_lines(text))
-    if not lines:
-        raise ParseError(0, "empty space file")
-    no, line = lines[0]
-    m = _header(no, line, "space", "m")
+    m, body = _body(text, "space", "m")
     opens = []
     preorder_pairs = []
-    for no, line in lines[1:]:
+    for no, line in body:
         parts = line.split()
         if parts[0] == "open":
             try:
@@ -120,17 +124,11 @@ def parse_space_text(text: str) -> FiniteSpace:
             except ValueError as err:
                 raise ParseError(no, str(err)) from None
         elif parts[0] == "preorder" and len(parts) == 3:
-            try:
-                a, b = parse_int(parts[1]), parse_int(parts[2])
-            except ValueError:
-                raise ParseError(no, f"bad point index in {line!r}") from None
-            if not (0 <= a < m and 0 <= b < m):
-                raise ParseError(no, f"point out of range in {line!r}")
-            preorder_pairs.append((a, b))
+            preorder_pairs.append(_pair(no, line, m, "point"))
         else:
             raise ParseError(no, f"expected 'open ...' or 'preorder <i> <j>', got {line!r}")
     if preorder_pairs and opens:
-        raise ParseError(lines[1][0], "mix of open and preorder lines")
+        raise ParseError(body[0][0], "mix of open and preorder lines")
     if preorder_pairs:
         return from_preorder(Preorder(m, tuple(closed_relation(m, preorder_pairs))))
     return validate_topology(m, opens)
@@ -148,23 +146,13 @@ def format_space_text(space: FiniteSpace) -> str:
 
 
 def parse_model_text(text: str) -> KripkeModel:
-    lines = list(_meaningful_lines(text))
-    if not lines:
-        raise ParseError(0, "empty frame file")
-    no, line = lines[0]
-    n = _header(no, line, "frame", "n")
+    n, body = _body(text, "frame", "n")
     edges = []
     valuation = {}
-    for no, line in lines[1:]:
+    for no, line in body:
         parts = line.split()
         if parts[0] == "edge" and len(parts) == 3:
-            try:
-                a, b = parse_int(parts[1]), parse_int(parts[2])
-            except ValueError:
-                raise ParseError(no, f"bad world index in {line!r}") from None
-            if not (0 <= a < n and 0 <= b < n):
-                raise ParseError(no, f"world out of range in {line!r}")
-            edges.append((a, b))
+            edges.append(_pair(no, line, n, "world"))
         elif parts[0] == "val" and len(parts) >= 2 and parts[1].endswith(":"):
             name = parts[1][:-1]
             if not name:

@@ -6,8 +6,6 @@ only on shallow inputs."""
 
 from biheyt.errors import FormulaSyntaxError
 from biheyt.formulas import (
-    _BINARY_ASCII,
-    _PREC,
     _UNARY_ASCII,
     BOT,
     TOP,
@@ -23,6 +21,11 @@ from biheyt.formulas import (
     imp,
     neg,
 )
+
+# The binary texts and precedences the old renderer read; biheyt.formulas
+# now renders from the parser's own strength table instead.
+_BINARY_ASCII = {"and": "&", "or": "|", "imp": "->", "coimp": "<-"}
+_PREC = {"imp": 1, "coimp": 1, "or": 2, "and": 3}
 
 _SYMBOLS = {
     "¬": "!",

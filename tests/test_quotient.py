@@ -82,9 +82,22 @@ def test_ideals_of_chain3(chain3):
     assert [i.members for i in ideals(chain3)] == [0b001, 0b011]
 
 
+def _is_ideal_by_definition(lat, s):
+    """Proper, nonempty, down-closed and join-closed, read off the order
+    and the join table rather than the filter code of the order dual."""
+    members = [a for a in range(lat.n) if (s >> a) & 1]
+    if not 0 < len(members) < lat.n:
+        return False
+    down_closed = all((s >> b) & 1 for a in members for b in range(lat.n) if lat.leq(b, a))
+    join_closed = all((s >> lat.join[a][b]) & 1 for a in members for b in members)
+    return down_closed and join_closed
+
+
 def test_principal_filters_and_ideals_match_subset_scan(m3_diamond):
     """filters/ideals read off the principal ones; the reference scans
-    all 2^n member masks, in the same canonical order."""
+    all 2^n member masks, in the same canonical order. The ideals come
+    from the filters of the order dual, so they are checked against the
+    definition of an ideal."""
     from biheyt import enumerate_distributive_lattices
     from biheyt.bitsets import all_subsets, subset_key
 
@@ -93,9 +106,9 @@ def test_principal_filters_and_ideals_match_subset_scan(m3_diamond):
         assert [f.members for f in filters(lat)] == [
             s for s in scan if _is_filter_mask(lat, s)
         ]
-        assert [i.members for i in ideals(lat)] == [
-            s for s in scan if _is_ideal_mask(lat, s)
-        ]
+        by_definition = [s for s in scan if _is_ideal_by_definition(lat, s)]
+        assert [i.members for i in ideals(lat)] == by_definition
+        assert [s for s in scan if _is_ideal_mask(lat, s)] == by_definition
 
 
 def test_make_filter_rejects_junk(chain3):

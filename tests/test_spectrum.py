@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import pytest
 
 from biheyt import (
@@ -21,7 +23,19 @@ from biheyt import (
     validate_topology,
     verify_stone_embedding,
 )
+from biheyt.cli import main
+from biheyt.lattice import FiniteLattice
 from biheyt.quotient import FilterOrIdeal
+
+
+@pytest.fixture
+def wrong_implication(monkeypatch):
+    """Every lattice built from here on reads a→b = b. The table is wrong
+    (0→0 is 0 on the two-element chain) but the same on isomorphic
+    lattices, so only a check that does not read the table catches it."""
+    wrong = cached_property(lambda lat: tuple(tuple(range(lat.n)) for _ in range(lat.n)))
+    wrong.__set_name__(FiniteLattice, "implies_table")
+    monkeypatch.setattr(FiniteLattice, "implies_table", wrong)
 
 
 # -- primality -----------------------------------------------------------------
@@ -99,6 +113,15 @@ def test_stone_implication_identity(chain3):
         spec.space, complement(spec.space, spec.beta[1]) | spec.beta[0]
     )
     assert spec.beta[m_to_bottom] == want
+
+
+def test_verify_stone_catches_a_wrong_implication_table(wrong_implication, capsys):
+    """β(a→b) is compared with an implication computed in the spectral
+    space, not with a second lattice's implies_table."""
+    assert main(["verify", "stone", "--max-size", "4"]) == 1
+    out = capsys.readouterr().out
+    assert "  beta(a→b) != spectral implication at (0, 0)" in out.splitlines()
+    assert "all embeddings are isomorphisms" not in out
 
 
 # -- induced maps --------------------------------------------------------------------
@@ -194,6 +217,16 @@ def test_criterion_agreement_exhaustive(sierpinski, discrete2, threepoint):
                     x //= dst.points
                 verdict = open_map_criterion(f, src, dst)
                 assert verdict["agrees_with_criterion"], (src, dst, f, verdict)
+
+
+def test_criterion_does_not_read_the_lattice_table(wrong_implication, discrete2, sierpinski):
+    """The identity from the discrete two-point space onto Sierpiński
+    space is continuous but not open, so its preimage map is no Heyting
+    hom: {0} → ∅ is ∅ in Sierpiński space but {1} in the discrete one."""
+    verdict = open_map_criterion([0, 1], discrete2, sierpinski)
+    assert verdict["continuous"] and not verdict["open"]
+    assert not verdict["induces_heyting_hom"]
+    assert verdict["agrees_with_criterion"]
 
 
 def test_map_must_be_total(sierpinski):
