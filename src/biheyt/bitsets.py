@@ -29,6 +29,16 @@ def bit_list(mask: int) -> list[int]:
     return list(iter_bits(mask))
 
 
+def pullback(f, mask: int) -> int:
+    """The preimage of mask along the map f (f[x] is the image of x):
+    the mask of every x with f[x] in mask."""
+    pre = 0
+    for x, y in enumerate(f):
+        if (mask >> y) & 1:
+            pre |= 1 << x
+    return pre
+
+
 def subset_key(mask: int) -> tuple[int, int]:
     """Canonical sort key: size first, then raw bit pattern."""
     return (mask.bit_count(), mask)

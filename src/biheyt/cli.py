@@ -601,21 +601,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphabet", help="check frame validity over these atoms")
     p.set_defaults(func=_cmd_modal_valid)
 
-    def add_search(parent, name):
-        p = parent.add_parser(name, help="bounded countermodel search")
-        p.add_argument("--formula", required=True)
-        p.add_argument(
-            "--semantics",
-            choices=("classical", "intuitionistic", "dual", "frame"),
-            default="classical",
-        )
-        p.add_argument("--max-points", type=_at_least_one, default=3)
-        p.add_argument("--require", help="frame properties, e.g. reflexive,transitive")
-        p.set_defaults(func=_cmd_modal_search, cap_field="max_points")
-        return p
-
-    add_search(mod_sub, "search")
-    add_search(sub, "search")
+    p = sub.add_parser("search", help="bounded countermodel search")
+    p.add_argument("--formula", required=True)
+    p.add_argument(
+        "--semantics",
+        choices=("classical", "intuitionistic", "dual", "frame"),
+        default="classical",
+    )
+    p.add_argument("--max-points", type=_at_least_one, default=3)
+    p.add_argument("--require", help="frame properties, e.g. reflexive,transitive")
+    p.set_defaults(func=_cmd_modal_search, cap_field="max_points")
 
     p = sub.add_parser("eval", help="algebra-valued formula evaluation")
     p.add_argument("--algebra", required=True,

@@ -21,14 +21,17 @@ a space with a valuation. A point's truth value is one int with one
 bit per valuation: with k atoms in sweep order over n points,
 valuation index v = Σ masks[j] << n·(k−1−j), which is the
 lexicographic order of itertools.product over the atoms' subset
-masks. On a frame, □ at w is the AND of its successors' vectors and ◇
-their OR. On a space, □ at x is the OR, over the opens containing x,
-of the AND of the open's vectors, and ◇ uses the closeds in the same
-way; the specialization preorder is never consulted, so the space
-route stays independent of the frame route. A slice holds at most 2**SLICE_BITS valuations and
-wider sweeps run slice by slice in ascending order. The lowest zero bit
-names the first failing valuation, so witnesses and violation lists
-come out in the order of a per-valuation loop.
+masks. On a frame, □ at w is the AND of its successors' vectors. On a
+space, □ at x is the OR, over the opens containing x, of the AND of the
+open's vectors; the closeds and the specialization preorder are never
+consulted, so the space route stays independent of the frame route. On
+both structures ◇ is ¬□¬, computed in one place from the structure's
+□; kripke_eval (some successor) and topo_eval (closure) still compute
+◇ directly, so the reference sweeps check the duality too. A slice
+holds at most 2**SLICE_BITS valuations and wider sweeps run slice by
+slice in ascending order. The lowest zero bit names the first failing
+valuation, so witnesses and violation lists come out in the order of a
+per-valuation loop.
 
 ← and ∼ get no Kripke clauses; they belong to the algebra evaluator,
 and the compiler rejects them before any sweep starts. The algebra
@@ -193,15 +196,15 @@ def truth_set(
     kripke_eval and topo_eval it rejects an unsupported connective or
     unbound atom anywhere in phi before evaluating."""
     if isinstance(structure, FiniteSpace):
-        n, logic, modalities = structure.points, "topological", _space_modalities(structure)
+        n, logic, box = structure.points, "topological", _space_modalities(structure)
     else:
         if valuation is not None:
             raise TypeError("a Kripke model carries its own valuation")
         n, logic, valuation = structure.frame.worlds, "kripke", structure.valuation
-        modalities = _frame_modalities(structure.frame)
+        box = _frame_modalities(structure.frame)
     prog, names = compile_formula(phi, logic, sorted(valuation))
     atoms = [[(valuation[name] >> w) & 1 for w in range(n)] for name in names]
-    vec = _evaluate(prog, atoms, 1, n, modalities)
+    vec = _evaluate(prog, atoms, 1, n, box)
     return sum(bit << w for w, bit in enumerate(vec))
 
 
@@ -254,9 +257,9 @@ def _slices(points: int, natoms: int) -> Iterator[tuple[int, int, list[list[int]
         yield base, full, atoms
 
 
-def _evaluate(prog, atoms, full: int, points: int, modalities) -> list[int]:
-    """Per-point vectors of the compiled formula over one slice."""
-    box, dia = modalities
+def _evaluate(prog, atoms, full: int, points: int, box) -> list[int]:
+    """Per-point vectors of the compiled formula over one slice; box
+    maps a vector to its □, and ◇ is ¬□¬."""
     vals: list[list[int]] = []
     for node in prog:
         kind = node[0]
@@ -277,16 +280,16 @@ def _evaluate(prog, atoms, full: int, points: int, modalities) -> list[int]:
         elif kind == "box":
             value = box(vals[node[1]], full)
         else:
-            value = dia(vals[node[1]], full)
+            value = [full ^ a for a in box([full ^ a for a in vals[node[1]]], full)]
         vals.append(value)
     return vals[-1]
 
 
-def _failures(prog, natoms: int, points: int, modalities) -> Iterator[tuple[int, list[int]]]:
+def _failures(prog, natoms: int, points: int, box) -> Iterator[tuple[int, list[int]]]:
     """(valuation index, points where the formula fails), for every
     failing valuation in ascending order."""
     for base, full, atoms in _slices(points, natoms):
-        vec = _evaluate(prog, atoms, full, points, modalities)
+        vec = _evaluate(prog, atoms, full, points, box)
         held = full
         for x in vec:
             held &= x
@@ -320,39 +323,29 @@ def _join(vec: list[int], idx) -> int:
 
 
 def _frame_modalities(frame: KripkeFrame):
-    """□ and ◇ on per-world vectors: AND and OR over the successors."""
+    """□ on per-world vectors: the AND over the successors."""
     succ = [list(iter_bits(r)) for r in frame.rel]
 
     def box(vec, full):
         return [_meet(vec, ws, full) for ws in succ]
 
-    def dia(vec, full):
-        return [_join(vec, ws) for ws in succ]
-
-    return box, dia
+    return box
 
 
 def _space_modalities(space: FiniteSpace):
-    """□ and ◇ on per-point vectors from the opens and closeds: x is in
-    the interior iff some open around x lies inside, and in the closure
-    iff every closed avoiding x misses part of the set."""
-    points = range(space.points)
+    """□ on per-point vectors from the opens: x is in the interior iff
+    some open around x lies inside."""
     opens = [list(iter_bits(o)) for o in space.opens]
-    around = [[i for i, o in enumerate(space.opens) if (o >> x) & 1] for x in points]
-    outside = [list(iter_bits(space.full & ~c)) for c in space.closeds]
-    avoiding = [
-        [i for i, c in enumerate(space.closeds) if not (c >> x) & 1] for x in points
+    around = [
+        [i for i, o in enumerate(space.opens) if (o >> x) & 1]
+        for x in range(space.points)
     ]
 
     def box(vec, full):
         inside = [_meet(vec, o, full) for o in opens]
         return [_join(inside, os) for os in around]
 
-    def dia(vec, full):
-        escapes = [_join(vec, out) for out in outside]
-        return [_meet(escapes, cs, full) for cs in avoiding]
-
-    return box, dia
+    return box
 
 
 def topo_eval(space: FiniteSpace, valuation: Mapping[str, int], phi: Formula) -> int:
@@ -419,8 +412,8 @@ class SchemaReport(NamedTuple):
 
 def s4_axiom_suite(structure, bound: int = MAX_SUITE_POINTS) -> list[SchemaReport]:
     """Check the five schemas over every valuation of {p, q}, with the
-    sliced core: on a space through its opens and closeds, on a frame at
-    every world. Violations are (vp, vq) on a space and (vp, vq, w) on a
+    sliced core: on a space through its opens, on a frame at every
+    world. Violations are (vp, vq) on a space and (vp, vq, w) on a
     frame, in valuation order."""
     if isinstance(structure, FiniteSpace):
         points, what, per_world = structure.points, "points", False
@@ -430,14 +423,11 @@ def s4_axiom_suite(structure, bound: int = MAX_SUITE_POINTS) -> list[SchemaRepor
         raise TypeError("expected a FiniteSpace or a KripkeFrame")
     if points > bound:
         raise BoundExceeded(what, points, bound)
-    if per_world:
-        modalities = _frame_modalities(structure)
-    else:
-        modalities = _space_modalities(structure)
+    box = _frame_modalities(structure) if per_world else _space_modalities(structure)
     reports = []
     for (name, phi), prog in zip(S4_SCHEMAS, _S4_PROGRAMS):
         bad = []
-        for v, missing in _failures(prog, 2, points, modalities):
+        for v, missing in _failures(prog, 2, points, box):
             masks = _masks(v, 2, points)
             if per_world:
                 bad.extend((*masks, w) for w in missing)
@@ -563,10 +553,10 @@ def countermodel_search(
 def _refutes(prog, names: list[str], structure) -> bool:
     """Whether some valuation falsifies the compiled formula on a frame or a space."""
     if isinstance(structure, FiniteSpace):
-        points, modalities = structure.points, _space_modalities(structure)
+        points, box = structure.points, _space_modalities(structure)
     else:
-        points, modalities = structure.worlds, _frame_modalities(structure)
-    return next(_failures(prog, len(names), points, modalities), None) is not None
+        points, box = structure.worlds, _frame_modalities(structure)
+    return next(_failures(prog, len(names), points, box), None) is not None
 
 
 def _algebra_witness(prog, names: list[str], lat, space: FiniteSpace) -> Optional[SearchResult]:

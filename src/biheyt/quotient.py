@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import product
 from typing import Sequence
 
-from .bitsets import iter_bits, subset_key
+from .bitsets import iter_bits, pullback, subset_key
 from .errors import (
     BoundExceeded,
     NotACongruence,
@@ -252,20 +252,15 @@ def compose(g: LatticeHom, f: LatticeHom) -> LatticeHom:
                      f.source, g.target, flavor)
 
 
-def _preimage(phi: LatticeHom, value: int) -> int:
-    """The elements φ sends to value, as an element mask."""
-    return sum(1 << a for a, v in enumerate(phi.map) if v == value)
-
-
 def kernel(phi: LatticeHom) -> int:
     """Preimage of the target bottom, as an element mask. For targets
     with more than one element this is always a proper nonempty ideal;
     when the target is the one-element lattice it is the whole carrier."""
-    return _preimage(phi, phi.target.bottom)
+    return pullback(phi.map, 1 << phi.target.bottom)
 
 
 def preimage_of_top(phi: LatticeHom) -> int:
-    return _preimage(phi, phi.target.top)
+    return pullback(phi.map, 1 << phi.target.top)
 
 
 def two_valued_homs(lat: FiniteLattice) -> list[LatticeHom]:

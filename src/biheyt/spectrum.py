@@ -9,19 +9,22 @@ the space itself, as the interior of (X∖U) ∪ V, so it does not share
 code with the lattice's implies_table. Lattice homs induce continuous
 point maps in the opposite direction (preimage of a prime filter),
 giving the instance level functoriality exercised by the test suites.
-induced_map re-verifies each preimage as a prime filter, so `verify
-functoriality` calls it once per hom and checks compositions on the
-point maps.
+Every preimage, of a prime filter along a hom or of a point set along
+a point map, is taken by bitsets.pullback. induced_map reads each
+φ⁻¹(P) off the verified spectrum instead of checking it again as a
+prime filter (a preimage that is no point of the source spectrum
+raises WrongKind), so `verify functoriality` calls it once per hom and
+checks compositions on the point maps.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .bitsets import iter_bits
+from .bitsets import iter_bits, pullback
 from .errors import BoundExceeded, WrongKind
 from .lattice import MAX_ENUMERATION_SIZE, FiniteLattice
-from .quotient import FilterOrIdeal, LatticeHom, filters, _is_filter_mask
+from .quotient import FilterOrIdeal, LatticeHom, filters
 # open_lattice is unused here, but bench/spans.py wraps spectrum.open_lattice by name
 from .topology import FiniteSpace, generate_from_basis, interior, open_lattice  # noqa: F401
 
@@ -148,36 +151,24 @@ def induced_map(
     source_spec: Optional[SpectralSpace] = None,
     target_spec: Optional[SpectralSpace] = None,
 ) -> InducedMap:
-    """Send a prime filter P of the target to φ⁻¹(P), a prime filter of
-    the source; verify the map is continuous and that the preimage of
-    β(h) is β(φ(h)) for every h."""
+    """Send a prime filter P of the target to φ⁻¹(P), looked up among
+    the points of the source spectrum; verify the map is continuous and
+    that the preimage of β(h) is β(φ(h)) for every h."""
     H, K = phi.source, phi.target
     sh = source_spec if source_spec is not None else spectrum(H)
     sk = target_spec if target_spec is not None else spectrum(K)
+    index = {p: i for i, p in enumerate(sh.points)}
     point_map = []
     for p in sk.points:
-        pre = 0
-        for a in range(H.n):
-            if (p >> phi.map[a]) & 1:
-                pre |= 1 << a
-        if not _is_filter_mask(H, pre) or not is_prime_filter(
-            H, FilterOrIdeal(H, pre, "filter")
-        ):
-            raise WrongKind("preimage of a prime filter is not a prime filter")
-        point_map.append(sh.points.index(pre))
+        pre = pullback(phi.map, p)
+        if pre not in index:
+            raise WrongKind("preimage of a prime filter is not a point of the source spectrum")
+        point_map.append(index[pre])
     point_map = tuple(point_map)
-
-    def preimage(subset: int) -> int:
-        mask = 0
-        for k in range(len(sk.points)):
-            if (subset >> point_map[k]) & 1:
-                mask |= 1 << k
-        return mask
-
     target_opens = set(sk.space.opens)
-    continuous = all(preimage(o) in target_opens for o in sh.space.opens)
+    continuous = all(pullback(point_map, o) in target_opens for o in sh.space.opens)
     identity_ok = all(
-        preimage(sh.beta[h]) == sk.beta[phi.map[h]] for h in range(H.n)
+        pullback(point_map, sh.beta[h]) == sk.beta[phi.map[h]] for h in range(H.n)
     )
     return InducedMap(phi, sh, sk, point_map, continuous, identity_ok)
 
@@ -193,13 +184,6 @@ def open_map_criterion(
     if len(f) != source.points or any(not 0 <= y < target.points for y in f):
         raise ValueError("map is not total on the points")
 
-    def preimage(subset: int) -> int:
-        mask = 0
-        for x in range(source.points):
-            if (subset >> f[x]) & 1:
-                mask |= 1 << x
-        return mask
-
     def image(subset: int) -> int:
         mask = 0
         for x in iter_bits(subset):
@@ -208,13 +192,13 @@ def open_map_criterion(
 
     src_opens = set(source.opens)
     tgt_opens = set(target.opens)
-    continuous = all(preimage(u) in src_opens for u in target.opens)
+    continuous = all(pullback(f, u) in src_opens for u in target.opens)
     open_map = all(image(u) in tgt_opens for u in source.opens)
     induces = False
     if continuous:
         induces = all(  # U → V is the interior of ~U | V on each side
-            preimage(interior(target, ~u | v))
-            == interior(source, ~preimage(u) | preimage(v))
+            pullback(f, interior(target, ~u | v))
+            == interior(source, ~pullback(f, u) | pullback(f, v))
             for u in target.opens
             for v in target.opens
         )

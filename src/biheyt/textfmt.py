@@ -189,9 +189,12 @@ def load_structure(path_or_name: str) -> Structure:
         return named
     if not os.path.exists(path_or_name):
         raise ParseError(0, f"no such file or built-in structure: {path_or_name!r}")
-    with open(path_or_name, encoding="utf-8") as fh:
-        text = fh.read()
-    for _, line in _meaningful_lines(text):
+    try:
+        with open(path_or_name, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ParseError(0, f"cannot read {path_or_name!r}: {err}") from None
+    for no, line in _meaningful_lines(text):
         keyword = line.split()[0]
         if keyword == "lattice":
             return parse_lattice_text(text)
@@ -199,5 +202,5 @@ def load_structure(path_or_name: str) -> Structure:
             return parse_space_text(text)
         if keyword == "frame":
             return parse_model_text(text)
-        raise ParseError(1, f"unknown structure header {keyword!r}")
+        raise ParseError(no, f"unknown structure header {keyword!r}")
     raise ParseError(0, "empty structure file")

@@ -269,7 +269,7 @@ def test_verify_s4_reports_each_schema_on_its_own(capsys, monkeypatch):
     ("verify", "dual-laws", "--points", "0"),
     ("verify", "functoriality", "--max-size", "-1"),
     ("search", "--formula", "p", "--max-points", "0"),
-    ("modal", "search", "--formula", "p", "--max-points", "-1"),
+    ("search", "--formula", "p", "--max-points", "-1"),
 ])
 def test_empty_range_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -461,9 +461,16 @@ def test_search_exit_codes(capsys):
     assert "no countermodel" in out
 
 
+def test_modal_search_alias_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["modal", "search", "--formula", "p"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_search_frame_mode(capsys):
     code, out, _ = run(
-        capsys, "modal", "search", "--formula", "[]p -> [][]p",
+        capsys, "search", "--formula", "[]p -> [][]p",
         "--semantics", "frame", "--max-points", "3", "--require", "reflexive",
     )
     assert code == 1
@@ -734,6 +741,18 @@ def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "lattice", "check", "/nonexistent/file.lat")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfelattice n=2\n"],
+                         ids=["directory", "not-utf8"])
+def test_unreadable_file_is_input_error(capsys, tmp_path, content):
+    path = tmp_path
+    if content is not None:
+        path = tmp_path / "bad.lat"
+        path.write_bytes(content)
+    code, out, err = run(capsys, "lattice", "check", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 0: cannot read ")
 
 
 # -- integers are ASCII digits -------------------------------------------------------

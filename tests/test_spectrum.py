@@ -1,4 +1,5 @@
 from functools import cached_property
+from itertools import product
 
 import pytest
 
@@ -23,6 +24,7 @@ from biheyt import (
     validate_topology,
     verify_stone_embedding,
 )
+from biheyt.bitsets import mask_of, pullback
 from biheyt.cli import main
 from biheyt.lattice import FiniteLattice
 from biheyt.quotient import FilterOrIdeal
@@ -151,6 +153,22 @@ def test_preimage_of_prime_filter_is_prime(lattices_6):
                         if (p >> hom.map[a]) & 1:
                             pre |= 1 << a
                     assert is_prime_filter(src, FilterOrIdeal(src, pre, "filter"))
+
+
+def test_pullback_matches_its_definition():
+    for f in product(range(3), repeat=3):
+        for mask in range(8):
+            members = {y for y in range(3) if mask & (1 << y)}
+            assert pullback(f, mask) == mask_of(x for x in range(3) if f[x] in members)
+
+
+def test_induced_point_missing_from_the_given_spectrum(chain3):
+    phi = check_hom([0, 1, 1], chain3, chain(2))
+    # φ⁻¹({⊤}) = {m, ⊤} is a prime filter of the 3-chain ...
+    assert is_prime_filter(chain3, FilterOrIdeal(chain3, 0b110, "filter"))
+    # ... but no point of the 2-chain's spectrum, passed in as the source's
+    with pytest.raises(WrongKind):
+        induced_map(phi, spectrum(chain(2)), spectrum(chain(2)))
 
 
 def test_beta_identity_for_all_homs(lattices_6):

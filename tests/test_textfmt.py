@@ -157,9 +157,10 @@ def test_load_structure_missing():
 
 def test_load_structure_bad_header(tmp_path):
     f = tmp_path / "x"
-    f.write_text("poset n=2\n")
-    with pytest.raises(ParseError):
+    f.write_text("# one\n# two\nposet n=2\n")
+    with pytest.raises(ParseError) as exc:
         load_structure(str(f))
+    assert str(exc.value) == "line 3: unknown structure header 'poset'"
 
 
 def test_validation_errors_propagate(tmp_path):
