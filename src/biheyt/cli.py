@@ -219,7 +219,7 @@ def _suite_classes(points: int) -> list:
     checked before anything is enumerated."""
     if points > MAX_SUITE_POINTS:
         raise BoundExceeded("points", points, MAX_SUITE_POINTS)
-    return [c for m in range(1, points + 1) for c in space_classes(m, MAX_SUITE_POINTS)]
+    return [c for m in range(1, points + 1) for c in space_classes(m)]
 
 
 def _cmd_verify_dual_laws(args, out: _Output) -> int:
@@ -357,7 +357,7 @@ def _cmd_verify_s4(args, out: _Output) -> int:
     failed: set[str] = set()
     for c in _suite_classes(args.points):
         spaces += c.orbit
-        for rep in s4_axiom_suite(c.space, bound=MAX_SUITE_POINTS):
+        for rep in s4_axiom_suite(c.space):
             per_schema[rep.name] = per_schema.get(rep.name, 0) + rep.checked * c.orbit
             if not rep.ok:
                 exit_code = 1

@@ -117,9 +117,10 @@ class FormulaSyntaxError(BiheytError):
 
 
 class ParseError(BiheytError):
-    """Malformed structure file."""
+    """Malformed structure file; line_no is None when no line is at fault
+    (a missing, unreadable or empty file)."""
 
     def __init__(self, line_no, reason):
         self.line_no = line_no
         self.reason = reason
-        super().__init__(f"line {line_no}: {reason}")
+        super().__init__(reason if line_no is None else f"line {line_no}: {reason}")

@@ -98,39 +98,14 @@ class FiniteLattice:
     def implies_table(self) -> tuple[tuple[int, ...], ...]:
         """implies[a][b] = ⋁{x | a∧x ≤ b}. Requires distributivity."""
         self.require_distributive()
-        meet, join, down = self.meet, self.join, self.down
-        table = []
-        for a in range(self.n):
-            ma = meet[a]
-            row = []
-            for b in range(self.n):
-                db = down[b]
-                acc = self.bottom
-                for x in range(self.n):
-                    if (db >> ma[x]) & 1:
-                        acc = join[acc][x]
-                row.append(acc)
-            table.append(tuple(row))
-        return tuple(table)
+        return _residuals(self.n, self.meet, self.join, self.down, self.bottom)
 
     @cached_property
     def minus_table(self) -> tuple[tuple[int, ...], ...]:
-        """minus[a][b] = ⋀{x | a ≤ b∨x}. Requires distributivity."""
+        """minus[a][b] = ⋀{x | a ≤ b∨x}: b → a in the order dual, where ∧
+        and ∨, ≤ and ≥, ⊥ and ⊤ swap. Requires distributivity."""
         self.require_distributive()
-        meet, join = self.meet, self.join
-        table = []
-        for a in range(self.n):
-            ua = self.up[a]
-            row = []
-            for b in range(self.n):
-                jb = join[b]
-                acc = self.top
-                for x in range(self.n):
-                    if (ua >> jb[x]) & 1:  # a <= b∨x
-                        acc = meet[acc][x]
-                row.append(acc)
-            table.append(tuple(row))
-        return tuple(table)
+        return tuple(zip(*_residuals(self.n, self.join, self.meet, self.up, self.top)))
 
     @cached_property
     def neg_table(self) -> tuple[int, ...]:
@@ -146,6 +121,23 @@ class FiniteLattice:
     def boundary_table(self) -> tuple[int, ...]:
         conot = self.conot_table
         return tuple(self.meet[a][conot[a]] for a in range(self.n))
+
+
+def _residuals(n: int, meet, join, down, bottom) -> tuple[tuple[int, ...], ...]:
+    """t[a][b] = ⋁{x | a∧x ≤ b} from the given tables, order rows and ⊥."""
+    table = []
+    for a in range(n):
+        ma = meet[a]
+        row = []
+        for b in range(n):
+            db = down[b]
+            acc = bottom
+            for x in range(n):
+                if (db >> ma[x]) & 1:
+                    acc = join[acc][x]
+            row.append(acc)
+        table.append(tuple(row))
+    return tuple(table)
 
 
 def _lattice_from_rows(up: Sequence[int], subsets=None) -> FiniteLattice:
@@ -267,9 +259,8 @@ def cover_pairs(lat: FiniteLattice) -> list[tuple[int, int]]:
 # and non-isomorphic posets give non-isomorphic lattices. So the lattices
 # are enumerated by growing unlabelled posets, one canonical form each.
 
-# Largest size enumerate_distributive_lattices accepts. The default
-# spectrum bound is the same value, so every enumerated lattice has a
-# spectrum.
+# Largest size enumerate_distributive_lattices accepts. spectrum.spectrum
+# reads the same cap, so every enumerated lattice has a spectrum.
 MAX_ENUMERATION_SIZE = 12
 
 

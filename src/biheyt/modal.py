@@ -21,15 +21,17 @@ a space with a valuation. A point's truth value is one int with one
 bit per valuation: with k atoms in sweep order over n points,
 valuation index v = Σ masks[j] << n·(k−1−j), which is the
 lexicographic order of itertools.product over the atoms' subset
-masks. On a frame, □ at w is the AND of its successors' vectors. On a
-space, □ at x is the OR, over the opens containing x, of the AND of the
-open's vectors; the closeds and the specialization preorder are never
-consulted, so the space route stays independent of the frame route. On
-both structures ◇ is ¬□¬, computed in one place from the structure's
-□; kripke_eval (some successor) and topo_eval (closure) still compute
-◇ directly, so the reference sweeps check the duality too. A slice
-holds at most 2**SLICE_BITS valuations and wider sweeps run slice by
-slice in ascending order. The lowest zero bit names the first failing
+masks. Every sweep takes the point count and □ from _sweep, the one
+place that tells a frame from a space. On a frame, □ at w is the AND
+of its successors' vectors. On a space, □ at x is the OR, over the
+opens containing x, of the AND of the open's vectors; the closeds
+and the specialization preorder are never consulted, so the space
+route stays independent of the frame route. On both structures ◇ is
+¬□¬, computed in one place from the structure's □; kripke_eval (some
+successor) and topo_eval (closure) still compute ◇ directly, so the
+reference sweeps check the duality too. A slice holds at most
+2**SLICE_BITS valuations and wider sweeps run slice by slice in
+ascending order. The lowest zero bit names the first failing
 valuation, so witnesses and violation lists come out in the order of a
 per-valuation loop.
 
@@ -50,7 +52,8 @@ quotient and every smaller quotient has been decided already. On at
 most 4 points that is 46 classes, or 24 T0 classes, against 389
 labelled spaces. On the classical routes a count on which some class
 fails is then walked in labelled enumeration order, so the first
-witness is the one a scan of every structure finds. The algebra routes
+witness is the one a scan of every structure finds; _first_witness
+takes both steps, on frames and on spaces alike. The algebra routes
 need no walk: each T0 representative is the first labelled space of
 its class, and the classes come in the order that the labelled walk
 first meets them, so the first failing representative is the first
@@ -81,6 +84,7 @@ from .topology import (
 )
 
 DEFAULT_MAX_WORLDS = 4
+MAX_VALUATION_BITS = 22  # most worlds × atoms valid_in_frame sweeps
 FRAME_PROPERTIES = ("reflexive", "transitive", "symmetric")
 SLICE_BITS = 12  # a slice holds at most 2**SLICE_BITS valuations
 
@@ -195,13 +199,12 @@ def truth_set(
     the sliced core on one valuation, as a one-bit slice. Unlike
     kripke_eval and topo_eval it rejects an unsupported connective or
     unbound atom anywhere in phi before evaluating."""
-    if isinstance(structure, FiniteSpace):
-        n, logic, box = structure.points, "topological", _space_modalities(structure)
-    else:
+    logic = "topological"
+    if isinstance(structure, KripkeModel):
         if valuation is not None:
             raise TypeError("a Kripke model carries its own valuation")
-        n, logic, valuation = structure.frame.worlds, "kripke", structure.valuation
-        box = _frame_modalities(structure.frame)
+        structure, valuation, logic = structure.frame, structure.valuation, "kripke"
+    n, box = _sweep(structure)
     prog, names = compile_formula(phi, logic, sorted(valuation))
     atoms = [[(valuation[name] >> w) & 1 for w in range(n)] for name in names]
     vec = _evaluate(prog, atoms, 1, n, box)
@@ -212,21 +215,14 @@ def valid_in_model(model: KripkeModel, phi: Formula) -> bool:
     return truth_set(model, phi) == (1 << model.frame.worlds) - 1
 
 
-def valid_in_frame(
-    frame: KripkeFrame,
-    phi: Formula,
-    alphabet: Sequence[str],
-    bound_bits: int = 22,
-) -> bool:
+def valid_in_frame(frame: KripkeFrame, phi: Formula, alphabet: Sequence[str]) -> bool:
     """Validity under every valuation of the alphabet over the frame."""
     names = list(alphabet)
-    if frame.worlds * len(names) > bound_bits:
-        raise BoundExceeded(
-            "valuation space bits", frame.worlds * len(names), bound_bits
-        )
+    bits = frame.worlds * len(names)
+    if bits > MAX_VALUATION_BITS:
+        raise BoundExceeded("valuation space bits", bits, MAX_VALUATION_BITS)
     prog, names = compile_formula(phi, "kripke", names)
-    failures = _failures(prog, len(names), frame.worlds, _frame_modalities(frame))
-    return next(failures, None) is None
+    return next(_failures(prog, len(names), *_sweep(frame)), None) is None
 
 
 # --- sliced core ----------------------------------------------------------
@@ -322,30 +318,29 @@ def _join(vec: list[int], idx) -> int:
     return acc
 
 
-def _frame_modalities(frame: KripkeFrame):
-    """□ on per-world vectors: the AND over the successors."""
-    succ = [list(iter_bits(r)) for r in frame.rel]
+def _sweep(structure) -> tuple:
+    """(point count, □ on per-point vectors) of a KripkeFrame or a
+    FiniteSpace. On a frame □ is the AND over the successors; on a space
+    x is in the interior iff some open around x lies inside, so □ is the
+    OR, over the opens around x, of the AND over the open."""
+    if isinstance(structure, KripkeFrame):
+        succ = [list(iter_bits(r)) for r in structure.rel]
 
-    def box(vec, full):
-        return [_meet(vec, ws, full) for ws in succ]
+        def box(vec, full):
+            return [_meet(vec, ws, full) for ws in succ]
 
-    return box
-
-
-def _space_modalities(space: FiniteSpace):
-    """□ on per-point vectors from the opens: x is in the interior iff
-    some open around x lies inside."""
-    opens = [list(iter_bits(o)) for o in space.opens]
+        return structure.worlds, box
+    opens = [list(iter_bits(o)) for o in structure.opens]
     around = [
-        [i for i, o in enumerate(space.opens) if (o >> x) & 1]
-        for x in range(space.points)
+        [i for i, o in enumerate(structure.opens) if (o >> x) & 1]
+        for x in range(structure.points)
     ]
 
     def box(vec, full):
         inside = [_meet(vec, o, full) for o in opens]
         return [_join(inside, os) for os in around]
 
-    return box
+    return structure.points, box
 
 
 def topo_eval(space: FiniteSpace, valuation: Mapping[str, int], phi: Formula) -> int:
@@ -410,20 +405,17 @@ class SchemaReport(NamedTuple):
         return not self.violations
 
 
-def s4_axiom_suite(structure, bound: int = MAX_SUITE_POINTS) -> list[SchemaReport]:
+def s4_axiom_suite(structure) -> list[SchemaReport]:
     """Check the five schemas over every valuation of {p, q}, with the
     sliced core: on a space through its opens, on a frame at every
     world. Violations are (vp, vq) on a space and (vp, vq, w) on a
-    frame, in valuation order."""
-    if isinstance(structure, FiniteSpace):
-        points, what, per_world = structure.points, "points", False
-    elif isinstance(structure, KripkeFrame):
-        points, what, per_world = structure.worlds, "worlds", True
-    else:
+    frame, in valuation order. At most MAX_SUITE_POINTS points."""
+    if not isinstance(structure, (FiniteSpace, KripkeFrame)):
         raise TypeError("expected a FiniteSpace or a KripkeFrame")
-    if points > bound:
-        raise BoundExceeded(what, points, bound)
-    box = _frame_modalities(structure) if per_world else _space_modalities(structure)
+    per_world = isinstance(structure, KripkeFrame)
+    points, box = _sweep(structure)
+    if points > MAX_SUITE_POINTS:
+        raise BoundExceeded("worlds" if per_world else "points", points, MAX_SUITE_POINTS)
     reports = []
     for (name, phi), prog in zip(S4_SCHEMAS, _S4_PROGRAMS):
         bad = []
@@ -478,7 +470,6 @@ def countermodel_search(
     mode: str = "space",
     semantics: str = "classical",
     frame_properties: tuple[str, ...] = (),
-    bound: Optional[int] = None,
 ) -> Optional[SearchResult]:
     """First falsifying structure in canonical order: increasing point
     count, then structure enumeration order, then lexicographic
@@ -491,8 +482,7 @@ def countermodel_search(
     with the sliced core, keeping those with frame_properties ⊆
     {reflexive, transitive, symmetric}. Point counts are decided per
     class first (see the module docstring). max_points may not exceed
-    bound, which defaults to DEFAULT_MAX_WORLDS in frame mode and to
-    DEFAULT_MAX_POINTS in space mode.
+    DEFAULT_MAX_WORLDS in frame mode or DEFAULT_MAX_POINTS in space mode.
     """
     _choose("mode", mode, ("space", "frame"))
     allowed = ("classical",) if mode == "frame" else ("classical", "intuitionistic", "dual")
@@ -500,10 +490,9 @@ def countermodel_search(
     for prop in frame_properties:
         _choose("frame property", prop, FRAME_PROPERTIES)
     if mode == "frame":
-        what, limit = "worlds", DEFAULT_MAX_WORLDS
+        what, bound = "worlds", DEFAULT_MAX_WORLDS
     else:
-        what, limit = "points", DEFAULT_MAX_POINTS
-    bound = limit if bound is None else bound
+        what, bound = "points", DEFAULT_MAX_POINTS
     if max_points > bound:
         raise BoundExceeded(what, max_points, bound)
     if mode == "frame":
@@ -517,32 +506,27 @@ def countermodel_search(
             return all(getattr(cls, prop) for prop in frame_properties)
 
         for worlds in range(1, max_points + 1):
-            if by_class and not any(
-                kept(frame) and _refutes(prog, names, frame)
-                for frame in (KripkeFrame(worlds, c.space.min_open)
-                              for c in space_classes(worlds, bound))
-            ):
-                continue
-            for frame in enumerate_frames(worlds, reflexive=reflexive):
-                if kept(frame):
-                    hit = next(_failures(prog, len(names), worlds, _frame_modalities(frame)), None)
-                    if hit is not None:
-                        return _witness(frame, names, worlds, hit)
+            classes = None
+            if by_class:
+                classes = filter(kept, (KripkeFrame(worlds, c.space.min_open)
+                                        for c in space_classes(worlds)))
+            labelled = filter(kept, enumerate_frames(worlds, reflexive=reflexive))
+            found = _first_witness(prog, names, classes, labelled)
+            if found is not None:
+                return found
         return None
     if semantics == "classical":
         prog, names = compile_formula(phi, "topological")
         for points in range(1, max_points + 1):
-            if not any(_refutes(prog, names, c.space) for c in space_classes(points, bound)):
-                continue
-            for space in enumerate_topologies(points, bound=bound):
-                hit = next(_failures(prog, len(names), points, _space_modalities(space)), None)
-                if hit is not None:
-                    return _witness(space, names, points, hit)
+            classes = (c.space for c in space_classes(points))
+            found = _first_witness(prog, names, classes, enumerate_topologies(points))
+            if found is not None:
+                return found
         return None
     prog, names = compile_formula(phi, semantics)
     lattice = open_lattice if semantics == "intuitionistic" else closed_lattice
     for points in range(1, max_points + 1):
-        for c in space_classes(points, bound):
+        for c in space_classes(points):
             if len(c.skeleton) == points:
                 found = _algebra_witness(prog, names, lattice(c.space), c.space)
                 if found is not None:
@@ -550,13 +534,22 @@ def countermodel_search(
     return None
 
 
-def _refutes(prog, names: list[str], structure) -> bool:
-    """Whether some valuation falsifies the compiled formula on a frame or a space."""
-    if isinstance(structure, FiniteSpace):
-        points, box = structure.points, _space_modalities(structure)
-    else:
-        points, box = structure.worlds, _frame_modalities(structure)
-    return next(_failures(prog, len(names), points, box), None) is not None
+def _first_witness(prog, names: list[str], classes, labelled) -> Optional[SearchResult]:
+    """The first structure of labelled on which some valuation falsifies
+    the compiled formula, with its first witness. classes holds one
+    structure per class of those in labelled (None: no classes); when
+    each of them satisfies the formula, labelled is not walked."""
+    natoms = len(names)
+    if classes is not None and all(
+        next(_failures(prog, natoms, *_sweep(rep)), None) is None for rep in classes
+    ):
+        return None
+    for structure in labelled:
+        points, box = _sweep(structure)
+        hit = next(_failures(prog, natoms, points, box), None)
+        if hit is not None:
+            return _witness(structure, names, points, hit)
+    return None
 
 
 def _algebra_witness(prog, names: list[str], lat, space: FiniteSpace) -> Optional[SearchResult]:
@@ -609,11 +602,7 @@ class AgreementResult(NamedTuple):
     disagreement: Optional[Formula]
 
 
-def agreement_closure(
-    space: FiniteSpace,
-    valuation: Mapping[str, int],
-    max_depth: Optional[int] = None,
-) -> AgreementResult:
+def agreement_closure(space: FiniteSpace, valuation: Mapping[str, int]) -> AgreementResult:
     """Certify kripke_eval ∘ model_from_space ≡ membership in topo_eval
     for every formula over the valuation's atoms.
 
@@ -622,8 +611,7 @@ def agreement_closure(
     pair (kripke world-set, topo subset) must agree; only formulas
     realizing a new value spawn further combinations. The value space
     is finite, so the closure saturates — afterwards any formula of
-    any depth evaluates inside the checked set. max_depth limits the
-    rounds (None = run to saturation)."""
+    any depth evaluates inside the checked set."""
     model = model_from_space(space, valuation)
     worlds = range(space.points)
 
@@ -655,9 +643,7 @@ def agreement_closure(
         bad = consider(phi)
         if bad is not None:
             return AgreementResult(len(seen), checked, bad)
-    depth = 0
-    while frontier and (max_depth is None or depth < max_depth):
-        depth += 1
+    while frontier:
         new_sources = frontier
         frontier = []
         known = list(seen.items())

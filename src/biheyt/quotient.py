@@ -27,6 +27,8 @@ from .errors import (
 )
 from .lattice import FiniteLattice, _lattice_from_rows, chain, dualize
 
+MAX_HOM_SIZE = 6  # largest source enumerate_homs accepts
+
 
 class FilterOrIdeal:
     """A nonempty proper filter (up-closed, meet-closed) or ideal
@@ -207,7 +209,7 @@ def _join_irreducibles(lat: FiniteLattice) -> list[int]:
     return out
 
 
-def enumerate_homs(source, target, flavor="lattice", bound: int = 6) -> list[LatticeHom]:
+def enumerate_homs(source, target, flavor="lattice") -> list[LatticeHom]:
     """All homs source→target, sorted by map, through finite Birkhoff duality.
 
     A hom φ is fixed by f(j) = ⋀φ⁻¹(↑j), the least a with j ≤ φ(a), over
@@ -216,9 +218,10 @@ def enumerate_homs(source, target, flavor="lattice", bound: int = 6) -> list[Lat
     target is distributive each j is join-prime, so f(j) is
     join-irreducible and only those images are tried. Every candidate is
     verified with check_hom; into a non-distributive target several f
-    can give the same map, which is kept once."""
-    if source.n > bound:
-        raise BoundExceeded("lattice size", source.n, bound)
+    can give the same map, which is kept once. The source has at most
+    MAX_HOM_SIZE elements."""
+    if source.n > MAX_HOM_SIZE:
+        raise BoundExceeded("lattice size", source.n, MAX_HOM_SIZE)
     points = _join_irreducibles(target)
     if target.distributive_failure is None:
         images = _join_irreducibles(source)

@@ -28,8 +28,6 @@ from .quotient import FilterOrIdeal, LatticeHom, filters
 # open_lattice is unused here, but bench/spans.py wraps spectrum.open_lattice by name
 from .topology import FiniteSpace, generate_from_basis, interior, open_lattice  # noqa: F401
 
-DEFAULT_MAX_SPECTRUM = MAX_ENUMERATION_SIZE
-
 
 def is_prime_filter(lat: FiniteLattice, filt: FilterOrIdeal) -> bool:
     """a∨b ∈ F forces a ∈ F or b ∈ F."""
@@ -67,10 +65,12 @@ class SpectralSpace:
         return f"SpectralSpace(points={len(self.points)}, base_n={self.base.n})"
 
 
-def spectrum(lat: FiniteLattice, bound: int = DEFAULT_MAX_SPECTRUM) -> SpectralSpace:
+def spectrum(lat: FiniteLattice) -> SpectralSpace:
+    """The spectrum of a distributive lattice of at most
+    MAX_ENUMERATION_SIZE elements."""
     lat.require_distributive()
-    if lat.n > bound:
-        raise BoundExceeded("lattice size", lat.n, bound)
+    if lat.n > MAX_ENUMERATION_SIZE:
+        raise BoundExceeded("lattice size", lat.n, MAX_ENUMERATION_SIZE)
     pts = tuple(f.members for f in prime_filters(lat))
     beta = []
     for h in range(lat.n):
@@ -95,10 +95,10 @@ class StoneReport:
         return f"StoneReport(ok={self.ok}, violations={self.violations})"
 
 
-def verify_stone_embedding(lat: FiniteLattice, bound: int = DEFAULT_MAX_SPECTRUM) -> StoneReport:
+def verify_stone_embedding(lat: FiniteLattice) -> StoneReport:
     """Check β is injective, turns ∧/∨ into ∩/∪, hits every open
     (finite case), and carries → to the spectral open-set implication."""
-    spec = spectrum(lat, bound)
+    spec = spectrum(lat)
     beta = spec.beta
     violations = []
     if len(set(beta)) != lat.n:

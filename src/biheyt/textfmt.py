@@ -52,7 +52,7 @@ def _body(text: str, keyword: str, field: str) -> tuple[int, list]:
     (line number, line) pairs after it."""
     lines = list(_meaningful_lines(text))
     if not lines:
-        raise ParseError(0, f"empty {keyword} file")
+        raise ParseError(None, f"empty {keyword} file")
     no, line = lines[0]
     parts = line.split()
     if len(parts) != 2 or parts[0] != keyword or not parts[1].startswith(field + "="):
@@ -188,12 +188,12 @@ def load_structure(path_or_name: str) -> Structure:
     if named is not None:
         return named
     if not os.path.exists(path_or_name):
-        raise ParseError(0, f"no such file or built-in structure: {path_or_name!r}")
+        raise ParseError(None, f"no such file or built-in structure: {path_or_name!r}")
     try:
         with open(path_or_name, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as err:
-        raise ParseError(0, f"cannot read {path_or_name!r}: {err}") from None
+        raise ParseError(None, f"cannot read {path_or_name!r}: {err}") from None
     for no, line in _meaningful_lines(text):
         keyword = line.split()[0]
         if keyword == "lattice":
@@ -203,4 +203,4 @@ def load_structure(path_or_name: str) -> Structure:
         if keyword == "frame":
             return parse_model_text(text)
         raise ParseError(no, f"unknown structure header {keyword!r}")
-    raise ParseError(0, "empty structure file")
+    raise ParseError(None, "empty structure file")

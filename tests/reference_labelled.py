@@ -24,8 +24,7 @@ from biheyt.formulas import compile_formula
 from biheyt.modal import (
     SearchResult,
     _failures,
-    _frame_modalities,
-    _space_modalities,
+    _sweep,
     _witness,
     classify_frame,
     enumerate_frames,
@@ -54,8 +53,7 @@ def reference_search(phi, max_points, mode="space", semantics="classical",
                 cls = classify_frame(frame)
                 if any(not getattr(cls, prop) for prop in frame_properties):
                     continue
-                modalities = _frame_modalities(frame)
-                hit = next(_failures(prog, len(names), worlds, modalities), None)
+                hit = next(_failures(prog, len(names), *_sweep(frame)), None)
                 if hit is not None:
                     return _witness(frame, names, worlds, hit)
         return None
@@ -63,8 +61,7 @@ def reference_search(phi, max_points, mode="space", semantics="classical",
         prog, names = compile_formula(phi, "topological")
         for points in range(1, max_points + 1):
             for space in enumerate_topologies(points, bound=max(points, 4)):
-                modalities = _space_modalities(space)
-                hit = next(_failures(prog, len(names), points, modalities), None)
+                hit = next(_failures(prog, len(names), *_sweep(space)), None)
                 if hit is not None:
                     return _witness(space, names, points, hit)
         return None
@@ -99,7 +96,7 @@ def reference_verify_s4(points, out):
     failed = set()
     for sp in _spaces(points):
         spaces += 1
-        for rep in cli.s4_axiom_suite(sp, bound=5):
+        for rep in cli.s4_axiom_suite(sp):
             per_schema[rep.name] = per_schema.get(rep.name, 0) + rep.checked
             if not rep.ok:
                 exit_code = 1

@@ -239,11 +239,11 @@ def test_verify_s4_reports_each_schema_on_its_own(capsys, monkeypatch):
 
     real = cli.s4_axiom_suite
 
-    def t_fails(structure, bound):
+    def t_fails(structure):
         return [
             rep._replace(violations=((0, 0),))
             if rep.name == "T reflection" else rep
-            for rep in real(structure, bound=bound)
+            for rep in real(structure)
         ]
 
     monkeypatch.setattr(cli, "s4_axiom_suite", t_fails)
@@ -752,7 +752,21 @@ def test_unreadable_file_is_input_error(capsys, tmp_path, content):
         path.write_bytes(content)
     code, out, err = run(capsys, "lattice", "check", str(path))
     assert (code, out) == (2, "")
-    assert err.startswith("error: line 0: cannot read ")
+    assert err.startswith("error: cannot read ")
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "no such file or built-in structure: "),
+    ("", "empty structure file"),
+    ("# only a comment\n\n", "empty structure file"),
+], ids=["missing", "empty", "comment-only"])
+def test_file_level_errors_name_no_line(capsys, tmp_path, content, message):
+    path = tmp_path / "x.lat"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = run(capsys, "lattice", "check", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
 
 
 # -- integers are ASCII digits -------------------------------------------------------

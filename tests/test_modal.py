@@ -1,3 +1,4 @@
+import importlib
 from itertools import combinations, permutations, product
 
 import pytest
@@ -11,10 +12,13 @@ from biheyt import (
     UnboundAtom,
     UnsupportedConnective,
     agreement_closure,
+    chain,
     classify_frame,
     closed_lattice,
     countermodel_search,
+    enumerate_distributive_lattices,
     enumerate_frames,
+    enumerate_homs,
     enumerate_topologies,
     kripke_eval,
     model_from_space,
@@ -22,11 +26,13 @@ from biheyt import (
     parse_formula,
     s4_axiom_suite,
     specialization_preorder,
+    spectrum,
     topo_eval,
     truth_set,
     valid_in_frame,
     valid_in_model,
     validate_topology,
+    verify_stone_embedding,
     worked_examples,
 )
 import biheyt.modal as modal
@@ -287,6 +293,29 @@ def test_s4_suite_bound():
         s4_axiom_suite(KripkeFrame(6, tuple([0] * 6)))
 
 
+@pytest.mark.parametrize("module, constant, call", [
+    ("modal", "MAX_SUITE_POINTS", lambda: s4_axiom_suite(KripkeFrame(3, (7, 7, 7)))),
+    ("modal", "MAX_VALUATION_BITS",
+     lambda: valid_in_frame(KripkeFrame(3, (7, 7, 7)), parse_formula("p"), ["p"])),
+    ("modal", "DEFAULT_MAX_POINTS", lambda: countermodel_search(parse_formula("p"), 3)),
+    ("modal", "DEFAULT_MAX_WORLDS",
+     lambda: countermodel_search(parse_formula("p"), 3, mode="frame")),
+    ("spectrum", "MAX_ENUMERATION_SIZE", lambda: spectrum(chain(3))),
+    ("spectrum", "MAX_ENUMERATION_SIZE", lambda: verify_stone_embedding(chain(3))),
+    ("lattice", "MAX_ENUMERATION_SIZE", lambda: enumerate_distributive_lattices(3)),
+    ("quotient", "MAX_HOM_SIZE", lambda: enumerate_homs(chain(3), chain(2))),
+], ids=["s4_axiom_suite", "valid_in_frame", "space search", "frame search", "spectrum",
+        "verify_stone_embedding", "enumerate_distributive_lattices", "enumerate_homs"])
+def test_caps_are_read_when_the_call_runs(monkeypatch, module, constant, call):
+    """Each cap is a module constant read by the check itself, so
+    lowering it lowers the bound a caller meets."""
+    monkeypatch.setattr(importlib.import_module(f"biheyt.{module}"), constant, 2)
+    with pytest.raises(BoundExceeded) as exc:
+        call()
+    assert exc.value.bound == 2
+    assert str(exc.value).endswith("exceeds configured bound 2")
+
+
 # -- countermodel search ----------------------------------------------------------------
 
 
@@ -349,7 +378,7 @@ def test_search_deterministic():
 
 def test_search_bound():
     with pytest.raises(BoundExceeded):
-        countermodel_search(parse_formula("p"), 9, bound=4)
+        countermodel_search(parse_formula("p"), 9)
 
 
 # -- Alexandrov agreement -----------------------------------------------------------------
@@ -517,14 +546,11 @@ def oracle_valid_in_frame(frame, phi, names):
 def sliced_sets(structure, phi, names):
     """Truth set of phi under each valuation, in product order, read
     off the sliced core's per-point vectors."""
-    if isinstance(structure, FiniteSpace):
-        points, modalities = structure.points, modal._space_modalities(structure)
-    else:
-        points, modalities = structure.worlds, modal._frame_modalities(structure)
+    points, box = modal._sweep(structure)
     prog, names = compile_formula(phi, "kripke", names)
     sets = []
     for base, full, atoms in modal._slices(points, len(names)):
-        vec = modal._evaluate(prog, atoms, full, points, modalities)
+        vec = modal._evaluate(prog, atoms, full, points, box)
         width = full.bit_length()
         for v in range(min(width, (1 << points * len(names)) - base)):
             sets.append(sum(((vec[x] >> v) & 1) << x for x in range(points)))

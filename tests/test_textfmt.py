@@ -49,7 +49,7 @@ def test_lattice_parse_comments_and_blanks():
 @pytest.mark.parametrize(
     "text,line",
     [
-        ("", 0),
+        ("", None),
         ("lattice n=x", 1),
         ("lattice n=2\nle 0", 2),
         ("lattice n=2\nle 0 5", 2),
@@ -72,6 +72,14 @@ def test_parse_errors_carry_line(text, line):
         else:
             parse_lattice_text(text)
     assert exc.value.line_no == line
+
+
+@pytest.mark.parametrize("parse", [parse_lattice_text, parse_space_text, parse_model_text])
+def test_empty_file_names_no_line(parse):
+    with pytest.raises(ParseError) as exc:
+        parse("# nothing here\n")
+    assert exc.value.line_no is None
+    assert str(exc.value).startswith("empty ")
 
 
 def test_space_round_trip():
