@@ -89,10 +89,11 @@ FRAME_PROPERTIES = ("reflexive", "transitive", "symmetric")
 SLICE_BITS = 12  # a slice holds at most 2**SLICE_BITS valuations
 
 
-class KripkeFrame:
-    def __init__(self, worlds: int, rel: tuple[int, ...]):
-        self.worlds = worlds
-        self.rel = rel  # rel[w] = mask of successors
+class KripkeFrame(NamedTuple):
+    """Worlds 0..worlds-1 and one row of successors per world."""
+
+    worlds: int
+    rel: tuple[int, ...]  # rel[w] = mask of successors
 
     @classmethod
     def from_edges(cls, worlds: int, edges) -> "KripkeFrame":
@@ -106,30 +107,12 @@ class KripkeFrame:
     def edges(self) -> list[tuple[int, int]]:
         return [(w, u) for w in range(self.worlds) for u in iter_bits(self.rel[w])]
 
-    def __eq__(self, other):
-        if not isinstance(other, KripkeFrame):
-            return NotImplemented
-        return self.worlds == other.worlds and self.rel == other.rel
 
-    def __hash__(self):
-        return hash((self.worlds, self.rel))
+class KripkeModel(NamedTuple):
+    """A frame and a valuation (atom -> world mask), kept as given."""
 
-    def __repr__(self):
-        return f"KripkeFrame(worlds={self.worlds}, rel={self.rel})"
-
-
-class KripkeModel:
-    def __init__(self, frame: KripkeFrame, valuation: Mapping[str, int]):
-        self.frame = frame
-        self.valuation = dict(valuation)
-
-    def __eq__(self, other):
-        if not isinstance(other, KripkeModel):
-            return NotImplemented
-        return self.frame == other.frame and self.valuation == other.valuation
-
-    def __repr__(self):
-        return f"KripkeModel({self.frame!r}, valuation={self.valuation})"
+    frame: KripkeFrame
+    valuation: dict[str, int]
 
 
 class FrameClass(NamedTuple):
@@ -456,12 +439,6 @@ class SearchResult(NamedTuple):
     structure: object  # FiniteSpace or KripkeFrame
     valuation: dict
     point: int
-
-    def __repr__(self):
-        return (
-            f"SearchResult(structure={self.structure!r}, "
-            f"valuation={self.valuation}, point={self.point})"
-        )
 
 
 def countermodel_search(

@@ -271,16 +271,15 @@ def two_valued_homs(lat: FiniteLattice) -> list[LatticeHom]:
     in subset_key order of φ⁻¹(⊤).
 
     These are the two-valued truth assignments; φ⁻¹(⊤) ranges exactly
-    over the prime filters. In a finite lattice every proper filter is
-    some ↑a with a ≠ ⊥, so those n−1 up-sets are the only candidates,
-    each verified with is_hom. Some of the homs also preserve
-    implication, but requiring that would break the prime-filter
-    bijection (on the 3-chain, the assignment sending the middle to 0
-    maps m→⊥ to 0 while φ(m)→φ(⊥) = 1)."""
+    over the prime filters, so the candidates are the proper filters
+    that filters lists, each verified with is_hom. Some of the homs also
+    preserve implication, but requiring that would break the
+    prime-filter bijection (on the 3-chain, the assignment sending the
+    middle to 0 maps m→⊥ to 0 while φ(m)→φ(⊥) = 1)."""
     two = chain(2)
     out = []
-    for s in sorted((lat.up[a] for a in range(lat.n) if a != lat.bottom), key=subset_key):
-        m = [(s >> a) & 1 for a in range(lat.n)]
+    for f in filters(lat):
+        m = [(f.members >> a) & 1 for a in range(lat.n)]
         if is_hom(m, lat, two, "lattice"):
             out.append(LatticeHom(lat, two, m, "lattice"))
     return out

@@ -19,7 +19,7 @@ checks compositions on the point maps.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .bitsets import iter_bits, pullback
 from .errors import BoundExceeded, WrongKind
@@ -51,18 +51,14 @@ def prime_filters(lat: FiniteLattice) -> list[FilterOrIdeal]:
     return [f for f in filters(lat) if is_prime_filter(lat, f)]
 
 
-class SpectralSpace:
+class SpectralSpace(NamedTuple):
     """Spectrum of a lattice: prime filter points, the generated space,
     and the element → point-set map beta."""
 
-    def __init__(self, base, points, space, beta):
-        self.base = base
-        self.points = points  # tuple of prime-filter member masks
-        self.space = space
-        self.beta = beta  # beta[h] = mask of point indices whose filter contains h
-
-    def __repr__(self):
-        return f"SpectralSpace(points={len(self.points)}, base_n={self.base.n})"
+    base: FiniteLattice
+    points: tuple[int, ...]  # prime-filter member masks
+    space: FiniteSpace
+    beta: tuple[int, ...]  # beta[h] = mask of point indices whose filter contains h
 
 
 def spectrum(lat: FiniteLattice) -> SpectralSpace:
@@ -83,16 +79,12 @@ def spectrum(lat: FiniteLattice) -> SpectralSpace:
     return SpectralSpace(lat, pts, space, tuple(beta))
 
 
-class StoneReport:
-    def __init__(self, violations: list[str]):
-        self.violations = violations
+class StoneReport(NamedTuple):
+    violations: list[str]
 
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def __repr__(self):
-        return f"StoneReport(ok={self.ok}, violations={self.violations})"
 
 
 def verify_stone_embedding(lat: FiniteLattice) -> StoneReport:
@@ -127,17 +119,17 @@ def verify_stone_embedding(lat: FiniteLattice) -> StoneReport:
     return StoneReport(violations)
 
 
-class InducedMap:
+class InducedMap(NamedTuple):
     """Point map Spec(target) → Spec(source) induced by a hom, with the
-    continuity verdict and the β-preimage identity check."""
+    continuity verdict and the β-preimage identity check. Its repr
+    leaves out the hom and the two spectra."""
 
-    def __init__(self, hom, source_spec, target_spec, point_map, continuous, identity_ok):
-        self.hom = hom
-        self.source_spec = source_spec
-        self.target_spec = target_spec
-        self.point_map = point_map  # index into source_spec.points per target point
-        self.continuous = continuous
-        self.identity_ok = identity_ok
+    hom: LatticeHom
+    source_spec: SpectralSpace
+    target_spec: SpectralSpace
+    point_map: tuple[int, ...]  # index into source_spec.points per target point
+    continuous: bool
+    identity_ok: bool
 
     def __repr__(self):
         return (

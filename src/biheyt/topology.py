@@ -31,7 +31,7 @@ from functools import cached_property, lru_cache
 from math import factorial, prod
 from typing import Iterable, Iterator, NamedTuple
 
-from .bitsets import iter_bits, subset_key, unions
+from .bitsets import iter_bits, pattern, subset_key, unions
 from .errors import (
     BoundExceeded,
     MissingEmptyOrFull,
@@ -65,10 +65,7 @@ class FiniteSpace:
         return hash((self.points, self.opens))
 
     def __repr__(self):
-        shown = ",".join(
-            "".join("1" if (o >> i) & 1 else "0" for i in range(self.points)) or "-"
-            for o in self.opens
-        )
+        shown = ",".join(pattern(o, self.points) or "-" for o in self.opens)
         return f"FiniteSpace(points={self.points}, opens=[{shown}])"
 
     @cached_property
@@ -94,21 +91,11 @@ def _smallest_around(points: int, family: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-class Preorder:
-    def __init__(self, points: int, rel: tuple[int, ...]):
-        self.points = points
-        self.rel = rel  # rel[x] = mask of y with x R y
+class Preorder(NamedTuple):
+    """A preorder on 0..points-1, one row per point."""
 
-    def __eq__(self, other):
-        if not isinstance(other, Preorder):
-            return NotImplemented
-        return self.points == other.points and self.rel == other.rel
-
-    def __hash__(self):
-        return hash((self.points, self.rel))
-
-    def __repr__(self):
-        return f"Preorder(points={self.points}, rel={self.rel})"
+    points: int
+    rel: tuple[int, ...]  # rel[x] = mask of y with x R y
 
     def symmetric(self) -> bool:
         return all(
@@ -213,13 +200,13 @@ def enumerate_preorders(points: int) -> Iterator[Preorder]:
     return extend(())
 
 
-def enumerate_topologies(
-    points: int, bound: int = DEFAULT_MAX_POINTS
-) -> Iterator[FiniteSpace]:
+def enumerate_topologies(points: int) -> Iterator[FiniteSpace]:
     """Every topology on the labeled point set 0..points-1, exactly once,
-    via the preorder correspondence. Deterministic order."""
-    if points > bound:
-        raise BoundExceeded("points", points, bound)
+    via the preorder correspondence, in a deterministic order. At most
+    DEFAULT_MAX_POINTS points: map from_preorder over enumerate_preorders
+    for more."""
+    if points > DEFAULT_MAX_POINTS:
+        raise BoundExceeded("points", points, DEFAULT_MAX_POINTS)
     for pre in enumerate_preorders(points):
         yield from_preorder(pre)
 
@@ -233,16 +220,16 @@ class SpaceClass(NamedTuple):
     sizes: tuple[int, ...]  # cluster sizes, in the skeleton's label order
 
 
-def space_classes(points: int, bound: int = MAX_SUITE_POINTS) -> tuple[SpaceClass, ...]:
+def space_classes(points: int) -> tuple[SpaceClass, ...]:
     """One space per homeomorphism class on exactly `points` points
     (OEIS A001930: 1, 3, 9, 33, 139 on 1..5), ordered by canonical form.
     The orbits sum to the labelled count (A000798), and the classes with
     skeletons of `points` clusters are the T0 ones (A000112). A T0
     representative is the first space of its class that
     enumerate_topologies yields, and the T0 classes come in the order
-    that enumeration first meets them."""
-    if points > bound:
-        raise BoundExceeded("points", points, bound)
+    that enumeration first meets them. At most MAX_SUITE_POINTS points."""
+    if points > MAX_SUITE_POINTS:
+        raise BoundExceeded("points", points, MAX_SUITE_POINTS)
     return _space_classes(points)
 
 

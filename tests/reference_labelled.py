@@ -30,7 +30,7 @@ from biheyt.modal import (
     enumerate_frames,
 )
 from biheyt.lattice import _lex_min_rows
-from biheyt.topology import closed_lattice, enumerate_topologies, open_lattice
+from biheyt.topology import closed_lattice, enumerate_preorders, from_preorder, open_lattice
 
 
 def t0_class(space):
@@ -60,7 +60,7 @@ def reference_search(phi, max_points, mode="space", semantics="classical",
     if semantics == "classical":
         prog, names = compile_formula(phi, "topological")
         for points in range(1, max_points + 1):
-            for space in enumerate_topologies(points, bound=max(points, 4)):
+            for space in map(from_preorder, enumerate_preorders(points)):
                 hit = next(_failures(prog, len(names), *_sweep(space)), None)
                 if hit is not None:
                     return _witness(space, names, points, hit)
@@ -69,7 +69,7 @@ def reference_search(phi, max_points, mode="space", semantics="classical",
     lattice = open_lattice if semantics == "intuitionistic" else closed_lattice
     valid = set()  # T0 classes already found valid
     for points in range(1, max_points + 1):
-        for space in enumerate_topologies(points, bound=max(points, 4)):
+        for space in map(from_preorder, enumerate_preorders(points)):
             key = t0_class(space)
             if key in valid:
                 continue
@@ -86,7 +86,8 @@ def reference_search(phi, max_points, mode="space", semantics="classical",
 
 
 def _spaces(points):
-    return (sp for m in range(1, points + 1) for sp in enumerate_topologies(m, bound=5))
+    return (sp for m in range(1, points + 1)
+            for sp in map(from_preorder, enumerate_preorders(m)))
 
 
 def reference_verify_s4(points, out):

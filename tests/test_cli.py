@@ -168,7 +168,7 @@ def test_functoriality_reports_a_corrupted_point_map(capsys, monkeypatch):
             im = induced_map(phi, *spectra)
             if phi.map == (0, 1, 1):  # 3-chain onto 2-chain: sends the point elsewhere
                 points = len(im.source_spec.points)
-                im.point_map = tuple((x + 1) % points for x in im.point_map)
+                return im._replace(point_map=tuple((x + 1) % points for x in im.point_map))
             return im
         return corrupt
 
@@ -190,9 +190,7 @@ def test_functoriality_reports_a_composite_missing_from_the_homs(capsys, monkeyp
 def test_functoriality_reports_a_discontinuous_induced_map(capsys, monkeypatch):
     def patched(induced_map):
         def discontinuous(phi, *spectra):
-            im = induced_map(phi, *spectra)
-            im.continuous = phi.map != (0, 1, 1)
-            return im
+            return induced_map(phi, *spectra)._replace(continuous=phi.map != (0, 1, 1))
         return discontinuous
 
     violations = _functoriality_violations(capsys, monkeypatch, "induced_map", patched)

@@ -9,6 +9,7 @@ from biheyt import (
     UnknownOption,
     KripkeFrame,
     KripkeModel,
+    Preorder,
     UnboundAtom,
     UnsupportedConnective,
     agreement_closure,
@@ -19,7 +20,10 @@ from biheyt import (
     enumerate_distributive_lattices,
     enumerate_frames,
     enumerate_homs,
+    enumerate_preorders,
     enumerate_topologies,
+    from_preorder,
+    induced_map,
     kripke_eval,
     model_from_space,
     open_lattice,
@@ -40,7 +44,35 @@ from biheyt.bitsets import all_subsets, iter_bits, mask_of
 from biheyt.duallogic import algebra_evaluator
 from biheyt.formulas import atom, compile_formula, conj, dia, disj, enumerate_formulas
 from biheyt.modal import S4_SCHEMAS, SchemaReport, SearchResult
+from biheyt.topology import space_classes
 from reference_labelled import reference_search, t0_class
+
+
+# -- value types ----------------------------------------------------------------
+
+
+def test_value_types_keep_their_reprs_hash_and_equality():
+    """The value types are NamedTuples: a frame hashes as its fields, a
+    model compares by frame and valuation, and these reprs are pinned
+    (an InducedMap prints neither its hom nor its spectra)."""
+    frame = KripkeFrame.from_edges(3, [(0, 0), (0, 1), (1, 2)])
+    assert repr(frame) == "KripkeFrame(worlds=3, rel=(3, 4, 0))"
+    assert repr(Preorder(3, (3, 2, 6))) == "Preorder(points=3, rel=(3, 2, 6))"
+    assert repr(FiniteSpace(0, (0,))) == "FiniteSpace(points=0, opens=[-])"
+    space_hit = countermodel_search(parse_formula("!!p -> p"), 3, semantics="intuitionistic")
+    assert repr(space_hit) == ("SearchResult(structure=FiniteSpace(points=2, opens=[00,10,11]), "
+                               "valuation={'p': 1}, point=1)")
+    frame_hit = countermodel_search(parse_formula("[]p -> p"), 3, mode="frame")
+    assert repr(frame_hit) == ("SearchResult(structure=KripkeFrame(worlds=1, rel=(0,)), "
+                               "valuation={'p': 0}, point=0)")
+    onto = enumerate_homs(chain(3), chain(2))[1]
+    assert repr(induced_map(onto)) == (
+        "InducedMap(point_map=(1,), continuous=True, identity_ok=True)")
+    assert hash(KripkeFrame(2, (1, 3))) == hash((2, (1, 3)))
+    model = KripkeModel(frame, {"p": 0b001})
+    assert model == KripkeModel(KripkeFrame(3, (3, 4, 0)), {"p": 0b001})
+    assert model != KripkeModel(frame, {"p": 0b010})
+    assert model != KripkeModel(KripkeFrame(3, (3, 4, 1)), {"p": 0b001})
 
 
 # -- classification -----------------------------------------------------------
@@ -304,8 +336,11 @@ def test_s4_suite_bound():
     ("spectrum", "MAX_ENUMERATION_SIZE", lambda: verify_stone_embedding(chain(3))),
     ("lattice", "MAX_ENUMERATION_SIZE", lambda: enumerate_distributive_lattices(3)),
     ("quotient", "MAX_HOM_SIZE", lambda: enumerate_homs(chain(3), chain(2))),
+    ("topology", "DEFAULT_MAX_POINTS", lambda: next(enumerate_topologies(3))),
+    ("topology", "MAX_SUITE_POINTS", lambda: space_classes(3)),
 ], ids=["s4_axiom_suite", "valid_in_frame", "space search", "frame search", "spectrum",
-        "verify_stone_embedding", "enumerate_distributive_lattices", "enumerate_homs"])
+        "verify_stone_embedding", "enumerate_distributive_lattices", "enumerate_homs",
+        "enumerate_topologies", "space_classes"])
 def test_caps_are_read_when_the_call_runs(monkeypatch, module, constant, call):
     """Each cap is a module constant read by the check itself, so
     lowering it lowers the bound a caller meets."""
@@ -742,7 +777,7 @@ def reference_algebra_search(phi, max_points, semantics):
     prog, names = compile_formula(phi, semantics)
     lattice = open_lattice if semantics == "intuitionistic" else closed_lattice
     for points in range(1, max_points + 1):
-        for space in enumerate_topologies(points, bound=max(points, 4)):
+        for space in map(from_preorder, enumerate_preorders(points)):
             lat = lattice(space)
             value = algebra_evaluator(prog, lat)
             for choice in product(range(lat.n), repeat=len(names)):

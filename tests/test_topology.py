@@ -21,6 +21,7 @@ from biheyt import (
     validate_topology,
 )
 from biheyt.bitsets import all_subsets, iter_bits, mask_of, subset_key
+from biheyt import topology
 from biheyt.topology import space_classes
 from reference_labelled import t0_class
 
@@ -299,23 +300,25 @@ def test_enumeration_unique_and_deterministic():
     assert len(set(first)) == len(first)
 
 
-def test_bound_exceeded():
+def test_bound_exceeded(monkeypatch):
     with pytest.raises(BoundExceeded):
         next(iter(enumerate_topologies(5)))
-    assert sum(1 for _ in enumerate_topologies(5, bound=5)) > 355
+    monkeypatch.setattr(topology, "DEFAULT_MAX_POINTS", 5)
+    assert sum(1 for _ in enumerate_topologies(5)) > 355
 
 
 # -- homeomorphism classes -------------------------------------------------------
 
 
-def test_class_counts_follow_oeis():
+def test_class_counts_follow_oeis(monkeypatch):
     """A001930 classes, A000112 T0 classes, A000798 labelled spaces."""
     classes = [space_classes(m) for m in range(1, 6)]
     assert [len(cs) for cs in classes] == [1, 3, 9, 33, 139]
     assert [sum(len(c.skeleton) == m for c in cs)
             for m, cs in enumerate(classes, 1)] == [1, 2, 5, 16, 63]
     assert [sum(c.orbit for c in cs) for cs in classes] == [1, 4, 29, 355, 6942]
-    assert len(space_classes(6, bound=6)) == 718
+    monkeypatch.setattr(topology, "MAX_SUITE_POINTS", 6)
+    assert len(space_classes(6)) == 718
 
 
 def relabelled(rows, perm):
@@ -365,7 +368,7 @@ def test_t0_representatives_come_first_in_enumeration_order(m):
     it is the first space of its class that enumerate_topologies yields,
     and the T0 classes come in the order that walk first meets them."""
     firsts = {}
-    for sp in enumerate_topologies(m, bound=5):
+    for sp in map(from_preorder, enumerate_preorders(m)):
         firsts.setdefault(t0_class(sp), sp)
     met = [sp for key, sp in firsts.items() if len(key) == m]
     assert met == [c.space for c in space_classes(m) if len(c.skeleton) == m]
