@@ -8,7 +8,8 @@ harness consumption; the default human mode prints aligned tables.
 
 The environment variable BIHEYT_MAX_POINTS, when set, caps every
 --points / --max-points argument; it can only lower the library bounds
-(search: DEFAULT_MAX_POINTS spaces, DEFAULT_MAX_WORLDS frames).
+(search: topology.DEFAULT_MAX_POINTS spaces, modal.DEFAULT_MAX_WORLDS
+frames).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import repeat
 
 from .bitsets import bit_list, pattern
 from .catalog import NAMES
@@ -55,8 +57,8 @@ from .quotient import (
     quotient as quotient_by,
 )
 from .spectrum import induced_map, spectrum, verify_stone_embedding
+from . import topology
 from .topology import (
-    MAX_SUITE_POINTS,
     FiniteSpace,
     closed_lattice,
     enumerate_topologies,  # noqa: F401 -- bench/spans.py wraps it by this name
@@ -217,8 +219,8 @@ def _suite_classes(points: int) -> list:
     """One space per homeomorphism class on 1..points points, each with
     its orbit: the number of labelled spaces it stands for. The cap is
     checked before anything is enumerated."""
-    if points > MAX_SUITE_POINTS:
-        raise BoundExceeded("points", points, MAX_SUITE_POINTS)
+    if points > topology.MAX_SUITE_POINTS:
+        raise BoundExceeded("points", points, topology.MAX_SUITE_POINTS)
     return [c for m in range(1, points + 1) for c in space_classes(m)]
 
 
@@ -293,51 +295,63 @@ def _cmd_verify_stone(args, out: _Output) -> int:
     return exit_code
 
 
+def _table(values) -> bytes:
+    """The bytes.translate table sending i to values[i], zero elsewhere."""
+    return bytes(values).ljust(256, b"\0")
+
+
 def _cmd_verify_functoriality(args, out: _Output) -> int:
     """Each hom's induced map is computed once, into a table per lattice
-    pair keyed by the hom's map; a composite g∘f is checked by looking
-    its map up in the table of its pair. The hom lists are exhaustive,
-    so a composite missing from its table is not a hom."""
+    pair keyed by the hom's map. Maps are also kept as bytes with a
+    translate table, so the composites g∘f = f.translate(g) of one f with
+    every g into one lattice l are computed in C, one block at a time:
+    each is looked up in the table of (source of f, l), and its point map
+    compared with Spec(g).translate(Spec f). The hom lists are
+    exhaustive, so a composite missing from its table is not a hom."""
     lattices = enumerate_distributive_lattices(args.max_size)
-    spectra = {id(lat): spectrum(lat) for lat in lattices}
-    induced = {}
+    spectra = [spectrum(lat) for lat in lattices]
+    indices = range(len(lattices))
+    induced = {
+        (i, j): {phi.map: induced_map(phi, spectra[i], spectra[j])
+                 for phi in enumerate_homs(lattices[i], lattices[j])}
+        for i in indices for j in indices
+    }
     exit_code = 0
     identity_checked = composition_checked = beta_checked = 0
-    for h in lattices:
-        for k in lattices:
-            induced[(id(h), id(k))] = {
-                phi.map: induced_map(phi, spectra[id(h)], spectra[id(k)])
-                for phi in enumerate_homs(h, k)
-            }
-    for lat in lattices:
-        im = induced[(id(lat), id(lat))].get(tuple(range(lat.n)))
+    for i, lat in enumerate(lattices):
+        im = induced[(i, i)].get(tuple(range(lat.n)))
         identity_checked += 1
-        if im is None or im.point_map != tuple(range(len(spectra[id(lat)].points))):
+        if im is None or im.point_map != tuple(range(len(spectra[i].points))):
             exit_code = 1
             out.text(f"identity map violation on n={lat.n}")
-    for h in lattices:
-        for k in lattices:
-            for im in induced[(id(h), id(k))].values():
-                beta_checked += 1
-                if not (im.continuous and im.identity_ok):
-                    exit_code = 1
-                    out.text(f"beta identity violation for {im.hom!r}")
-    for h in lattices:
-        for k in lattices:
-            for f, i_f in induced[(id(h), id(k))].items():
-                for l in lattices:
-                    from_h = induced[(id(h), id(l))]
-                    for g, i_g in induced[(id(k), id(l))].items():
-                        i_gf = from_h.get(tuple(map(g.__getitem__, f)))
-                        composition_checked += 1
-                        if i_gf is None:
-                            exit_code = 1
-                            out.text(f"composition violation: {i_f.hom!r} ; {i_g.hom!r} "
-                                     f"composes to no enumerated hom")
-                        elif i_gf.point_map != tuple(map(i_f.point_map.__getitem__,
-                                                         i_g.point_map)):
-                            exit_code = 1
-                            out.text(f"composition violation: {i_f.hom!r} ; {i_g.hom!r}")
+    for ims in induced.values():
+        for im in ims.values():
+            beta_checked += 1
+            if not (im.continuous and im.identity_ok):
+                exit_code = 1
+                out.text(f"beta identity violation for {im.hom!r}")
+    # per pair, as bytes: hom map -> point map, and each hom's table and point map
+    lookup, tables, points = {}, {}, {}
+    for pair, ims in induced.items():
+        lookup[pair] = {bytes(g): bytes(im.point_map) for g, im in ims.items()}
+        tables[pair] = list(map(_table, ims))
+        points[pair] = [bytes(im.point_map) for im in ims.values()]
+    for (i, j), ims in induced.items():
+        for f, i_f in ims.items():
+            f, f_points = bytes(f), _table(i_f.point_map)
+            for l in indices:
+                composition_checked += len(tables[(j, l)])
+                got = list(map(lookup[(i, l)].get, map(f.translate, tables[(j, l)])))
+                want = list(map(bytes.translate, points[(j, l)], repeat(f_points)))
+                if got == want:
+                    continue
+                exit_code = 1
+                for i_g, gf_points, composed in zip(induced[(j, l)].values(), got, want):
+                    if gf_points is None:
+                        out.text(f"composition violation: {i_f.hom!r} ; {i_g.hom!r} "
+                                 f"composes to no enumerated hom")
+                    elif gf_points != composed:
+                        out.text(f"composition violation: {i_f.hom!r} ; {i_g.hom!r}")
     out.text(f"identities: {identity_checked}, beta identities: {beta_checked}, "
              f"compositions: {composition_checked}, "
              f"{'all contravariant' if exit_code == 0 else 'violations found'}")

@@ -69,9 +69,8 @@ from .bitsets import iter_bits
 from .errors import BoundExceeded, UnboundAtom, UnknownOption, UnsupportedConnective
 from .formulas import KRIPKE, Formula, atom, box, compile_formula, dia, neg, parse_formula
 from .duallogic import algebra_evaluator
+from . import topology
 from .topology import (
-    DEFAULT_MAX_POINTS,
-    MAX_SUITE_POINTS,
     FiniteSpace,
     closed_lattice,
     closure,
@@ -392,13 +391,14 @@ def s4_axiom_suite(structure) -> list[SchemaReport]:
     """Check the five schemas over every valuation of {p, q}, with the
     sliced core: on a space through its opens, on a frame at every
     world. Violations are (vp, vq) on a space and (vp, vq, w) on a
-    frame, in valuation order. At most MAX_SUITE_POINTS points."""
+    frame, in valuation order. At most topology.MAX_SUITE_POINTS points."""
     if not isinstance(structure, (FiniteSpace, KripkeFrame)):
         raise TypeError("expected a FiniteSpace or a KripkeFrame")
     per_world = isinstance(structure, KripkeFrame)
     points, box = _sweep(structure)
-    if points > MAX_SUITE_POINTS:
-        raise BoundExceeded("worlds" if per_world else "points", points, MAX_SUITE_POINTS)
+    if points > topology.MAX_SUITE_POINTS:
+        raise BoundExceeded("worlds" if per_world else "points", points,
+                            topology.MAX_SUITE_POINTS)
     reports = []
     for (name, phi), prog in zip(S4_SCHEMAS, _S4_PROGRAMS):
         bad = []
@@ -459,7 +459,8 @@ def countermodel_search(
     with the sliced core, keeping those with frame_properties ⊆
     {reflexive, transitive, symmetric}. Point counts are decided per
     class first (see the module docstring). max_points may not exceed
-    DEFAULT_MAX_WORLDS in frame mode or DEFAULT_MAX_POINTS in space mode.
+    DEFAULT_MAX_WORLDS in frame mode or topology.DEFAULT_MAX_POINTS in space
+    mode.
     """
     _choose("mode", mode, ("space", "frame"))
     allowed = ("classical",) if mode == "frame" else ("classical", "intuitionistic", "dual")
@@ -469,7 +470,7 @@ def countermodel_search(
     if mode == "frame":
         what, bound = "worlds", DEFAULT_MAX_WORLDS
     else:
-        what, bound = "points", DEFAULT_MAX_POINTS
+        what, bound = "points", topology.DEFAULT_MAX_POINTS
     if max_points > bound:
         raise BoundExceeded(what, max_points, bound)
     if mode == "frame":

@@ -27,7 +27,9 @@ from .errors import (
 )
 from .lattice import FiniteLattice, _lattice_from_rows, chain, dualize
 
-MAX_HOM_SIZE = 6  # largest source enumerate_homs accepts
+# largest source enumerate_homs accepts; verify functoriality encodes
+# element and point indices as bytes, so this must stay below 256
+MAX_HOM_SIZE = 7
 
 
 class FilterOrIdeal:

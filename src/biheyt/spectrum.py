@@ -23,7 +23,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from .bitsets import iter_bits, pullback
 from .errors import BoundExceeded, WrongKind
-from .lattice import MAX_ENUMERATION_SIZE, FiniteLattice
+from . import lattice
+from .lattice import FiniteLattice
 from .quotient import FilterOrIdeal, LatticeHom, filters
 # open_lattice is unused here, but bench/spans.py wraps spectrum.open_lattice by name
 from .topology import FiniteSpace, generate_from_basis, interior, open_lattice  # noqa: F401
@@ -63,10 +64,10 @@ class SpectralSpace(NamedTuple):
 
 def spectrum(lat: FiniteLattice) -> SpectralSpace:
     """The spectrum of a distributive lattice of at most
-    MAX_ENUMERATION_SIZE elements."""
+    lattice.MAX_ENUMERATION_SIZE elements."""
     lat.require_distributive()
-    if lat.n > MAX_ENUMERATION_SIZE:
-        raise BoundExceeded("lattice size", lat.n, MAX_ENUMERATION_SIZE)
+    if lat.n > lattice.MAX_ENUMERATION_SIZE:
+        raise BoundExceeded("lattice size", lat.n, lattice.MAX_ENUMERATION_SIZE)
     pts = tuple(f.members for f in prime_filters(lat))
     beta = []
     for h in range(lat.n):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from biheyt import kripke_eval, parse_formula, topo_eval
+from biheyt import kripke_eval, parse_formula, topo_eval, topology
 from biheyt.bitsets import mask_of, pattern
 from biheyt.catalog import builtin
 from biheyt.cli import main
@@ -145,10 +145,31 @@ def test_verify_functoriality_at_the_cap(capsys):
     assert code == 0
     assert out == ("identities: 13, beta identities: 2655, compositions: 755348, "
                    "all contravariant\n")
-    code, out, err = run(capsys, "verify", "functoriality", "--max-size", "7")
+    code, out, _ = run(capsys, "verify", "functoriality", "--max-size", "7")
+    assert code == 0
+    assert out == ("identities: 21, beta identities: 18724, compositions: 23913274, "
+                   "all contravariant\n")
+    code, out, err = run(capsys, "verify", "functoriality", "--max-size", "8")
     assert code == 2
     assert out == ""
-    assert "exceeds configured bound 6" in err
+    assert "exceeds configured bound 7" in err
+
+
+def _corrupt_point_map(induced_map):
+    def corrupt(phi, *spectra):
+        im = induced_map(phi, *spectra)
+        # the 3-chain onto the 2-chain: the f of one block per lattice,
+        # and a g in every block whose f goes into the 3-chain
+        if phi.map == (0, 1, 1):
+            points = len(im.source_spec.points)
+            return im._replace(point_map=tuple((x + 1) % points for x in im.point_map))
+        return im
+    return corrupt
+
+
+def _drop_a_hom(enumerate_homs):
+    # (0, 0, 1) is (0, 1, 1) after (0, 0, 2), both still enumerated
+    return lambda h, k: [phi for phi in enumerate_homs(h, k) if phi.map != (0, 0, 1)]
 
 
 def _functoriality_violations(capsys, monkeypatch, name, patched):
@@ -163,25 +184,14 @@ def _functoriality_violations(capsys, monkeypatch, name, patched):
 
 
 def test_functoriality_reports_a_corrupted_point_map(capsys, monkeypatch):
-    def patched(induced_map):
-        def corrupt(phi, *spectra):
-            im = induced_map(phi, *spectra)
-            if phi.map == (0, 1, 1):  # 3-chain onto 2-chain: sends the point elsewhere
-                points = len(im.source_spec.points)
-                return im._replace(point_map=tuple((x + 1) % points for x in im.point_map))
-            return im
-        return corrupt
-
-    violations = _functoriality_violations(capsys, monkeypatch, "induced_map", patched)
+    violations = _functoriality_violations(capsys, monkeypatch, "induced_map",
+                                           _corrupt_point_map)
     assert violations and all(v.startswith("composition violation: ") for v in violations)
 
 
 def test_functoriality_reports_a_composite_missing_from_the_homs(capsys, monkeypatch):
-    def patched(enumerate_homs):
-        # (0, 0, 1) is (0, 1, 1) after (0, 0, 2), both still enumerated
-        return lambda h, k: [phi for phi in enumerate_homs(h, k) if phi.map != (0, 0, 1)]
-
-    violations = _functoriality_violations(capsys, monkeypatch, "enumerate_homs", patched)
+    violations = _functoriality_violations(capsys, monkeypatch, "enumerate_homs",
+                                           _drop_a_hom)
     assert violations
     assert all(v.startswith("composition violation: ") and
                v.endswith("composes to no enumerated hom") for v in violations)
@@ -195,6 +205,82 @@ def test_functoriality_reports_a_discontinuous_induced_map(capsys, monkeypatch):
 
     violations = _functoriality_violations(capsys, monkeypatch, "induced_map", patched)
     assert violations == ["beta identity violation for LatticeHom((0, 1, 1), flavor='lattice')"]
+
+
+def reference_verify_functoriality(max_size, out):
+    """The body of `verify functoriality` as one Python step per
+    composable pair: g∘f is built as a tuple and looked up in the table
+    of its pair, and Spec(f)∘Spec(g) is built from the point maps. It
+    calls its callees through biheyt.cli, so a patch there patches both
+    routes."""
+    import biheyt.cli as cli
+
+    lattices = cli.enumerate_distributive_lattices(max_size)
+    spectra = {id(lat): cli.spectrum(lat) for lat in lattices}
+    induced = {}
+    exit_code = 0
+    identity_checked = composition_checked = beta_checked = 0
+    for h in lattices:
+        for k in lattices:
+            induced[(id(h), id(k))] = {
+                phi.map: cli.induced_map(phi, spectra[id(h)], spectra[id(k)])
+                for phi in cli.enumerate_homs(h, k)
+            }
+    for lat in lattices:
+        im = induced[(id(lat), id(lat))].get(tuple(range(lat.n)))
+        identity_checked += 1
+        if im is None or im.point_map != tuple(range(len(spectra[id(lat)].points))):
+            exit_code = 1
+            out.text(f"identity map violation on n={lat.n}")
+    for h in lattices:
+        for k in lattices:
+            for im in induced[(id(h), id(k))].values():
+                beta_checked += 1
+                if not (im.continuous and im.identity_ok):
+                    exit_code = 1
+                    out.text(f"beta identity violation for {im.hom!r}")
+    for h in lattices:
+        for k in lattices:
+            for f, i_f in induced[(id(h), id(k))].items():
+                for l in lattices:
+                    from_h = induced[(id(h), id(l))]
+                    for g, i_g in induced[(id(k), id(l))].items():
+                        i_gf = from_h.get(tuple(map(g.__getitem__, f)))
+                        composition_checked += 1
+                        if i_gf is None:
+                            exit_code = 1
+                            out.text(f"composition violation: {i_f.hom!r} ; {i_g.hom!r} "
+                                     f"composes to no enumerated hom")
+                        elif i_gf.point_map != tuple(map(i_f.point_map.__getitem__,
+                                                         i_g.point_map)):
+                            exit_code = 1
+                            out.text(f"composition violation: {i_f.hom!r} ; {i_g.hom!r}")
+    out.text(f"identities: {identity_checked}, beta identities: {beta_checked}, "
+             f"compositions: {composition_checked}, "
+             f"{'all contravariant' if exit_code == 0 else 'violations found'}")
+    out.record(record="functoriality", identities=identity_checked,
+               beta=beta_checked, compositions=composition_checked,
+               ok=exit_code == 0)
+    return exit_code
+
+
+@pytest.mark.parametrize("patches", [
+    {"induced_map": _corrupt_point_map},
+    {"enumerate_homs": _drop_a_hom},
+    {"induced_map": _corrupt_point_map, "enumerate_homs": _drop_a_hom},
+], ids=["corrupted point map", "dropped hom", "both"])
+def test_functoriality_violations_match_the_per_pair_loop(capsys, monkeypatch, patches):
+    import biheyt.cli as cli
+
+    for name, patched in patches.items():
+        monkeypatch.setattr(cli, name, patched(getattr(cli, name)))
+    for size in (3, 4, 5):
+        for fmt in ("human", "json"):
+            got = run(capsys, "--format", fmt, "verify", "functoriality",
+                      "--max-size", str(size))[:2]
+            assert got[0] == 1, (size, fmt)
+            assert got == run_reference(capsys, reference_verify_functoriality, size, fmt), \
+                (size, fmt)
 
 
 @pytest.mark.parametrize("world", ["\u00b2", "w\u00b2"])
@@ -298,8 +384,8 @@ def _no_enumeration(*_args, **_kwargs):
 def test_verify_suites_refuse_points_above_the_cap_up_front(capsys, monkeypatch, suite):
     import biheyt.cli as cli
 
-    assert cli.MAX_SUITE_POINTS == 5
-    monkeypatch.setattr(cli, "enumerate_topologies", _no_enumeration)
+    assert topology.MAX_SUITE_POINTS == 5
+    monkeypatch.setattr(cli, "space_classes", _no_enumeration)
     code, out, err = run(capsys, "verify", suite, "--points", "6")
     assert code == 2
     assert out == ""
@@ -310,11 +396,11 @@ def test_verify_suites_refuse_points_above_the_cap_up_front(capsys, monkeypatch,
 def test_verify_suites_run_at_the_cap(capsys, monkeypatch, suite):
     import biheyt.cli as cli
 
-    monkeypatch.setattr(cli, "MAX_SUITE_POINTS", 3)
+    monkeypatch.setattr(topology, "MAX_SUITE_POINTS", 3)
     code, out, _ = run(capsys, "verify", suite, "--points", "3")
     assert code == 0
     assert out.splitlines()[-1] == "34 spaces checked"
-    monkeypatch.setattr(cli, "enumerate_topologies", _no_enumeration)
+    monkeypatch.setattr(cli, "space_classes", _no_enumeration)
     code, out, err = run(capsys, "verify", suite, "--points", "4")
     assert code == 2
     assert out == ""

@@ -326,14 +326,14 @@ def test_s4_suite_bound():
 
 
 @pytest.mark.parametrize("module, constant, call", [
-    ("modal", "MAX_SUITE_POINTS", lambda: s4_axiom_suite(KripkeFrame(3, (7, 7, 7)))),
+    ("topology", "MAX_SUITE_POINTS", lambda: s4_axiom_suite(KripkeFrame(3, (7, 7, 7)))),
     ("modal", "MAX_VALUATION_BITS",
      lambda: valid_in_frame(KripkeFrame(3, (7, 7, 7)), parse_formula("p"), ["p"])),
-    ("modal", "DEFAULT_MAX_POINTS", lambda: countermodel_search(parse_formula("p"), 3)),
+    ("topology", "DEFAULT_MAX_POINTS", lambda: countermodel_search(parse_formula("p"), 3)),
     ("modal", "DEFAULT_MAX_WORLDS",
      lambda: countermodel_search(parse_formula("p"), 3, mode="frame")),
-    ("spectrum", "MAX_ENUMERATION_SIZE", lambda: spectrum(chain(3))),
-    ("spectrum", "MAX_ENUMERATION_SIZE", lambda: verify_stone_embedding(chain(3))),
+    ("lattice", "MAX_ENUMERATION_SIZE", lambda: spectrum(chain(3))),
+    ("lattice", "MAX_ENUMERATION_SIZE", lambda: verify_stone_embedding(chain(3))),
     ("lattice", "MAX_ENUMERATION_SIZE", lambda: enumerate_distributive_lattices(3)),
     ("quotient", "MAX_HOM_SIZE", lambda: enumerate_homs(chain(3), chain(2))),
     ("topology", "DEFAULT_MAX_POINTS", lambda: next(enumerate_topologies(3))),
@@ -349,6 +349,20 @@ def test_caps_are_read_when_the_call_runs(monkeypatch, module, constant, call):
         call()
     assert exc.value.bound == 2
     assert str(exc.value).endswith("exceeds configured bound 2")
+
+
+def test_verify_s4_reads_the_suite_cap_when_it_runs(monkeypatch, capsys):
+    import biheyt.cli as cli
+
+    def no_classes(*_args):
+        raise AssertionError("classes were enumerated past the cap")
+
+    monkeypatch.setattr(importlib.import_module("biheyt.topology"), "MAX_SUITE_POINTS", 2)
+    monkeypatch.setattr(cli, "space_classes", no_classes)
+    assert cli.main(["verify", "s4", "--points", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "points 3 exceeds configured bound 2" in err
 
 
 # -- countermodel search ----------------------------------------------------------------

@@ -415,8 +415,8 @@ def test_enumerate_homs_on_nondistributive_lattices(m3_diamond, boolean4):
 
 def test_enumerate_homs_bound(chain3):
     with pytest.raises(BoundExceeded):
-        enumerate_homs(chain(7), chain3)
-    assert len(enumerate_homs(chain(6), chain(1))) == 1
+        enumerate_homs(chain(8), chain3)
+    assert len(enumerate_homs(chain(7), chain(1))) == 1
 
 
 def test_enumerate_homs_identity_present(chain3):
