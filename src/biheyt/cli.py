@@ -1,4 +1,5 @@
-"""Command line entry point.
+"""Command line entry point: `run` for a process, `main(argv)`, which
+returns the exit code, for a caller in the same process.
 
 Exit codes: 0 = success / property verified, 1 = a countermodel or law
 violation was found (a legitimate negative result), 2 = usage or input
@@ -15,7 +16,6 @@ frames).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from itertools import repeat
@@ -77,10 +77,13 @@ from .textfmt import (
 class _Output:
     def __init__(self, fmt: str):
         self.json = fmt == "json"
+        if self.json:
+            from json import dumps  # human output does not pay for the import
+            self._dumps = dumps
 
     def record(self, **fields):
         if self.json:
-            print(json.dumps(fields, sort_keys=True))
+            print(self._dumps(fields, sort_keys=True))
 
     def text(self, line=""):
         if not self.json:
@@ -658,11 +661,33 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except BrokenPipeError:
-        # the reader closed stdout; what is still buffered goes to devnull,
-        # so the flush at interpreter exit cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 2
+        return _stdout_closed()
+
+
+def _stdout_closed() -> int:
+    """The reader closed stdout: what is still buffered goes to devnull,
+    so no later flush can raise again."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 2
+
+
+def run() -> None:
+    """The process entry point (`python -m biheyt.cli`, the installed
+    `biheyt`): exits with the code of `main`, or of argparse's SystemExit
+    for `--help` and usage errors, once stdout and stderr are flushed.
+    `os._exit` skips module teardown and the final collection; the CLI
+    has no atexit hooks and no open files left by then."""
+    try:
+        code = main()
+    except SystemExit as exit_:
+        code = exit_.code or 0
+    try:
+        sys.stdout.flush()  # `--help` text is still buffered here
+    except BrokenPipeError:
+        code = _stdout_closed()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -908,16 +908,25 @@ def test_env_cap_takes_ascii_digits_only(capsys, monkeypatch):
 def _subprocess_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    # stdout block-buffered, as in a plain shell, so the output still
+    # buffered when the process ends is exercised
+    env.pop("PYTHONUNBUFFERED", None)
     return env
+
+
+def _discrete_space_file(tmp_path):
+    """The discrete space on 15 points: `space check` prints its 32,768
+    opens, 32,770 lines, far more than a pipe holds."""
+    f = tmp_path / "discrete.spc"
+    f.write_text("space m=15\npreorder 0 0\n")
+    return str(f)
 
 
 def test_closed_stdout_exits_2_without_a_traceback(tmp_path):
     """A reader that stops early, like `| head -3`. The output (32,770
     lines) is far larger than a pipe holds, so the write fails in main."""
-    f = tmp_path / "discrete.spc"
-    f.write_text("space m=15\npreorder 0 0\n")
     proc = subprocess.Popen(
-        [sys.executable, "-m", "biheyt.cli", "space", "check", str(f)],
+        [sys.executable, "-m", "biheyt.cli", "space", "check", _discrete_space_file(tmp_path)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_subprocess_env(),
     )
     head = [proc.stdout.readline() for _ in range(3)]
@@ -929,9 +938,52 @@ def test_closed_stdout_exits_2_without_a_traceback(tmp_path):
     assert err == b""
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_help_to_a_closed_stdout_exits_2_without_a_traceback(argv):
+    """The help text is still buffered when argparse exits, so the pipe
+    is found closed only by the last flush of the process."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "biheyt.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=_subprocess_env(), timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, b"")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["verify", "s4", "--points", "0"], 2),
+    (["search", "--formula", "p", "--max-points", "1"], 1),
+    (["space", "check", "DISCRETE"], 0),
+])
+def test_process_exit_loses_no_output(capsys, monkeypatch, tmp_path, argv, code):
+    """`python -m biheyt.cli` ends with os._exit: its exit code, stdout
+    and stderr are those of main in this process, byte for byte."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    argv = [_discrete_space_file(tmp_path) if a == "DISCRETE" else a for a in argv]
+    try:
+        in_process = main(argv)
+    except SystemExit as exc:
+        in_process = exc.code
+    captured = capsys.readouterr()
+    proc = subprocess.run([sys.executable, "-m", "biheyt.cli", *argv],
+                          capture_output=True, env=_subprocess_env(), timeout=60)
+    assert in_process == proc.returncode == code
+    assert proc.stdout == captured.out.encode()
+    assert proc.stderr == captured.err.encode()
+    if argv[0] == "space":
+        assert proc.stdout.count(b"\n") == 32_770
+    if code == 2:
+        assert b"error: argument --points: 0 gives an empty range" in proc.stderr
+
+
 def test_cli_import_loads_no_source_inspection_modules():
-    """`import dataclasses` pulls in inspect, ast, dis and tokenize, which
-    every short run would pay for at start-up."""
+    """`import dataclasses` pulls in inspect, ast, dis and tokenize, and
+    only --format json needs `json`; every short run would otherwise pay
+    for them at start-up."""
     script = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -943,4 +995,4 @@ def test_cli_import_loads_no_source_inspection_modules():
     assert proc.returncode == 0, proc.stderr
     added = set(proc.stdout.split())
     assert "biheyt.cli" in added
-    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "json"}
