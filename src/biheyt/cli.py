@@ -552,8 +552,19 @@ def _subset_arg(raw: str, points: int) -> int:
 # --- parser ----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse ignores an OSError from writing help or usage; a closed
+    stdout is let through, so it exits 2 like any other command."""
+
+    def _print_message(self, message, file=None):
+        if file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="biheyt",
         description="finite Heyting/co-Heyting algebras, Stone spectra, "
                     "and S4 model checking",
@@ -678,12 +689,12 @@ def run() -> None:
     `os._exit` skips module teardown and the final collection; the CLI
     has no atexit hooks and no open files left by then."""
     try:
-        code = main()
-    except SystemExit as exit_:
-        code = exit_.code or 0
-    try:
-        sys.stdout.flush()  # `--help` text is still buffered here
-    except BrokenPipeError:
+        try:
+            code = main()
+        except SystemExit as exit_:
+            code = exit_.code or 0
+        sys.stdout.flush()  # block-buffered, `--help` text is still here
+    except BrokenPipeError:  # from that flush, or from argparse unbuffered
         code = _stdout_closed()
     sys.stderr.flush()
     os._exit(code)

@@ -8,15 +8,16 @@ to the source's, and two-valued homs from the principal filters; every
 candidate is still verified. Congruences are equivalence relations
 compatible with meet and join; quotients rebuild the block lattice from
 scratch and cross-check it against the projected tables, which catches
-any relation that merely pretends to be a congruence.
-Ideals are the filters of the order dual (lattice.dualize).
+any relation that merely pretends to be a congruence. A filter is
+checked through its generator, the meet of its members, and ideals are
+the filters of the order dual (lattice.dualize).
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .bitsets import iter_bits, pullback, subset_key
 from .errors import (
@@ -32,26 +33,13 @@ from .lattice import FiniteLattice, _lattice_from_rows, chain, dualize
 MAX_HOM_SIZE = 7
 
 
-class FilterOrIdeal:
+class FilterOrIdeal(NamedTuple):
     """A nonempty proper filter (up-closed, meet-closed) or ideal
     (down-closed, join-closed). members is an element bitmask."""
 
-    def __init__(self, lattice: FiniteLattice, members: int, kind: str):
-        self.lattice = lattice
-        self.members = members
-        self.kind = kind
-
-    def __eq__(self, other):
-        if not isinstance(other, FilterOrIdeal):
-            return NotImplemented
-        return (
-            self.lattice == other.lattice
-            and self.members == other.members
-            and self.kind == other.kind
-        )
-
-    def __hash__(self):
-        return hash((self.lattice, self.members, self.kind))
+    lattice: FiniteLattice
+    members: int
+    kind: str
 
     def __repr__(self):
         return f"FilterOrIdeal(kind={self.kind!r}, members={sorted(iter_bits(self.members))})"
@@ -61,17 +49,13 @@ class FilterOrIdeal:
 
 
 def _is_filter_mask(lat: FiniteLattice, members: int) -> bool:
-    full = (1 << lat.n) - 1
-    if members == 0 or members == full:
-        return False
+    """Whether members is a proper nonempty filter, read off its
+    generator: a finite filter is principal, F = ↑(⋀F), and it is
+    proper exactly when ⋀F ≠ ⊥. The empty mask fails, as ↑⊤ ≠ ∅."""
+    meet, g = lat.meet, lat.top
     for a in iter_bits(members):
-        if lat.up[a] & ~members:
-            return False
-    for a in iter_bits(members):
-        for b in iter_bits(members):
-            if not (members >> lat.meet[a][b]) & 1:
-                return False
-    return True
+        g = meet[g][a]
+    return g != lat.bottom and lat.up[g] == members
 
 
 def _is_ideal_mask(lat: FiniteLattice, members: int) -> bool:
@@ -135,6 +119,10 @@ def ideals(lat: FiniteLattice) -> list[FilterOrIdeal]:
 
 
 class LatticeHom:
+    """A verified hom, map[a] the image of element a. Not a NamedTuple:
+    == and hash ignore the flavor, any map sequence is stored as a
+    tuple, and surjective is memoised."""
+
     def __init__(self, source, target, map, flavor):
         self.source = source
         self.target = target
@@ -287,33 +275,27 @@ def two_valued_homs(lat: FiniteLattice) -> list[LatticeHom]:
     return out
 
 
-class Congruence:
+class Congruence(NamedTuple):
     """A partition of the carrier compatible with meet and join. Blocks
-    are bitmasks sorted by least member; block_of maps elements to
-    block indices."""
+    are bitmasks sorted by least member."""
 
-    def __init__(self, lattice: FiniteLattice, blocks: tuple[int, ...]):
-        self.lattice = lattice
-        self.blocks = blocks
-        block_of = [0] * lattice.n
-        for k, blk in enumerate(blocks):
-            for a in iter_bits(blk):
-                block_of[a] = k
-        self.block_of = tuple(block_of)
-
-    def __eq__(self, other):
-        if not isinstance(other, Congruence):
-            return NotImplemented
-        return self.lattice == other.lattice and self.blocks == other.blocks
-
-    def __hash__(self):
-        return hash((self.lattice, self.blocks))
+    lattice: FiniteLattice
+    blocks: tuple[int, ...]
 
     def __repr__(self):
         return f"Congruence(blocks={[sorted(iter_bits(b)) for b in self.blocks]})"
 
+    @property
+    def block_of(self) -> tuple[int, ...]:
+        """block_of[a] is the index of the block holding element a."""
+        block_of = [0] * self.lattice.n
+        for k, blk in enumerate(self.blocks):
+            for a in iter_bits(blk):
+                block_of[a] = k
+        return tuple(block_of)
+
     def related(self, a: int, b: int) -> bool:
-        return self.block_of[a] == self.block_of[b]
+        return any((blk >> a) & (blk >> b) & 1 for blk in self.blocks)
 
 
 def check_congruence(lat: FiniteLattice, blocks) -> Congruence:
@@ -330,13 +312,14 @@ def check_congruence(lat: FiniteLattice, blocks) -> Congruence:
         raise NotACongruence("partition", sorted(iter_bits(~seen & ((1 << lat.n) - 1))))
     masks.sort(key=lambda mask: (mask & -mask).bit_length())
     cong = Congruence(lat, tuple(masks))
+    block_of = cong.block_of
     for op_name, op in (("meet", lat.meet), ("join", lat.join)):
         for blk in masks:
             members = list(iter_bits(blk))
             rep = members[0]
             for a in members[1:]:
                 for c in range(lat.n):
-                    if cong.block_of[op[rep][c]] != cong.block_of[op[a][c]]:
+                    if block_of[op[rep][c]] != block_of[op[a][c]]:
                         raise NotACongruence(op_name, (rep, a, c))
     return cong
 
@@ -422,24 +405,25 @@ def quotient(lat: FiniteLattice, cong: Congruence) -> tuple[FiniteLattice, Latti
     The quotient order is rebuilt from block representatives and its
     tables recomputed, then every projected meet/join is cross-checked
     against the recomputed tables."""
+    block_of = cong.block_of
     reps = [(blk & -blk).bit_length() - 1 for blk in cong.blocks]
     k = len(reps)
     up = []
     for i in range(k):
         row = 0
         for j in range(k):
-            if cong.block_of[lat.join[reps[i]][reps[j]]] == j:
+            if block_of[lat.join[reps[i]][reps[j]]] == j:
                 row |= 1 << j
         up.append(row)
     q = _lattice_from_rows(up)
     for a in range(lat.n):
         for b in range(lat.n):
-            ba, bb = cong.block_of[a], cong.block_of[b]
-            if cong.block_of[lat.meet[a][b]] != q.meet[ba][bb]:
+            ba, bb = block_of[a], block_of[b]
+            if block_of[lat.meet[a][b]] != q.meet[ba][bb]:
                 raise NotACongruence("meet", (a, b))
-            if cong.block_of[lat.join[a][b]] != q.join[ba][bb]:
+            if block_of[lat.join[a][b]] != q.join[ba][bb]:
                 raise NotACongruence("join", (a, b))
-    proj = check_hom(cong.block_of, lat, q, "lattice")
+    proj = check_hom(block_of, lat, q, "lattice")
     assert proj.surjective
     return q, proj
 

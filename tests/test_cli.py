@@ -938,16 +938,25 @@ def test_closed_stdout_exits_2_without_a_traceback(tmp_path):
     assert err == b""
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
-def test_help_to_a_closed_stdout_exits_2_without_a_traceback(argv):
-    """The help text is still buffered when argparse exits, so the pipe
-    is found closed only by the last flush of the process."""
+@pytest.mark.parametrize("argv, unbuffered", [
+    pytest.param(["--help"], None, id="argv0"),
+    pytest.param(["verify", "--help"], None, id="argv1"),
+    pytest.param(["--help"], "1", id="argv0-unbuffered"),
+    pytest.param(["verify", "--help"], "1", id="argv1-unbuffered"),
+])
+def test_help_to_a_closed_stdout_exits_2_without_a_traceback(argv, unbuffered):
+    """Block-buffered, the help text is still buffered when argparse
+    exits, so the pipe is found closed only by the last flush of the
+    process; with PYTHONUNBUFFERED=1 argparse's own write fails."""
+    env = _subprocess_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run([sys.executable, "-m", "biheyt.cli", *argv],
                               stdout=write_end, stderr=subprocess.PIPE,
-                              env=_subprocess_env(), timeout=60)
+                              env=env, timeout=60)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (2, b"")

@@ -22,6 +22,7 @@ from biheyt import (
     make_ideal,
     preimage_of_top,
     prime_filters,
+    principal_filter,
     principal_ideal,
     projection_implication_mismatches,
     quotient,
@@ -29,7 +30,14 @@ from biheyt import (
 )
 from biheyt.bitsets import iter_bits, subset_key
 from biheyt.lattice import build_lattice, enumerate_distributive_lattices
-from biheyt.quotient import LatticeHom, _is_filter_mask, _is_ideal_mask, is_hom
+from biheyt.quotient import (
+    Congruence,
+    FilterOrIdeal,
+    LatticeHom,
+    _is_filter_mask,
+    _is_ideal_mask,
+    is_hom,
+)
 
 
 def subsets_of(n):
@@ -53,6 +61,12 @@ def filter_oracle(lat):
         if up_closed and meet_closed:
             out.append(members)
     return out
+
+
+@pytest.fixture(scope="module")
+def n5_pentagon():
+    """0 < 1 < 2 < 4 and 0 < 3 < 4."""
+    return build_lattice(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
 
 
 # -- filters and ideals --------------------------------------------------------
@@ -93,6 +107,21 @@ def _is_ideal_by_definition(lat, s):
     return down_closed and join_closed
 
 
+def _is_filter_by_scan(lat, members):
+    """The pairwise scan _is_filter_mask replaced: proper, nonempty,
+    up-closed, and holding the meet of every two members."""
+    if members == 0 or members == (1 << lat.n) - 1:
+        return False
+    for a in iter_bits(members):
+        if lat.up[a] & ~members:
+            return False
+    for a in iter_bits(members):
+        for b in iter_bits(members):
+            if not (members >> lat.meet[a][b]) & 1:
+                return False
+    return True
+
+
 def test_principal_filters_and_ideals_match_subset_scan(m3_diamond):
     """filters/ideals read off the principal ones; the reference scans
     all 2^n member masks, in the same canonical order. The ideals come
@@ -104,11 +133,64 @@ def test_principal_filters_and_ideals_match_subset_scan(m3_diamond):
     for lat in [*enumerate_distributive_lattices(8), m3_diamond]:
         scan = sorted(all_subsets(lat.n), key=subset_key)
         assert [f.members for f in filters(lat)] == [
-            s for s in scan if _is_filter_mask(lat, s)
+            s for s in scan if _is_filter_by_scan(lat, s)
         ]
         by_definition = [s for s in scan if _is_ideal_by_definition(lat, s)]
         assert [i.members for i in ideals(lat)] == by_definition
         assert [s for s in scan if _is_ideal_mask(lat, s)] == by_definition
+
+
+def test_filter_masks_read_off_the_generator_match_the_pairwise_scan(
+    lattices_7, m3_diamond, n5_pentagon
+):
+    """_is_filter_mask tests F = ↑(⋀F) and ⋀F ≠ ⊥; _is_ideal_mask runs it
+    on the order dual. Every mask of every distributive lattice with at
+    most 7 elements, of M3 and of N5 is compared with the scan and with
+    the definition of an ideal."""
+    checked = 0
+    for lat in [*lattices_7, m3_diamond, n5_pentagon]:
+        for s in range(1 << lat.n):
+            assert _is_filter_mask(lat, s) == _is_filter_by_scan(lat, s)
+            assert _is_ideal_mask(lat, s) == _is_ideal_by_definition(lat, s)
+            checked += 1
+    assert checked == 1550
+
+
+@pytest.mark.parametrize("make, members, message", [
+    (make_filter, 0, "[] is not a proper nonempty filter"),
+    (make_filter, 0b11111, "[0, 1, 2, 3, 4] is not a proper nonempty filter"),
+    (make_filter, [2, 3, 4], "[2, 3, 4] is not a proper nonempty filter"),  # 2∧3 = 0
+    (make_filter, [1, 4], "[1, 4] is not a proper nonempty filter"),  # 1 ≤ 2
+    (make_ideal, 0, "[] is not a proper nonempty ideal"),
+    (make_ideal, 0b11111, "[0, 1, 2, 3, 4] is not a proper nonempty ideal"),
+    (make_ideal, [0, 1, 3], "[0, 1, 3] is not a proper nonempty ideal"),  # 1∨3 = 4
+    (make_ideal, [0, 2], "[0, 2] is not a proper nonempty ideal"),  # 1 ≤ 2
+    (principal_filter, 0, "[0, 1, 2, 3, 4] is not a proper nonempty filter"),
+    (principal_ideal, 4, "[0, 1, 2, 3, 4] is not a proper nonempty ideal"),
+])
+def test_filter_and_ideal_refusals_name_the_mask(n5_pentagon, make, members, message):
+    with pytest.raises(WrongKind) as exc:
+        make(n5_pentagon, members)
+    assert str(exc.value) == message
+
+
+def test_filter_ideal_and_congruence_records(chain3, boolean4):
+    """Constructors, equality, hashing and reprs of the two records."""
+    f = make_filter(chain3, [1, 2])
+    i = make_ideal(chain3, [0, 1])
+    assert repr(f) == "FilterOrIdeal(kind='filter', members=[1, 2])"
+    assert repr(i) == "FilterOrIdeal(kind='ideal', members=[0, 1])"
+    assert (f.lattice, f.members, f.kind) == (chain3, 0b110, "filter")
+    assert f == FilterOrIdeal(chain3, 0b110, "filter") != i
+    assert hash(f) == hash((chain3, f.members, "filter"))
+    assert 1 in f and 0 not in f
+    cong = congruence_from_filter(boolean4, make_filter(boolean4, [1, 3]))
+    assert repr(cong) == "Congruence(blocks=[[0, 2], [1, 3]])"
+    assert cong == Congruence(boolean4, (0b0101, 0b1010))
+    assert cong == check_congruence(boolean4, cong.blocks)
+    assert hash(cong) == hash((boolean4, (0b0101, 0b1010)))
+    assert cong.block_of == (0, 1, 0, 1)
+    assert cong.related(0, 2) and not cong.related(0, 1)
 
 
 def test_make_filter_rejects_junk(chain3):
