@@ -653,6 +653,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code (2 if stdout's reader has
+    gone). The process and its file descriptors stay the caller's."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     for name, value in vars(args).items():
@@ -672,31 +674,30 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except BrokenPipeError:
-        return _stdout_closed()
-
-
-def _stdout_closed() -> int:
-    """The reader closed stdout: what is still buffered goes to devnull,
-    so no later flush can raise again."""
-    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return 2
+        return 2
 
 
 def run() -> None:
     """The process entry point (`python -m biheyt.cli`, the installed
-    `biheyt`): exits with the code of `main`, or of argparse's SystemExit
-    for `--help` and usage errors, once stdout and stderr are flushed.
-    `os._exit` skips module teardown and the final collection; the CLI
-    has no atexit hooks and no open files left by then."""
+    `biheyt`), and the one place that ends the process: the exit code is
+    that of `main`, of argparse's SystemExit for `--help` and usage
+    errors, or 2 when argparse's unbuffered help write finds stdout
+    closed. Then stdout and stderr are flushed; a stream whose reader has
+    gone is pointed at devnull and makes the exit code 2. `os._exit`
+    skips module teardown and the final collection; the CLI has no
+    atexit hooks and no open files left by then."""
     try:
+        code = main()
+    except SystemExit as exit_:
+        code = exit_.code or 0
+    except BrokenPipeError:
+        code = 2
+    for stream in (sys.stdout, sys.stderr):
         try:
-            code = main()
-        except SystemExit as exit_:
-            code = exit_.code or 0
-        sys.stdout.flush()  # block-buffered, `--help` text is still here
-    except BrokenPipeError:  # from that flush, or from argparse unbuffered
-        code = _stdout_closed()
-    sys.stderr.flush()
+            stream.flush()
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+            code = 2
     os._exit(code)
 
 

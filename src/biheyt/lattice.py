@@ -274,11 +274,6 @@ def _downsets(up_rows: Sequence[int]) -> set[int]:
     return unions(down)
 
 
-def _lex_min_rows(up_rows: Sequence[int]) -> tuple[int, ...]:
-    """Canonical form of a poset: its least row tuple over all labellings."""
-    return _lex_min_form(up_rows)[0]
-
-
 def _lex_min_form(
     up_rows: Sequence[int], sizes: Sequence[int] = ()
 ) -> tuple[tuple[int, ...], int]:
@@ -368,6 +363,6 @@ def enumerate_distributive_lattices(max_size: int) -> list[FiniteLattice]:
             for kept in downs:
                 above = ((1 << k) - 1) & ~kept
                 if len(downs) + sum(1 for d in downs if not d & above) <= max_size:
-                    grown.add(_lex_min_rows(rows + ((1 << k) | above,)))
+                    grown.add(_lex_min_form(rows + ((1 << k) | above,))[0])
         level = sorted(grown)
     return out

@@ -29,18 +29,18 @@ from biheyt.modal import (
     classify_frame,
     enumerate_frames,
 )
-from biheyt.lattice import _lex_min_rows
+from biheyt.lattice import _lex_min_form
 from biheyt.topology import closed_lattice, enumerate_preorders, from_preorder, open_lattice
 
 
 def t0_class(space):
     """Canonical form of the space's T0 quotient: points with the same
     smallest open neighbourhood merge, and the specialization order of
-    the classes goes through lattice._lex_min_rows. Spaces with equal
+    the classes goes through lattice._lex_min_form. Spaces with equal
     keys have isomorphic open lattices and isomorphic closed lattices."""
     rows = space.min_open
     index = {row: i for i, row in enumerate(sorted(set(rows)))}
-    return _lex_min_rows([mask_of(index[rows[y]] for y in iter_bits(row)) for row in index])
+    return _lex_min_form([mask_of(index[rows[y]] for y in iter_bits(row)) for row in index])[0]
 
 
 def reference_search(phi, max_points, mode="space", semantics="classical",

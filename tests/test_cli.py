@@ -545,6 +545,35 @@ def test_search_exit_codes(capsys):
     assert "no countermodel" in out
 
 
+def rieger_nishimura(n):
+    """R0 = p, R1 = !p, R(2k+2) = R(2k) | R(2k+1), R(2k+3) = R(2k+2) -> R(2k)."""
+    ladder = ["p", "!p"]
+    while len(ladder) <= n:
+        k = len(ladder)
+        if k % 2 == 0:
+            ladder.append(f"({ladder[k - 2]}) | ({ladder[k - 1]})")
+        else:
+            ladder.append(f"({ladder[k - 1]}) -> ({ladder[k - 3]})")
+    return ladder[n]
+
+
+@pytest.mark.parametrize("n, want", [
+    (0, "space m=1\nopen\nopen 0\nval p: \nfalsified at 0\n"),
+    (2, "space m=2\nopen 00\nopen 10\nopen 11\nval p: 0\nfalsified at 1\n"),
+    (4, "space m=3\nopen 000\nopen 100\nopen 010\nopen 110\nopen 111\n"
+        "val p: 0\nfalsified at 2\n"),
+    (6, "space m=4\nopen 0000\nopen 1000\nopen 0100\nopen 1100\nopen 1010\n"
+        "open 1110\nopen 1111\nval p: 0\nfalsified at 3\n"),
+    (8, "no countermodel within 4 points\n"),
+])
+def test_rieger_nishimura_ladder_is_refuted_first_at_its_rung(capsys, n, want):
+    """R(2N-2) holds on every space of fewer than N points and fails on one
+    of N points; the first witness is the T0 route's first failing space."""
+    code, out, _ = run(capsys, "search", "--formula", rieger_nishimura(n),
+                       "--semantics", "intuitionistic", "--max-points", "4")
+    assert (code, out) == (1 if n < 8 else 0, want)
+
+
 def test_modal_search_alias_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["modal", "search", "--formula", "p"])
@@ -960,6 +989,45 @@ def test_help_to_a_closed_stdout_exits_2_without_a_traceback(argv, unbuffered):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (2, b"")
+
+
+EXIT_CONTRACT_COMMANDS = [
+    # argv, exit code with stderr closed
+    (["--help"], 0),
+    (["nope"], 2),
+    (["verify", "s4", "--points", "0"], 2),
+    (["lattice", "check", "."], 2),
+    (["space", "check", "DISCRETE"], 0),
+    (["search", "--formula", "!!p -> p", "--semantics", "intuitionistic",
+      "--max-points", "2"], 1),
+    (["verify", "stone", "--max-size", "3"], 0),
+]
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("closed", ["stdout", "stderr"])
+@pytest.mark.parametrize("argv, stderr_closed_code", EXIT_CONTRACT_COMMANDS,
+                         ids=lambda v: "-".join(v)[:24] if isinstance(v, list) else None)
+def test_exit_code_contract_with_a_closed_stream(tmp_path, argv, stderr_closed_code,
+                                                 closed, unbuffered):
+    """A pre-closed pipe as stdout makes every command exit 2; as stderr
+    it changes no exit code: the verdict stays, and an error whose message
+    cannot be written still exits 2 (not 120, from a failed flush at
+    interpreter exit)."""
+    argv = [_discrete_space_file(tmp_path) if a == "DISCRETE" else a for a in argv]
+    env = _subprocess_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, closed: write_end}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "biheyt.cli", *argv],
+                              env=env, timeout=60, **streams)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == (2 if closed == "stdout" else stderr_closed_code)
+    assert b"Traceback" not in (proc.stderr or b"")
 
 
 @pytest.mark.parametrize("argv, code", [

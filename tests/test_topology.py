@@ -311,12 +311,15 @@ def test_bound_exceeded(monkeypatch):
 
 
 def test_class_counts_follow_oeis(monkeypatch):
-    """A001930 classes, A000112 T0 classes, A000798 labelled spaces."""
+    """A001930 classes, A000112 T0 classes, A000798 labelled spaces on
+    1..7 points; past MAX_SUITE_POINTS through the uncapped enumerator."""
     classes = [space_classes(m) for m in range(1, 6)]
-    assert [len(cs) for cs in classes] == [1, 3, 9, 33, 139]
+    classes += [topology._space_classes(m) for m in (6, 7)]
+    assert [len(cs) for cs in classes] == [1, 3, 9, 33, 139, 718, 4535]
     assert [sum(len(c.skeleton) == m for c in cs)
-            for m, cs in enumerate(classes, 1)] == [1, 2, 5, 16, 63]
-    assert [sum(c.orbit for c in cs) for cs in classes] == [1, 4, 29, 355, 6942]
+            for m, cs in enumerate(classes, 1)] == [1, 2, 5, 16, 63, 318, 2045]
+    assert [sum(c.orbit for c in cs) for cs in classes] == [
+        1, 4, 29, 355, 6942, 209_527, 9_535_241]
     monkeypatch.setattr(topology, "MAX_SUITE_POINTS", 6)
     assert len(space_classes(6)) == 718
 
