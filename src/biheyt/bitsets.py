@@ -39,14 +39,22 @@ def pullback(f, mask: int) -> int:
     return pre
 
 
+def transpose(rows: Iterable[int], width: int) -> list[int]:
+    """The transposed bit matrix: column j is the mask of every i with
+    bit j set in rows[i]. width bounds the set bits of every row."""
+    cols = [0] * width
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        while row:  # iter_bits inlined: the enumerators call this per poset
+            low = row & -row
+            cols[low.bit_length() - 1] |= bit
+            row ^= low
+    return cols
+
+
 def subset_key(mask: int) -> tuple[int, int]:
     """Canonical sort key: size first, then raw bit pattern."""
     return (mask.bit_count(), mask)
-
-
-def all_subsets(n: int) -> range:
-    """All subsets of an n-element ground set, as masks 0..2^n-1."""
-    return range(1 << n)
 
 
 def unions(rows: Iterable[int]) -> set[int]:

@@ -21,7 +21,6 @@ import sys
 from itertools import repeat
 
 from .bitsets import bit_list, pattern
-from .catalog import NAMES
 from .duallogic import (
     check_boundary_laws,
     check_dual_de_morgan,
@@ -66,6 +65,7 @@ from .topology import (
     space_classes,
 )
 from .textfmt import (
+    BUILTINS,
     format_lattice_text,
     format_space_text,
     load_structure,
@@ -434,7 +434,7 @@ def _cmd_modal_valid(args, out: _Output) -> int:
     structure = load_structure(args.model)
     model = _need(structure, KripkeModel, "model")
     phi = parse_formula(args.formula)
-    if args.alphabet:
+    if args.alphabet is not None:
         names = args.alphabet.replace(",", " ").split()
         verdict = valid_in_frame(model.frame, phi, names)
         kind = "frame"
@@ -642,7 +642,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="algebra-valued formula evaluation")
     p.add_argument("--algebra", required=True,
-                   help=f"lattice/space file or one of {', '.join(NAMES)}")
+                   help=f"lattice/space file or one of {', '.join(BUILTINS)}")
     p.add_argument("--formula", required=True)
     p.add_argument("--assign", action="append", metavar="ATOM=VALUE")
     p.add_argument("--semantics", choices=("auto", "intuitionistic", "dual"),

@@ -27,7 +27,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .bitsets import closed_relation, iter_bits, subset_key, unions
+from .bitsets import closed_relation, iter_bits, subset_key, transpose, unions
 from .errors import (
     BoundExceeded,
     NotALattice,
@@ -154,11 +154,7 @@ def _lattice_from_rows(up: Sequence[int], subsets=None) -> FiniteLattice:
                 raise NotAPartialOrder(i, j)
             if up[j] & ~up[i]:
                 raise ValueError("order rows are not transitively closed")
-    down = [0] * n
-    for i in range(n):
-        for j in iter_bits(up[i]):
-            down[j] |= 1 << i
-
+    down = transpose(up, n)
     up_index = {up[i]: i for i in range(n)}
     down_index = {down[i]: i for i in range(n)}
     join = []
@@ -267,11 +263,7 @@ MAX_ENUMERATION_SIZE = 12
 def _downsets(up_rows: Sequence[int]) -> set[int]:
     """All down-closed subsets of the poset with rows up[i] = {j | i <= j}:
     the unions of its principal down-sets."""
-    down = [0] * len(up_rows)
-    for i, row in enumerate(up_rows):
-        for j in iter_bits(row):
-            down[j] |= 1 << i
-    return unions(down)
+    return unions(transpose(up_rows, len(up_rows)))
 
 
 def _lex_min_form(
@@ -342,8 +334,7 @@ def enumerate_distributive_lattices(max_size: int) -> list[FiniteLattice]:
     count, and children are deduplicated by their least row tuple over
     all labellings. Lattices come out by k, and within k by that tuple,
     which is the order in which a scan of all labelled posets in
-    lexicographic row order first meets each class. On max_size-1 points
-    only the chain fits; it is labelled bottom-up, 0 < 1 < ... .
+    lexicographic row order first meets each class.
 
     Raises BoundExceeded above MAX_ENUMERATION_SIZE.
     """
@@ -354,8 +345,6 @@ def enumerate_distributive_lattices(max_size: int) -> list[FiniteLattice]:
     out = []
     level: list[tuple[int, ...]] = [()]
     for k in range(max_size):
-        if k == max_size - 1 and k >= 1:
-            level = [tuple(((1 << k) - 1) & ~((1 << i) - 1) for i in range(k))]
         grown = set()
         for rows in level:
             downs = _downsets(rows)

@@ -65,7 +65,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .bitsets import iter_bits
+from .bitsets import iter_bits, transpose
 from .errors import BoundExceeded, UnboundAtom, UnknownOption, UnsupportedConnective
 from .formulas import KRIPKE, Formula, atom, box, compile_formula, dia, neg, parse_formula
 from .duallogic import algebra_evaluator
@@ -313,10 +313,7 @@ def _sweep(structure) -> tuple:
 
         return structure.worlds, box
     opens = [list(iter_bits(o)) for o in structure.opens]
-    around = [
-        [i for i, o in enumerate(structure.opens) if (o >> x) & 1]
-        for x in range(structure.points)
-    ]
+    around = [list(iter_bits(col)) for col in transpose(structure.opens, structure.points)]
 
     def box(vec, full):
         inside = [_meet(vec, o, full) for o in opens]

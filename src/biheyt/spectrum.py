@@ -19,9 +19,9 @@ checks compositions on the point maps.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
-from .bitsets import iter_bits, pullback
+from .bitsets import iter_bits, pullback, transpose
 from .errors import BoundExceeded, WrongKind
 from . import lattice
 from .lattice import FiniteLattice
@@ -69,13 +69,7 @@ def spectrum(lat: FiniteLattice) -> SpectralSpace:
     if lat.n > lattice.MAX_ENUMERATION_SIZE:
         raise BoundExceeded("lattice size", lat.n, lattice.MAX_ENUMERATION_SIZE)
     pts = tuple(f.members for f in prime_filters(lat))
-    beta = []
-    for h in range(lat.n):
-        mask = 0
-        for k, p in enumerate(pts):
-            if (p >> h) & 1:
-                mask |= 1 << k
-        beta.append(mask)
+    beta = transpose(pts, lat.n)
     space = generate_from_basis(len(pts), beta)
     return SpectralSpace(lat, pts, space, tuple(beta))
 
@@ -140,30 +134,27 @@ class InducedMap(NamedTuple):
 
 
 def induced_map(
-    phi: LatticeHom,
-    source_spec: Optional[SpectralSpace] = None,
-    target_spec: Optional[SpectralSpace] = None,
+    phi: LatticeHom, source_spec: SpectralSpace, target_spec: SpectralSpace
 ) -> InducedMap:
-    """Send a prime filter P of the target to φ⁻¹(P), looked up among
-    the points of the source spectrum; verify the map is continuous and
-    that the preimage of β(h) is β(φ(h)) for every h."""
-    H, K = phi.source, phi.target
-    sh = source_spec if source_spec is not None else spectrum(H)
-    sk = target_spec if target_spec is not None else spectrum(K)
-    index = {p: i for i, p in enumerate(sh.points)}
+    """Send a prime filter P of φ's target to φ⁻¹(P), looked up among
+    the points of source_spec, the spectrum of φ's source; target_spec
+    is the spectrum of φ's target. Verify the map is continuous and that
+    the preimage of β(h) is β(φ(h)) for every h."""
+    index = {p: i for i, p in enumerate(source_spec.points)}
     point_map = []
-    for p in sk.points:
+    for p in target_spec.points:
         pre = pullback(phi.map, p)
         if pre not in index:
             raise WrongKind("preimage of a prime filter is not a point of the source spectrum")
         point_map.append(index[pre])
     point_map = tuple(point_map)
-    target_opens = set(sk.space.opens)
-    continuous = all(pullback(point_map, o) in target_opens for o in sh.space.opens)
+    target_opens = set(target_spec.space.opens)
+    continuous = all(pullback(point_map, o) in target_opens for o in source_spec.space.opens)
     identity_ok = all(
-        pullback(point_map, sh.beta[h]) == sk.beta[phi.map[h]] for h in range(H.n)
+        pullback(point_map, source_spec.beta[h]) == target_spec.beta[phi.map[h]]
+        for h in range(phi.source.n)
     )
-    return InducedMap(phi, sh, sk, point_map, continuous, identity_ok)
+    return InducedMap(phi, source_spec, target_spec, point_map, continuous, identity_ok)
 
 
 def open_map_criterion(
@@ -172,7 +163,10 @@ def open_map_criterion(
     """Classify a point map: continuity (preimages of opens are open),
     openness (images of opens are open), and whether U ↦ f⁻¹(U)
     preserves implication between the open-set algebras. Also reports
-    whether the last agrees with (continuous and open)."""
+    whether the last agrees with (continuous and open). They agree
+    whenever both spaces are T0; without T0 they need not (the one-point
+    space into the indiscrete two-point space is continuous, not open,
+    and still induces a Heyting hom)."""
     f = tuple(f)
     if len(f) != source.points or any(not 0 <= y < target.points for y in f):
         raise ValueError("map is not total on the points")

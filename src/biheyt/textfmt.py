@@ -12,8 +12,18 @@ Frame/model files:  `frame n=<N>`, `edge <i> <j>` lines, and
                     `val <atom>: <worlds...>` lines, at most one per atom.
 
 Blank lines and `#` comments are ignored everywhere. load_structure
-dispatches on the header keyword and accepts the built-in names from
-the catalog in place of a path.
+dispatches on the header keyword and accepts, in place of a path, the
+name of a built-in structure, so the regression commands need no
+fixture files:
+
+    chain3      the three-element chain 0 < 1 < 2
+    threepoint  the space on {0,1,2} with opens ∅, {0}, {0,1}, X —
+                the smallest space where ¬¬A = A fails (A = {0,1})
+    sierpinski  two points, opens ∅, {0}, X (0 open, 1 closed)
+    example1    reflexive-transitive 3-world model, V(p) = {w1};
+                satisfies ◇p ∧ ◇¬p at w0
+    example2    3-world model with R = {(0,1),(0,2),(1,1),(2,2)},
+                V(p) = {w1}, V(q) = {w2}
 """
 
 from __future__ import annotations
@@ -22,10 +32,9 @@ import os
 from typing import Union
 
 from .bitsets import bit_list, closed_relation, from_pattern, mask_of, pattern
-from .catalog import builtin
 from .errors import ParseError
-from .lattice import FiniteLattice, build_lattice, cover_pairs
-from .modal import KripkeFrame, KripkeModel
+from .lattice import FiniteLattice, build_lattice, chain, cover_pairs
+from .modal import KripkeFrame, KripkeModel, worked_examples
 from .topology import FiniteSpace, Preorder, from_preorder, validate_topology
 
 Structure = Union[FiniteLattice, FiniteSpace, KripkeModel]
@@ -181,12 +190,21 @@ def format_model_text(model: KripkeModel) -> str:
     return "\n".join(lines) + "\n"
 
 
+# name -> builder of each built-in structure, in the order help text lists them
+BUILTINS = {
+    "chain3": lambda: chain(3),
+    "threepoint": lambda: validate_topology(3, [0b000, 0b001, 0b011, 0b111]),
+    "sierpinski": lambda: validate_topology(2, [0b00, 0b01, 0b11]),
+    "example1": lambda: worked_examples()[0],
+    "example2": lambda: worked_examples()[1],
+}
+
+
 def load_structure(path_or_name: str) -> Structure:
     """Parse a structure file, dispatching on its header keyword; the
     built-in names resolve without touching the filesystem."""
-    named = builtin(path_or_name)
-    if named is not None:
-        return named
+    if path_or_name in BUILTINS:
+        return BUILTINS[path_or_name]()
     if not os.path.exists(path_or_name):
         raise ParseError(None, f"no such file or built-in structure: {path_or_name!r}")
     try:

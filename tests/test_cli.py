@@ -9,9 +9,9 @@ import pytest
 
 from biheyt import kripke_eval, parse_formula, topo_eval, topology
 from biheyt.bitsets import mask_of, pattern
-from biheyt.catalog import builtin
 from biheyt.cli import main
 from biheyt.formulas import compile_formula
+from biheyt.textfmt import load_structure
 from reference_labelled import reference_verify_dual_laws, reference_verify_s4
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -531,6 +531,19 @@ def test_modal_invalid(capsys):
     assert "invalid" in out
 
 
+def test_modal_valid_empty_alphabet_is_frame_validity_over_no_atoms(capsys):
+    """--alphabet '' names no atoms, like --alphabet ','; it does not fall
+    back to validity in the model, whose valuation binds p."""
+    code, out, err = run(
+        capsys, "modal", "valid", "--model", "example1", "--formula", "p", "--alphabet", ""
+    )
+    assert (code, out, err) == (2, "", "error: atom 'p' has no assigned value\n")
+    code, out, _ = run(
+        capsys, "modal", "valid", "--model", "example1", "--formula", "T", "--alphabet", ""
+    )
+    assert (code, out) == (0, "frame validity: valid (frame class S4)\n")
+
+
 def test_search_exit_codes(capsys):
     code, out, _ = run(
         capsys, "search", "--formula", "p | !p",
@@ -659,7 +672,7 @@ def test_deep_modal_eval_matches_the_references(capsys, structure, deep, shallow
     formula means the shallow one, which the recursive references
     kripke_eval and topo_eval evaluate."""
     assert sys.getrecursionlimit() < DEEP
-    phi, st = parse_formula(shallow), builtin(structure)
+    phi, st = parse_formula(shallow), load_structure(structure)
     argv = ["modal", "eval", "--model", structure, "--formula", deep]
     if p_points is None:
         truth = [kripke_eval(st, w, phi) for w in range(st.frame.worlds)]

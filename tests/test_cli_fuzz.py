@@ -12,7 +12,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from biheyt.catalog import NAMES  # noqa: E402
+from biheyt.textfmt import BUILTINS  # noqa: E402
 from biheyt.cli import main  # noqa: E402
 
 ATOMS = st.sampled_from(["p", "q", "r"])
@@ -52,7 +52,7 @@ def run_quietly(argv):
 @settings(max_examples=300, deadline=None)
 @given(
     command=st.sampled_from(["modal", "eval"]),
-    structure=st.sampled_from(NAMES),
+    structure=st.sampled_from(tuple(BUILTINS)),
     formula=FORMULA_TEXT,
     assigns=st.lists(ASSIGN_TEXT, max_size=3),
     world=st.none() | WORLD_TEXT,

@@ -24,10 +24,11 @@ from biheyt import (
     validate_topology,
     verify_stone_embedding,
 )
-from biheyt.bitsets import mask_of, pullback
+from biheyt.bitsets import mask_of, pullback, transpose
 from biheyt.cli import main
 from biheyt.lattice import FiniteLattice
 from biheyt.quotient import FilterOrIdeal
+from biheyt.topology import space_classes
 
 
 @pytest.fixture
@@ -130,13 +131,13 @@ def test_verify_stone_catches_a_wrong_implication_table(wrong_implication, capsy
 
 
 def test_identity_induces_identity(chain3):
-    im = induced_map(check_hom([0, 1, 2], chain3, chain3))
+    im = induced_map(check_hom([0, 1, 2], chain3, chain3), spectrum(chain3), spectrum(chain3))
     assert im.point_map == (0, 1)
     assert im.continuous and im.identity_ok
 
 
 def test_collapse_hom_induced_point(chain3):
-    im = induced_map(check_hom([0, 1, 1], chain3, chain(2)))
+    im = induced_map(check_hom([0, 1, 1], chain3, chain(2)), spectrum(chain3), spectrum(chain(2)))
     # oracle: the preimage of {⊤} under m↦⊤ is {m, ⊤}
     assert im.source_spec.points[im.point_map[0]] == 0b110
     assert im.continuous and im.identity_ok
@@ -160,6 +161,19 @@ def test_pullback_matches_its_definition():
         for mask in range(8):
             members = {y for y in range(3) if mask & (1 << y)}
             assert pullback(f, mask) == mask_of(x for x in range(3) if f[x] in members)
+
+
+def test_transpose_matches_its_definition():
+    """Every bit matrix with up to 3 rows of width up to 3."""
+    for width in range(4):
+        for height in range(4):
+            for rows in product(range(1 << width), repeat=height):
+                cols = transpose(rows, width)
+                assert cols == [
+                    mask_of(i for i in range(height) if (rows[i] >> j) & 1)
+                    for j in range(width)
+                ]
+                assert transpose(cols, height) == list(rows)
 
 
 def test_induced_point_missing_from_the_given_spectrum(chain3):
@@ -223,18 +237,45 @@ def test_open_subspace_inclusion(sierpinski):
     assert verdict["induces_heyting_hom"] and verdict["agrees_with_criterion"]
 
 
-def test_criterion_agreement_exhaustive(sierpinski, discrete2, threepoint):
-    spaces = [sierpinski, discrete2, threepoint, validate_topology(1, [0, 1])]
+def _criterion_disagreements(spaces) -> tuple[int, int]:
+    """(maps checked, maps where the criterion disagrees) over every
+    point map from one of the given spaces to one of them."""
+    checked = disagree = 0
     for src in spaces:
         for dst in spaces:
-            for bits in range(dst.points ** src.points):
-                f = []
-                x = bits
-                for _ in range(src.points):
-                    f.append(x % dst.points)
-                    x //= dst.points
-                verdict = open_map_criterion(f, src, dst)
-                assert verdict["agrees_with_criterion"], (src, dst, f, verdict)
+            for f in product(range(dst.points), repeat=src.points):
+                checked += 1
+                disagree += not open_map_criterion(f, src, dst)["agrees_with_criterion"]
+    return checked, disagree
+
+
+def test_criterion_agreement_exhaustive():
+    """On T0 spaces a map induces a Heyting hom exactly when it is
+    continuous and open: every map between the 24 T0 classes on 1..4
+    points (a class stands for all its homeomorphic copies)."""
+    t0 = [c.space for m in range(1, 5) for c in space_classes(m) if len(c.skeleton) == m]
+    assert len(t0) == 24
+    assert _criterion_disagreements(t0) == (79128, 0)
+
+
+def test_criterion_needs_t0():
+    """Over all 13 classes on 1..3 points, T0 or not, 575 maps break it."""
+    spaces = [c.space for m in range(1, 4) for c in space_classes(m)]
+    assert len(spaces) == 13
+    assert _criterion_disagreements(spaces) == (2728, 575)
+
+
+def test_point_into_indiscrete_pair_induces_a_hom_but_is_not_open():
+    """The preimage map of the one-point space into the indiscrete pair
+    sends ∅ and X to ∅ and the point: an isomorphism of two-element
+    algebras, though the image {0} is not open."""
+    point, indiscrete = validate_topology(1, [0b0, 0b1]), validate_topology(2, [0b00, 0b11])
+    assert open_map_criterion([0], point, indiscrete) == {
+        "continuous": True,
+        "open": False,
+        "induces_heyting_hom": True,
+        "agrees_with_criterion": False,
+    }
 
 
 def test_criterion_does_not_read_the_lattice_table(wrong_implication, discrete2, sierpinski):
