@@ -60,6 +60,7 @@ class FiniteLattice:
         self.bottom = bottom
         self.top = top
         self.subsets = subsets
+        self._byte_rows = {}
 
     def leq(self, a: int, b: int) -> bool:
         return bool((self.up[a] >> b) & 1)
@@ -74,6 +75,32 @@ class FiniteLattice:
 
     def __repr__(self):
         return f"FiniteLattice(n={self.n}, covers={cover_pairs(self)})"
+
+    @cached_property
+    def join_irreducibles(self) -> tuple[int, ...]:
+        """Elements other than ⊥ that are not the join of the elements
+        below them, in index order."""
+        out = []
+        for j in range(self.n):
+            acc = self.bottom
+            for x in iter_bits(self.down[j] & ~(1 << j)):
+                acc = self.join[acc][x]
+            if j != self.bottom and acc != j:
+                out.append(j)
+        return tuple(out)
+
+    def byte_rows(self, table: str) -> tuple[bytes, tuple[bytes, ...]]:
+        """The named table (meet, join, implies_table or minus_table) as
+        bytes for bytes.translate, memoized like the tables; needs
+        n ≤ 256. First every row concatenated, so byte a·n + b is
+        table[a][b]; then each row a as a translate table, sending b to
+        table[a][b] and every byte from n up to 0."""
+        rows = self._byte_rows.get(table)
+        if rows is None:
+            plain = tuple(map(bytes, getattr(self, table)))
+            rows = self._byte_rows[table] = (
+                b"".join(plain), tuple(row.ljust(256, b"\0") for row in plain))
+        return rows
 
     @cached_property
     def distributive_failure(self) -> Optional[tuple[int, int, int]]:

@@ -2,13 +2,15 @@
 
 A verified hom preserves bottom, top, meet and join; the 'heyting'
 flavor additionally preserves implication and 'coheyting' preserves
-subtraction. Homs are enumerated through finite Birkhoff duality, one
-candidate per order-preserving map from the target's join-irreducibles
-to the source's, and two-valued homs from the principal filters; every
-candidate is still verified. Congruences are equivalence relations
-compatible with meet and join; quotients rebuild the block lattice from
-scratch and cross-check it against the projected tables, which catches
-any relation that merely pretends to be a congruence. A filter is
+subtraction; each operation table is compared in bulk with
+bytes.translate. Homs are enumerated through finite Birkhoff duality,
+one candidate per order-preserving map from the target's
+join-irreducibles to the source's, built one join-irreducible at a
+time, and two-valued homs from the principal filters; every candidate
+is still verified. Congruences are equivalence relations compatible
+with meet and join; quotients rebuild the block lattice from scratch
+and cross-check it against the projected tables, which catches any
+relation that merely pretends to be a congruence. A filter is
 checked through its generator, the meet of its members, and ideals are
 the filters of the order dual (lattice.dualize).
 """
@@ -16,20 +18,22 @@ the filters of the order dual (lattice.dualize).
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product
 from typing import NamedTuple, Sequence
 
-from .bitsets import iter_bits, pullback, subset_key
+from .bitsets import bit_list, iter_bits, pullback, subset_key, transpose
 from .errors import (
     BoundExceeded,
     NotACongruence,
     NotAHomomorphism,
+    UnknownOption,
     WrongKind,
 )
 from .lattice import FiniteLattice, _lattice_from_rows, chain, dualize
 
-# largest source enumerate_homs accepts; verify functoriality encodes
-# element and point indices as bytes, so this must stay below 256
+# largest source enumerate_homs accepts. verify functoriality keeps
+# elements and points as bytes below 128 and tags a map from lattice i
+# with the byte 128 + i, so both the element count and the number of
+# distributive lattices up to this size (21 at 7) must stay below 128
 MAX_HOM_SIZE = 7
 
 
@@ -152,30 +156,69 @@ class LatticeHom:
         return len(set(self.map)) == self.target.n
 
 
+# the tables each hom flavor preserves; a witness names its table
+# without the "_table"
+_FLAVOR_TABLES = {
+    "lattice": ("meet", "join"),
+    "heyting": ("meet", "join", "implies_table"),
+    "coheyting": ("meet", "join", "minus_table"),
+}
+
+
+def _flavor_tables(flavor) -> tuple[str, ...]:
+    tables = _FLAVOR_TABLES.get(flavor)
+    if tables is None:
+        raise UnknownOption("hom flavor", flavor, tuple(_FLAVOR_TABLES))
+    return tables
+
+
+def _first_row_off(phi: bytes, source, target, table: str):
+    """Writing · for the named table and m for the map whose translate
+    table is phi: the first row a with m(a·b) ≠ m(a)·m(b) for some b, or
+    None. Every m(a·b) is the source's rows, joined, translated by m;
+    m(a)·m(b) for every b is the map translated by the target's row
+    m(a)."""
+    images = phi[:source.n]
+    got = source.byte_rows(table)[0].translate(phi)
+    want = b"".join(map(images.translate, map(target.byte_rows(table)[1].__getitem__, images)))
+    if got == want:
+        return None
+    return next(i for i, (x, y) in enumerate(zip(got, want)) if x != y) // source.n
+
+
 def check_hom(map: Sequence[int], source, target, flavor="lattice") -> LatticeHom:
     """Verify the map preserves ⊥, ⊤, ∧, ∨ (and →/← per flavor);
-    return the hom or raise NotAHomomorphism with the first witness."""
+    return the hom or raise NotAHomomorphism with the first witness, in
+    the order ∧, ∨, then →/←, each row-major over (a, b).
+
+    Each table is compared in bulk by bytes.translate (_first_row_off),
+    and walked pair by pair only from the first row that differs, to
+    find the witness; every pair is walked when a lattice has more than
+    256 elements. An unknown flavor raises UnknownOption before the map
+    is looked at."""
+    names = _flavor_tables(flavor)
     m = tuple(map)
-    if len(m) != source.n:
-        raise NotAHomomorphism("totality", len(m), source.n)
-    if any(not 0 <= v < target.n for v in m):
+    n = source.n
+    if len(m) != n:
+        raise NotAHomomorphism("totality", len(m), n)
+    if min(m) < 0 or max(m) >= target.n:
         raise NotAHomomorphism("range", min(m), max(m))
     if m[source.bottom] != target.bottom:
         raise NotAHomomorphism("bottom", source.bottom, m[source.bottom])
     if m[source.top] != target.top:
         raise NotAHomomorphism("top", source.top, m[source.top])
-    pairs = [("meet", source.meet, target.meet), ("join", source.join, target.join)]
-    if flavor == "heyting":
-        pairs.append(("implies", source.implies_table, target.implies_table))
-    elif flavor == "coheyting":
-        pairs.append(("minus", source.minus_table, target.minus_table))
-    elif flavor != "lattice":
-        raise ValueError(f"unknown flavor {flavor!r}")
-    for name, src_op, dst_op in pairs:
-        for a in range(source.n):
-            for b in range(source.n):
+    tables = [(name, getattr(source, name), getattr(target, name)) for name in names]
+    rowwise = n <= 256 and target.n <= 256
+    if rowwise:
+        phi = bytes(m).ljust(256, b"\0")
+    for name, src_op, dst_op in tables:
+        first = _first_row_off(phi, source, target, name) if rowwise else 0
+        if first is None:
+            continue
+        for a in range(first, n):
+            for b in range(n):
                 if m[src_op[a][b]] != dst_op[m[a]][m[b]]:
-                    raise NotAHomomorphism(name, a, b)
+                    raise NotAHomomorphism(name.removesuffix("_table"), a, b)
     return LatticeHom(source, target, m, flavor)
 
 
@@ -187,18 +230,6 @@ def is_hom(map, source, target, flavor="lattice") -> bool:
         return False
 
 
-def _join_irreducibles(lat: FiniteLattice) -> list[int]:
-    """Elements other than ⊥ that are not the join of the elements below them."""
-    out = []
-    for j in range(lat.n):
-        acc = lat.bottom
-        for x in iter_bits(lat.down[j] & ~(1 << j)):
-            acc = lat.join[acc][x]
-        if j != lat.bottom and acc != j:
-            out.append(j)
-    return out
-
-
 def enumerate_homs(source, target, flavor="lattice") -> list[LatticeHom]:
     """All homs source→target, sorted by map, through finite Birkhoff duality.
 
@@ -206,33 +237,59 @@ def enumerate_homs(source, target, flavor="lattice") -> list[LatticeHom]:
     the join-irreducibles j of the target: φ(a) = ⋁{j | f(j) ≤ a}, and f
     is order-preserving into the source's elements other than ⊥. When the
     target is distributive each j is join-prime, so f(j) is
-    join-irreducible and only those images are tried. Every candidate is
-    verified with check_hom; into a non-distributive target several f
-    can give the same map, which is kept once. The source has at most
-    MAX_HOM_SIZE elements."""
+    join-irreducible and only those images are tried, and φ(a) is read
+    from a table: the element whose join-irreducibles below it are
+    {j | f(j) ≤ a}. The join-irreducibles are assigned one at a time,
+    each image tried in index order and tested only against the earlier
+    points it is comparable with, so the order-preserving f come in the
+    order of product(images, repeat=len(points)) and no other f is
+    built. Every candidate is verified with is_hom; into a
+    non-distributive target several f can give the same map, which is
+    kept once. The source has at most MAX_HOM_SIZE elements."""
+    _flavor_tables(flavor)
     if source.n > MAX_HOM_SIZE:
         raise BoundExceeded("lattice size", source.n, MAX_HOM_SIZE)
-    points = _join_irreducibles(target)
+    points = target.join_irreducibles
     if target.distributive_failure is None:
-        images = _join_irreducibles(source)
+        images = source.join_irreducibles
+        # the column of x is the mask of the points p with points[p] ≤ x
+        columns = transpose([target.up[j] for j in points], target.n)
+        join_of = dict(zip(columns, range(target.n))).__getitem__
     else:
         images = [a for a in range(source.n) if a != source.bottom]
-    below = [(p, q) for p, j in enumerate(points) for q, k in enumerate(points)
-             if p != q and target.leq(j, k)]
-    found = {}
-    for f in product(images, repeat=len(points)):
-        if not all(source.leq(f[p], f[q]) for p, q in below):
-            continue
-        m = []
-        for a in range(source.n):
+
+        def join_of(below: int) -> int:
             acc = target.bottom
-            for j, fj in zip(points, f):
-                if source.leq(fj, a):
-                    acc = target.join[acc][j]
-            m.append(acc)
-        m = tuple(m)
-        if m not in found and is_hom(m, source, target, flavor):
-            found[m] = LatticeHom(source, target, m, flavor)
+            for p in iter_bits(below):
+                acc = target.join[acc][points[p]]
+            return acc
+    k, up, down = len(points), source.up, source.down
+    image_mask = sum(1 << a for a in images)
+    # the earlier points each point lies above, and those it lies below
+    above = [[p for p in range(q) if target.leq(points[p], points[q])] for q in range(k)]
+    beneath = [[p for p in range(q) if target.leq(points[q], points[p])] for q in range(k)]
+    # each entry: the images f of the first points, and below[a], the mask
+    # of those points p with f(p) ≤ a
+    stack = [((), [0] * source.n)]
+    found = {}
+    while stack:
+        f, below = stack.pop()
+        q = len(f)
+        if q == k:
+            m = tuple(map(join_of, below))
+            if m not in found and is_hom(m, source, target, flavor):
+                found[m] = LatticeHom(source, target, m, flavor)
+            continue
+        allowed = image_mask
+        for p in above[q]:
+            allowed &= up[f[p]]
+        for p in beneath[q]:
+            allowed &= down[f[p]]
+        bit = 1 << q
+        for v in reversed(bit_list(allowed)):  # popped in index order
+            over = up[v]
+            stack.append((f + (v,), [mask | bit if (over >> a) & 1 else mask
+                                     for a, mask in enumerate(below)]))
     return [found[m] for m in sorted(found)]
 
 

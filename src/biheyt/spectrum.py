@@ -148,11 +148,13 @@ def induced_map(
             raise WrongKind("preimage of a prime filter is not a point of the source spectrum")
         point_map.append(index[pre])
     point_map = tuple(point_map)
+    preimages = {o: pullback(point_map, o) for o in source_spec.space.opens}
     target_opens = set(target_spec.space.opens)
-    continuous = all(pullback(point_map, o) in target_opens for o in source_spec.space.opens)
+    continuous = all(pre in target_opens for pre in preimages.values())
+    # each β(h) is an open of the spectrum, so its pullback is in hand
     identity_ok = all(
-        pullback(point_map, source_spec.beta[h]) == target_spec.beta[phi.map[h]]
-        for h in range(phi.source.n)
+        (preimages[b] if b in preimages else pullback(point_map, b)) == target_spec.beta[v]
+        for b, v in zip(source_spec.beta, phi.map)
     )
     return InducedMap(phi, source_spec, target_spec, point_map, continuous, identity_ok)
 

@@ -264,11 +264,14 @@ def reference_verify_functoriality(max_size, out):
     return exit_code
 
 
-@pytest.mark.parametrize("patches", [
+violation_patches = pytest.mark.parametrize("patches", [
     {"induced_map": _corrupt_point_map},
     {"enumerate_homs": _drop_a_hom},
     {"induced_map": _corrupt_point_map, "enumerate_homs": _drop_a_hom},
 ], ids=["corrupted point map", "dropped hom", "both"])
+
+
+@violation_patches
 def test_functoriality_violations_match_the_per_pair_loop(capsys, monkeypatch, patches):
     import biheyt.cli as cli
 
@@ -281,6 +284,34 @@ def test_functoriality_violations_match_the_per_pair_loop(capsys, monkeypatch, p
             assert got[0] == 1, (size, fmt)
             assert got == run_reference(capsys, reference_verify_functoriality, size, fmt), \
                 (size, fmt)
+
+
+def _certified(max_size):
+    """Whether the bulk composition certificate of `verify
+    functoriality` holds at max_size. Its inputs are built through
+    biheyt.cli's callees, so a patch there reaches them."""
+    import biheyt.cli as cli
+
+    lattices = cli.enumerate_distributive_lattices(max_size)
+    spectra = [cli.spectrum(lat) for lat in lattices]
+    indices = range(len(lattices))
+    induced = {(i, j): {phi.map: cli.induced_map(phi, spectra[i], spectra[j])
+                        for phi in cli.enumerate_homs(lattices[i], lattices[j])}
+               for i in indices for j in indices}
+    return cli._compositions_certified(spectra, induced)
+
+
+def test_the_composition_certificate_holds_through_size_6():
+    assert all(_certified(size) for size in range(1, 7))
+
+
+@violation_patches
+def test_the_composition_certificate_fails_under_each_patch(monkeypatch, patches):
+    import biheyt.cli as cli
+
+    for name, patched in patches.items():
+        monkeypatch.setattr(cli, name, patched(getattr(cli, name)))
+    assert not _certified(3)
 
 
 @pytest.mark.parametrize("world", ["\u00b2", "w\u00b2"])

@@ -6,6 +6,8 @@ from biheyt import (
     BoundExceeded,
     NotACongruence,
     NotAHomomorphism,
+    NotDistributive,
+    UnknownOption,
     WrongKind,
     chain,
     check_congruence,
@@ -247,6 +249,90 @@ def test_non_hom_witnesses(chain3):
         check_hom([0, 1], chain3, two)        # not total
 
 
+def test_unknown_hom_flavor_is_refused_before_the_map_is_checked(chain3):
+    # [1, 1, 1] fails at ⊥ and chain(1) → chain(2) has no hom at all, so
+    # each call would otherwise raise NotAHomomorphism, be False or be []
+    for call in (lambda: check_hom([1, 1, 1], chain3, chain(2), "bogus"),
+                 lambda: is_hom([1, 1, 1], chain3, chain(2), "bogus"),
+                 lambda: enumerate_homs(chain(1), chain(2), "bogus")):
+        with pytest.raises(UnknownOption) as exc:
+            call()
+        assert isinstance(exc.value, ValueError)
+        assert exc.value.what == "hom flavor" and exc.value.value == "bogus"
+        assert exc.value.choices == ("lattice", "heyting", "coheyting")
+
+
+def reference_check_hom(map, source, target, flavor="lattice"):
+    """check_hom as one Python step per pair (a, b), the loop the
+    row-wise comparison replaced and still falls back on."""
+    m = tuple(map)
+    if len(m) != source.n:
+        raise NotAHomomorphism("totality", len(m), source.n)
+    if any(not 0 <= v < target.n for v in m):
+        raise NotAHomomorphism("range", min(m), max(m))
+    if m[source.bottom] != target.bottom:
+        raise NotAHomomorphism("bottom", source.bottom, m[source.bottom])
+    if m[source.top] != target.top:
+        raise NotAHomomorphism("top", source.top, m[source.top])
+    pairs = [("meet", source.meet, target.meet), ("join", source.join, target.join)]
+    if flavor == "heyting":
+        pairs.append(("implies", source.implies_table, target.implies_table))
+    elif flavor == "coheyting":
+        pairs.append(("minus", source.minus_table, target.minus_table))
+    for name, src_op, dst_op in pairs:
+        for a in range(source.n):
+            for b in range(source.n):
+                if m[src_op[a][b]] != dst_op[m[a]][m[b]]:
+                    raise NotAHomomorphism(name, a, b)
+    return LatticeHom(source, target, m, flavor)
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args).map
+    except NotAHomomorphism as exc:
+        return ("not a hom", exc.op, exc.pair)
+    except NotDistributive as exc:
+        return ("not distributive", exc.triple)
+
+
+def _assert_checks_match(maps_of, lattices):
+    for flavor in ("lattice", "heyting", "coheyting"):
+        for src in lattices:
+            for dst in lattices:
+                for m in maps_of(src, dst):
+                    assert (_outcome(check_hom, m, src, dst, flavor)
+                            == _outcome(reference_check_hom, m, src, dst, flavor)), \
+                        (m, src, dst, flavor)
+
+
+def test_check_hom_matches_the_pairwise_loop_on_every_map(lattices_6):
+    _assert_checks_match(lambda src, dst: product(range(dst.n), repeat=src.n),
+                         [lat for lat in lattices_6 if lat.n <= 4])
+
+
+def _bounds_fixing_maps(src, dst):
+    for m in product(range(dst.n), repeat=src.n):
+        if m[src.bottom] == dst.bottom and m[src.top] == dst.top:
+            yield m
+
+
+def test_check_hom_matches_the_pairwise_loop_on_bounds_fixing_maps(
+        lattices_6, m3_diamond, n5_pentagon):
+    _assert_checks_match(_bounds_fixing_maps,
+                         [lat for lat in lattices_6 if lat.n <= 5] + [m3_diamond, n5_pentagon])
+
+
+def test_check_hom_into_more_than_256_elements_matches_the_pairwise_loop(
+        chain3, boolean4):
+    # bytes cannot hold these images, so every pair is walked
+    big = chain(257)
+    maps = [(chain3, (0, v, 256)) for v in range(257)]
+    maps += [(boolean4, (0, a, b, 256)) for a in (0, 1, 255, 256) for b in (0, 1, 256)]
+    for src, m in maps:
+        assert _outcome(check_hom, m, src, big) == _outcome(reference_check_hom, m, src, big)
+
+
 # -- kernel ----------------------------------------------------------------------
 
 
@@ -466,6 +552,55 @@ def reference_enumerate_homs(source, target, flavor="lattice"):
                 m[a] = v
             candidates.append(tuple(m))
     return [m for m in candidates if is_hom(m, source, target, flavor)]
+
+
+def product_enumerate_homs(source, target, flavor="lattice"):
+    """The Birkhoff enumerator before it assigned the join-irreducibles
+    one at a time: every tuple of images, then the order filter, then
+    φ(a) = ⋁{j | f(j) ≤ a} as a join fold."""
+    points = target.join_irreducibles
+    if target.distributive_failure is None:
+        images = source.join_irreducibles
+    else:
+        images = [a for a in range(source.n) if a != source.bottom]
+    below = [(p, q) for p, j in enumerate(points) for q, k in enumerate(points)
+             if p != q and target.leq(j, k)]
+    found = {}
+    for f in product(images, repeat=len(points)):
+        if not all(source.leq(f[p], f[q]) for p, q in below):
+            continue
+        m = []
+        for a in range(source.n):
+            acc = target.bottom
+            for j, fj in zip(points, f):
+                if source.leq(fj, a):
+                    acc = target.join[acc][j]
+            m.append(acc)
+        m = tuple(m)
+        if m not in found and is_hom(m, source, target, flavor):
+            found[m] = LatticeHom(source, target, m, flavor)
+    return [found[m] for m in sorted(found)]
+
+
+@pytest.mark.parametrize("flavor", ["lattice", "heyting", "coheyting"])
+def test_enumerate_homs_matches_the_product_enumerator(lattices_7, flavor):
+    assert len(lattices_7) == 21  # 441 pairs
+    for src in lattices_7:
+        for dst in lattices_7:
+            assert enumerate_homs(src, dst, flavor) == product_enumerate_homs(src, dst, flavor)
+
+
+def test_enumerate_homs_matches_the_product_enumerator_into_m3_n5_and_relabellings(
+        lattices_7, m3_diamond, n5_pentagon):
+    # the last two are the 4-chain 0 < 3 < 2 < 1 and N5 as 0 < 3 < 2 < 4,
+    # 0 < 1 < 4: a join-irreducible can lie below one of lower index
+    chain4_down = build_lattice(4, [(0, 3), (3, 2), (2, 1)])
+    n5_down = build_lattice(5, [(0, 3), (3, 2), (2, 4), (0, 1), (1, 4)])
+    targets = (m3_diamond, n5_pentagon, chain4_down, n5_down)
+    for src in lattices_7 + [m3_diamond, n5_pentagon]:
+        for dst in targets:
+            assert ([h.map for h in enumerate_homs(src, dst)]
+                    == [h.map for h in product_enumerate_homs(src, dst)])
 
 
 def _assert_homs_match(lattices, flavor):
