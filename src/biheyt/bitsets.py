@@ -52,6 +52,17 @@ def transpose(rows: Iterable[int], width: int) -> list[int]:
     return cols
 
 
+_IDENTITY = bytes(range(256))
+
+
+def translate_table(values) -> bytes:
+    """The bytes.translate table sending byte i to values[i] for i below
+    len(values), and every other byte to itself. Every value must be a
+    byte, and there are at most 256 of them."""
+    head = bytes(values)
+    return head + _IDENTITY[len(head):]
+
+
 def subset_key(mask: int) -> tuple[int, int]:
     """Canonical sort key: size first, then raw bit pattern."""
     return (mask.bit_count(), mask)

@@ -18,9 +18,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import repeat
 
-from .bitsets import bit_list, pattern
+from .bitsets import bit_list, pattern, translate_table
 from .duallogic import (
     check_boundary_laws,
     check_dual_de_morgan,
@@ -298,19 +297,13 @@ def _cmd_verify_stone(args, out: _Output) -> int:
     return exit_code
 
 
-# Hom maps, point maps and prime filters are kept as bytes below 128. In
-# the certificate a tag byte 128 + i in front of a map names its source
-# lattice i, and _SEP stands between tagged maps; every _table fixes each
-# byte from 128 up, so tags and separators pass through translate as
-# they are. So elements, points and the lattice count stay below 128.
-_TAGS = bytes(range(128, 256))
+# The certificate keeps hom maps and prime filters as bytes below 128. A
+# tag byte 128 + i in front of a map names its source lattice i, and _SEP
+# stands between tagged maps; a bitsets.translate_table of fewer than 128
+# values fixes each byte from 128 up, so tags and separators pass through
+# translate as they are. So elements, points and the lattice count stay
+# below 128.
 _SEP = b"\xff"
-
-
-def _table(values) -> bytes:
-    """The bytes.translate table sending i to values[i] below 128, zero
-    past the end of values, and each byte from 128 up to itself."""
-    return bytes(values).ljust(128, b"\0") + _TAGS
 
 
 def _compositions_certified(spectra, induced) -> bool:
@@ -331,7 +324,7 @@ def _compositions_certified(spectra, induced) -> bool:
     so the two point maps agree."""
     indices = range(len(spectra))
     # members[i][x]: the translate table of point x of Spec(L_i), e ↦ [e ∈ x]
-    members = [[_table((p >> e) & 1 for e in range(spec.base.n)) for p in spec.points]
+    members = [[translate_table((p >> e) & 1 for e in range(spec.base.n)) for p in spec.points]
                for spec in spectra]
     # points[i]: the index of each point of Spec(L_i), by its membership bytes
     points = [{table[:spec.base.n]: x for x, table in enumerate(tables)}
@@ -345,8 +338,9 @@ def _compositions_certified(spectra, induced) -> bool:
     enumerated = [{bytes([128 + i]) + bytes(h) for i in indices for h in induced[(i, l)]}
                   for l in indices]
     for (j, l), ims in induced.items():
-        if homs[j] and not all(enumerated[l].issuperset(homs[j].translate(_table(g)).split(_SEP))
-                               for g in ims):
+        if homs[j] and not all(
+                enumerated[l].issuperset(homs[j].translate(translate_table(g)).split(_SEP))
+                for g in ims):
             return False
     return True
 
@@ -357,12 +351,11 @@ def _cmd_verify_functoriality(args, out: _Output) -> int:
     the β identity. The compositions are first certified in bulk, one
     bytes.translate per hom g for all its composites g∘f
     (_compositions_certified). Only when the certificate fails are they
-    checked one block at a time: the composites g∘f = f.translate(g) of
-    one f with every g into one lattice l, each looked up in the table
-    of (source of f, l), with its point map compared with
-    Spec(g).translate(Spec f). The hom lists are exhaustive, so a
-    composite missing from its table is not a hom. `compositions:`
-    counts every composable pair either way."""
+    walked pair by pair: g∘f is built as a tuple and looked up in the
+    table of (source of f, target of g), and its point map is compared
+    with Spec f ∘ Spec g. The hom lists are exhaustive, so a composite
+    missing from its table is not a hom. `compositions:` counts every
+    composable pair either way."""
     lattices = enumerate_distributive_lattices(args.max_size)
     spectra = [spectrum(lat) for lat in lattices]
     indices = range(len(lattices))
@@ -388,26 +381,19 @@ def _cmd_verify_functoriality(args, out: _Output) -> int:
     composition_checked = sum(len(induced[(i, j)]) * len(induced[(j, l)])
                               for i in indices for j in indices for l in indices)
     if not _compositions_certified(spectra, induced):
-        # per pair, as bytes: hom map -> point map, and each hom's table and point map
-        lookup, tables, points = {}, {}, {}
-        for pair, ims in induced.items():
-            lookup[pair] = {bytes(g): bytes(im.point_map) for g, im in ims.items()}
-            tables[pair] = list(map(_table, ims))
-            points[pair] = [bytes(im.point_map) for im in ims.values()]
         for (i, j), ims in induced.items():
             for f, i_f in ims.items():
-                f, f_points = bytes(f), _table(i_f.point_map)
                 for l in indices:
-                    got = list(map(lookup[(i, l)].get, map(f.translate, tables[(j, l)])))
-                    want = list(map(bytes.translate, points[(j, l)], repeat(f_points)))
-                    if got == want:
-                        continue
-                    exit_code = 1
-                    for i_g, gf_points, composed in zip(induced[(j, l)].values(), got, want):
-                        if gf_points is None:
+                    from_i = induced[(i, l)]
+                    for g, i_g in induced[(j, l)].items():
+                        i_gf = from_i.get(tuple(map(g.__getitem__, f)))
+                        if i_gf is None:
+                            exit_code = 1
                             out.text(f"composition violation: {i_f.hom!r} ; {i_g.hom!r} "
                                      f"composes to no enumerated hom")
-                        elif gf_points != composed:
+                        elif i_gf.point_map != tuple(map(i_f.point_map.__getitem__,
+                                                         i_g.point_map)):
+                            exit_code = 1
                             out.text(f"composition violation: {i_f.hom!r} ; {i_g.hom!r}")
     out.text(f"identities: {identity_checked}, beta identities: {beta_checked}, "
              f"compositions: {composition_checked}, "

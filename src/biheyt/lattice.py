@@ -27,7 +27,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .bitsets import closed_relation, iter_bits, subset_key, transpose, unions
+from .bitsets import closed_relation, iter_bits, subset_key, translate_table, transpose, unions
 from .errors import (
     BoundExceeded,
     NotALattice,
@@ -93,13 +93,13 @@ class FiniteLattice:
         """The named table (meet, join, implies_table or minus_table) as
         bytes for bytes.translate, memoized like the tables; needs
         n ≤ 256. First every row concatenated, so byte a·n + b is
-        table[a][b]; then each row a as a translate table, sending b to
-        table[a][b] and every byte from n up to 0."""
+        table[a][b]; then each row a as a bitsets.translate_table,
+        sending b to table[a][b] and every byte from n up to itself."""
         rows = self._byte_rows.get(table)
         if rows is None:
             plain = tuple(map(bytes, getattr(self, table)))
             rows = self._byte_rows[table] = (
-                b"".join(plain), tuple(row.ljust(256, b"\0") for row in plain))
+                b"".join(plain), tuple(map(translate_table, plain)))
         return rows
 
     @cached_property

@@ -5,7 +5,7 @@ flavor additionally preserves implication and 'coheyting' preserves
 subtraction; each operation table is compared in bulk with
 bytes.translate. Homs are enumerated through finite Birkhoff duality,
 one candidate per order-preserving map from the target's
-join-irreducibles to the source's, built one join-irreducible at a
+join-irreducibles into the source, built one join-irreducible at a
 time, and two-valued homs from the principal filters; every candidate
 is still verified. Congruences are equivalence relations compatible
 with meet and join; quotients rebuild the block lattice from scratch
@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from .bitsets import bit_list, iter_bits, pullback, subset_key, transpose
+from .bitsets import bit_list, iter_bits, pullback, subset_key, translate_table
 from .errors import (
     BoundExceeded,
     NotACongruence,
@@ -210,7 +210,7 @@ def check_hom(map: Sequence[int], source, target, flavor="lattice") -> LatticeHo
     tables = [(name, getattr(source, name), getattr(target, name)) for name in names]
     rowwise = n <= 256 and target.n <= 256
     if rowwise:
-        phi = bytes(m).ljust(256, b"\0")
+        phi = translate_table(m)
     for name, src_op, dst_op in tables:
         first = _first_row_off(phi, source, target, name) if rowwise else 0
         if first is None:
@@ -235,61 +235,56 @@ def enumerate_homs(source, target, flavor="lattice") -> list[LatticeHom]:
 
     A hom φ is fixed by f(j) = ⋀φ⁻¹(↑j), the least a with j ≤ φ(a), over
     the join-irreducibles j of the target: φ(a) = ⋁{j | f(j) ≤ a}, and f
-    is order-preserving into the source's elements other than ⊥. When the
-    target is distributive each j is join-prime, so f(j) is
-    join-irreducible and only those images are tried, and φ(a) is read
-    from a table: the element whose join-irreducibles below it are
-    {j | f(j) ≤ a}. The join-irreducibles are assigned one at a time,
-    each image tried in index order and tested only against the earlier
-    points it is comparable with, so the order-preserving f come in the
-    order of product(images, repeat=len(points)) and no other f is
-    built. Every candidate is verified with is_hom; into a
-    non-distributive target several f can give the same map, which is
-    kept once. The source has at most MAX_HOM_SIZE elements."""
+    is order-preserving into the source's elements other than ⊥. When j
+    is join-prime, j ≰ ⋁{x | j ≰ x}, its filter ↑j is prime, so φ⁻¹(↑j)
+    is prime and f(j) is join-prime, hence join-irreducible: only those
+    images are tried for j. Any other j tries every element but ⊥; in a
+    distributive target there is none. The join-irreducibles are
+    assigned one at a time, each image tried in index order and tested
+    only against the earlier points it is comparable with, so the
+    order-preserving f come in the order of itertools.product over each
+    point's images and no other f is built. φ is carried along: giving j
+    the image v joins j into φ(a) for every a ≥ v. Every candidate is
+    verified with is_hom; several f can give the same map, which is kept
+    once. The source has at most MAX_HOM_SIZE elements."""
     _flavor_tables(flavor)
     if source.n > MAX_HOM_SIZE:
         raise BoundExceeded("lattice size", source.n, MAX_HOM_SIZE)
     points = target.join_irreducibles
-    if target.distributive_failure is None:
-        images = source.join_irreducibles
-        # the column of x is the mask of the points p with points[p] ≤ x
-        columns = transpose([target.up[j] for j in points], target.n)
-        join_of = dict(zip(columns, range(target.n))).__getitem__
-    else:
-        images = [a for a in range(source.n) if a != source.bottom]
-
-        def join_of(below: int) -> int:
-            acc = target.bottom
-            for p in iter_bits(below):
-                acc = target.join[acc][points[p]]
-            return acc
-    k, up, down = len(points), source.up, source.down
-    image_mask = sum(1 << a for a in images)
+    join, up, down = target.join, source.up, source.down
+    prime_images = sum(1 << a for a in source.join_irreducibles)
+    any_image = ((1 << source.n) - 1) & ~(1 << source.bottom)
+    images = []
+    for j in points:
+        rest = target.bottom
+        for x in iter_bits(((1 << target.n) - 1) & ~target.up[j]):
+            rest = join[rest][x]
+        images.append(any_image if target.leq(j, rest) else prime_images)
+    k = len(points)
     # the earlier points each point lies above, and those it lies below
     above = [[p for p in range(q) if target.leq(points[p], points[q])] for q in range(k)]
     beneath = [[p for p in range(q) if target.leq(points[q], points[p])] for q in range(k)]
-    # each entry: the images f of the first points, and below[a], the mask
-    # of those points p with f(p) ≤ a
-    stack = [((), [0] * source.n)]
+    # each entry: the images f of the first points, and φ built from them
+    stack = [((), [target.bottom] * source.n)]
     found = {}
     while stack:
-        f, below = stack.pop()
+        f, phi = stack.pop()
         q = len(f)
         if q == k:
-            m = tuple(map(join_of, below))
+            m = tuple(phi)
             if m not in found and is_hom(m, source, target, flavor):
                 found[m] = LatticeHom(source, target, m, flavor)
             continue
-        allowed = image_mask
+        allowed = images[q]
         for p in above[q]:
             allowed &= up[f[p]]
         for p in beneath[q]:
             allowed &= down[f[p]]
-        bit = 1 << q
+        row = join[points[q]]
         for v in reversed(bit_list(allowed)):  # popped in index order
             over = up[v]
-            stack.append((f + (v,), [mask | bit if (over >> a) & 1 else mask
-                                     for a, mask in enumerate(below)]))
+            stack.append((f + (v,), [row[x] if (over >> a) & 1 else x
+                                     for a, x in enumerate(phi)]))
     return [found[m] for m in sorted(found)]
 
 
@@ -356,11 +351,15 @@ class Congruence(NamedTuple):
 
 
 def check_congruence(lat: FiniteLattice, blocks) -> Congruence:
-    """Validate a partition as a lattice congruence."""
+    """Validate a partition as a lattice congruence. Each block is read
+    by _member_mask, so an element outside 0..n-1 is refused, and so is
+    an empty block."""
     masks = []
     seen = 0
-    for blk in blocks:
-        mask = blk if isinstance(blk, int) else sum(1 << i for i in set(blk))
+    for k, blk in enumerate(blocks):
+        mask = _member_mask(lat, blk)
+        if not mask:
+            raise WrongKind(f"block {k} of the partition is empty")
         if mask & seen:
             raise NotACongruence("partition", sorted(iter_bits(mask & seen)))
         seen |= mask

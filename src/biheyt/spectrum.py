@@ -151,11 +151,9 @@ def induced_map(
     preimages = {o: pullback(point_map, o) for o in source_spec.space.opens}
     target_opens = set(target_spec.space.opens)
     continuous = all(pre in target_opens for pre in preimages.values())
-    # each β(h) is an open of the spectrum, so its pullback is in hand
-    identity_ok = all(
-        (preimages[b] if b in preimages else pullback(point_map, b)) == target_spec.beta[v]
-        for b, v in zip(source_spec.beta, phi.map)
-    )
+    # spectrum() generates the space from the β(h), so each is an open
+    identity_ok = all(preimages[b] == target_spec.beta[v]
+                      for b, v in zip(source_spec.beta, phi.map))
     return InducedMap(phi, source_spec, target_spec, point_map, continuous, identity_ok)
 
 

@@ -227,7 +227,10 @@ def space_classes(points: int) -> tuple[SpaceClass, ...]:
     skeletons of `points` clusters are the T0 ones (A000112). A T0
     representative is the first space of its class that
     enumerate_topologies yields, and the T0 classes come in the order
-    that enumeration first meets them. At most MAX_SUITE_POINTS points."""
+    that enumeration first meets them. At most MAX_SUITE_POINTS points;
+    a negative count raises ValueError, and 0 gives the empty space."""
+    if points < 0:
+        raise ValueError(f"point count {points} is negative")
     if points > MAX_SUITE_POINTS:
         raise BoundExceeded("points", points, MAX_SUITE_POINTS)
     return _space_classes(points)

@@ -432,6 +432,16 @@ def test_check_congruence_rejects_incompatible(boolean4):
     assert cong.blocks == (0b0011, 0b1100)
 
 
+@pytest.mark.parametrize("blocks, message", [
+    ([[0, 1], []], "block 1 of the partition is empty"),
+    ([[0, 1], [-1]], "element -1 out of range 0..1"),
+    ([[0], [1], [5]], "element 5 out of range 0..1"),
+], ids=["empty block", "negative element", "element past the top"])
+def test_check_congruence_reads_each_block_as_elements(blocks, message):
+    with pytest.raises(WrongKind, match=message):
+        check_congruence(chain(2), blocks)
+
+
 def test_closure_matches_join_formula(lattices_6):
     """Oracle: on a distributive lattice the congruence from an ideal I
     relates x and y iff x∨i = y∨i for some i ∈ I."""
@@ -628,6 +638,14 @@ def test_enumerate_homs_on_nondistributive_lattices(m3_diamond, boolean4):
     n5 = build_lattice(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
     _assert_homs_match([chain(1), chain(2), chain(3), boolean4, m3_diamond, n5], "lattice")
     assert (0, 1, 2, 4) in [h.map for h in enumerate_homs(boolean4, m3_diamond)]
+
+
+def test_enumerate_homs_never_scans_for_distributivity():
+    # the join-prime test reads the join table once per join-irreducible;
+    # the cubic distributivity scan is never asked for
+    target = chain(40)
+    assert [h.map for h in enumerate_homs(chain(2), target)] == [(0, 39)]
+    assert "distributive_failure" not in vars(target)
 
 
 def test_enumerate_homs_bound(chain3):

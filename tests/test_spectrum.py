@@ -24,7 +24,7 @@ from biheyt import (
     validate_topology,
     verify_stone_embedding,
 )
-from biheyt.bitsets import mask_of, pullback, transpose
+from biheyt.bitsets import mask_of, pullback, translate_table, transpose
 from biheyt.cli import main
 from biheyt.lattice import FiniteLattice
 from biheyt.quotient import FilterOrIdeal
@@ -174,6 +174,18 @@ def test_transpose_matches_its_definition():
                     for j in range(width)
                 ]
                 assert transpose(cols, height) == list(rows)
+
+
+def test_translate_table_maps_its_values_and_fixes_every_other_byte():
+    """Every list of at most 3 values drawn from 0, 1, 2, 128 and 255."""
+    for length in range(4):
+        for values in product((0, 1, 2, 128, 255), repeat=length):
+            table = translate_table(values)
+            assert len(table) == 256
+            assert all(table[i] == values[i] for i in range(length))
+            assert all(table[i] == i for i in range(length, 256))
+            tail = bytes([128 + i for i in range(length)] + [0xFF])
+            assert tail.translate(table) == tail
 
 
 def test_induced_point_missing_from_the_given_spectrum(chain3):

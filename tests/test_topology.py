@@ -324,6 +324,12 @@ def test_class_counts_follow_oeis(monkeypatch):
     assert len(space_classes(6)) == 718
 
 
+def test_space_classes_refuse_a_negative_count():
+    with pytest.raises(ValueError, match="point count -1 is negative"):
+        space_classes(-1)
+    assert [c.space.points for c in space_classes(0)] == [0]
+
+
 def relabelled(rows, perm):
     """The preorder rows with point x renamed perm[x]."""
     out = [0] * len(rows)
