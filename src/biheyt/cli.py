@@ -31,7 +31,6 @@ from .errors import BiheytError, BoundExceeded
 from .formulas import parse_formula
 from .lattice import (
     FiniteLattice,
-    check_distributive,
     cover_pairs,
     enumerate_distributive_lattices,
     is_boolean,
@@ -136,7 +135,7 @@ def _need(structure, kind, what):
 
 def _cmd_lattice_check(args, out: _Output) -> int:
     lat = _need(load_structure(args.path), FiniteLattice, "lattice")
-    dist = check_distributive(lat)
+    dist = lat.distributive_failure is None
     boolean = is_boolean(lat) if dist else False
     out.text(f"lattice n={lat.n}: valid")
     out.text(f"distributive: {'yes' if dist else 'no'}")

@@ -80,11 +80,10 @@ class UnknownOption(BiheytError, ValueError):
 
 
 class NotAHomomorphism(BiheytError):
-    def __init__(self, op, a, b, detail=""):
+    def __init__(self, op, a, b):
         self.op = op
         self.pair = (a, b)
-        msg = f"map does not preserve {op} at ({a}, {b})"
-        super().__init__(msg + (f": {detail}" if detail else ""))
+        super().__init__(f"map does not preserve {op} at ({a}, {b})")
 
 
 class NotACongruence(BiheytError):

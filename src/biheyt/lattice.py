@@ -76,18 +76,26 @@ class FiniteLattice:
     def __repr__(self):
         return f"FiniteLattice(n={self.n}, covers={cover_pairs(self)})"
 
+    def _join_of(self, mask: int) -> int:
+        """⋁ of the elements in the mask; ⊥ for the empty mask."""
+        join, acc = self.join, self.bottom
+        for x in iter_bits(mask):
+            acc = join[acc][x]
+        return acc
+
     @cached_property
     def join_irreducibles(self) -> tuple[int, ...]:
         """Elements other than ⊥ that are not the join of the elements
         below them, in index order."""
-        out = []
-        for j in range(self.n):
-            acc = self.bottom
-            for x in iter_bits(self.down[j] & ~(1 << j)):
-                acc = self.join[acc][x]
-            if j != self.bottom and acc != j:
-                out.append(j)
-        return tuple(out)
+        return tuple(j for j in range(self.n)
+                     if j != self.bottom and self._join_of(self.down[j] & ~(1 << j)) != j)
+
+    @cached_property
+    def join_primes(self) -> tuple[int, ...]:
+        """The join-irreducibles j with j ≰ ⋁{x | j ≰ x}, in index order."""
+        full = (1 << self.n) - 1
+        return tuple(j for j in self.join_irreducibles
+                     if not self.leq(j, self._join_of(full & ~self.up[j])))
 
     def byte_rows(self, table: str) -> tuple[bytes, tuple[bytes, ...]]:
         """The named table (meet, join, implies_table or minus_table) as
@@ -104,7 +112,12 @@ class FiniteLattice:
 
     @cached_property
     def distributive_failure(self) -> Optional[tuple[int, int, int]]:
-        """First triple violating a∧(b∨c) = (a∧b)∨(a∧c), or None."""
+        """First triple violating a∧(b∨c) = (a∧b)∨(a∧c), or None.
+
+        A finite lattice is distributive iff its join-irreducibles are all
+        join-prime, so the triples are scanned only to name the witness."""
+        if len(self.join_primes) == len(self.join_irreducibles):
+            return None
         meet, join = self.meet, self.join
         rng = range(self.n)
         for a in rng:
@@ -173,15 +186,13 @@ def _lattice_from_rows(up: Sequence[int], subsets=None) -> FiniteLattice:
     if n == 0:
         raise NotBounded("empty carrier has no bottom or top")
     full = (1 << n) - 1
+    down = transpose(up, n)
     for i in range(n):
         if not (up[i] >> i) & 1:
             raise NotAPartialOrder(i, i)
-        for j in iter_bits(up[i]):
-            if j != i and (up[j] >> i) & 1:
-                raise NotAPartialOrder(i, j)
-            if up[j] & ~up[i]:
-                raise ValueError("order rows are not transitively closed")
-    down = transpose(up, n)
+        twins = up[i] & down[i] & ~(1 << i)
+        if twins:
+            raise NotAPartialOrder(i, (twins & -twins).bit_length() - 1)
     up_index = {up[i]: i for i in range(n)}
     down_index = {down[i]: i for i in range(n)}
     join = []
@@ -238,10 +249,6 @@ def lattice_of_subsets(family: Sequence[int]) -> FiniteLattice:
 def chain(n: int) -> FiniteLattice:
     """The n-element chain 0 < 1 < ... < n-1."""
     return build_lattice(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def check_distributive(lat: FiniteLattice) -> bool:
-    return lat.distributive_failure is None
 
 
 def dualize(lat: FiniteLattice) -> FiniteLattice:

@@ -66,7 +66,7 @@ from itertools import product
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .bitsets import iter_bits, transpose
-from .errors import BoundExceeded, UnboundAtom, UnknownOption, UnsupportedConnective
+from .errors import BiheytError, BoundExceeded, UnboundAtom, UnknownOption, UnsupportedConnective
 from .formulas import KRIPKE, Formula, atom, box, compile_formula, dia, neg, parse_formula
 from .duallogic import algebra_evaluator
 from . import topology
@@ -83,7 +83,7 @@ from .topology import (
 )
 
 DEFAULT_MAX_WORLDS = 4
-MAX_VALUATION_BITS = 22  # most worlds × atoms valid_in_frame sweeps
+MAX_VALUATION_BITS = 22  # most points × atoms valid_in_frame and a search sweep
 FRAME_PROPERTIES = ("reflexive", "transitive", "symmetric")
 SLICE_BITS = 12  # a slice holds at most 2**SLICE_BITS valuations
 
@@ -200,9 +200,7 @@ def valid_in_model(model: KripkeModel, phi: Formula) -> bool:
 def valid_in_frame(frame: KripkeFrame, phi: Formula, alphabet: Sequence[str]) -> bool:
     """Validity under every valuation of the alphabet over the frame."""
     names = list(alphabet)
-    bits = frame.worlds * len(names)
-    if bits > MAX_VALUATION_BITS:
-        raise BoundExceeded("valuation space bits", bits, MAX_VALUATION_BITS)
+    _check_valuation_bits(frame.worlds, len(names))
     prog, names = compile_formula(phi, "kripke", names)
     return next(_failures(prog, len(names), *_sweep(frame)), None) is None
 
@@ -457,13 +455,18 @@ def countermodel_search(
     {reflexive, transitive, symmetric}. Point counts are decided per
     class first (see the module docstring). max_points may not exceed
     DEFAULT_MAX_WORLDS in frame mode or topology.DEFAULT_MAX_POINTS in space
-    mode.
+    mode, and each point count is checked against MAX_VALUATION_BITS, as
+    points × atoms, before it is swept. frame_properties need mode
+    'frame'.
     """
     _choose("mode", mode, ("space", "frame"))
     allowed = ("classical",) if mode == "frame" else ("classical", "intuitionistic", "dual")
     _choose(f"{mode}-mode semantics", semantics, allowed)
     for prop in frame_properties:
         _choose("frame property", prop, FRAME_PROPERTIES)
+    if frame_properties and mode != "frame":
+        raise BiheytError(
+            f"frame properties need frame semantics (mode 'frame'), not mode {mode!r}")
     if mode == "frame":
         what, bound = "worlds", DEFAULT_MAX_WORLDS
     else:
@@ -481,6 +484,7 @@ def countermodel_search(
             return all(getattr(cls, prop) for prop in frame_properties)
 
         for worlds in range(1, max_points + 1):
+            _check_valuation_bits(worlds, len(names))
             classes = None
             if by_class:
                 classes = filter(kept, (KripkeFrame(worlds, c.space.min_open)
@@ -493,6 +497,7 @@ def countermodel_search(
     if semantics == "classical":
         prog, names = compile_formula(phi, "topological")
         for points in range(1, max_points + 1):
+            _check_valuation_bits(points, len(names))
             classes = (c.space for c in space_classes(points))
             found = _first_witness(prog, names, classes, enumerate_topologies(points))
             if found is not None:
@@ -501,12 +506,22 @@ def countermodel_search(
     prog, names = compile_formula(phi, semantics)
     lattice = open_lattice if semantics == "intuitionistic" else closed_lattice
     for points in range(1, max_points + 1):
+        _check_valuation_bits(points, len(names))
         for c in space_classes(points):
             if len(c.skeleton) == points:
                 found = _algebra_witness(prog, names, lattice(c.space), c.space)
                 if found is not None:
                     return found
     return None
+
+
+def _check_valuation_bits(points: int, natoms: int) -> None:
+    """Refuse a sweep of more than 2^MAX_VALUATION_BITS valuations of
+    natoms atoms over the points. This bounds the algebra routes too: a
+    lattice of subsets of the points has at most 2^points elements."""
+    bits = points * natoms
+    if bits > MAX_VALUATION_BITS:
+        raise BoundExceeded("valuation space bits", bits, MAX_VALUATION_BITS)
 
 
 def _first_witness(prog, names: list[str], classes, labelled) -> Optional[SearchResult]:

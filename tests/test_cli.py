@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -587,6 +588,38 @@ def test_search_exit_codes(capsys):
     )
     assert code == 0
     assert "no countermodel" in out
+
+
+@pytest.mark.parametrize("semantics, formula", [
+    ("classical", "a | !a | b | c | d | e | f | g | h"),
+    ("frame", "a | !a | b | c | d | e | f | g | h"),
+    ("intuitionistic", "a -> (a | b | c | d | e | f | g | h)"),
+    ("dual", "a | ~a | b | c | d | e | f | g | h"),
+])
+def test_search_refuses_more_valuation_bits_than_the_bound(capsys, semantics, formula):
+    """Eight atoms hold on every structure of 1 and 2 points; 3 points
+    would be 24 bits of valuations, above modal.MAX_VALUATION_BITS."""
+    started = time.perf_counter()
+    code, out, err = run(capsys, "search", "--formula", formula,
+                         "--semantics", semantics, "--max-points", "4")
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (2, "")
+    assert "valuation space bits 24 exceeds configured bound 22" in err
+
+
+def test_search_refuted_below_the_valuation_bound_keeps_its_witness(capsys):
+    code, out, _ = run(capsys, "search", "--formula", "a & b & c & d & e & f & g & h & i",
+                       "--max-points", "4")
+    vals = "".join(f"val {a}: \n" for a in "abcdefghi")
+    assert (code, out) == (1, f"space m=1\nopen\nopen 0\n{vals}falsified at 0\n")
+
+
+@pytest.mark.parametrize("semantics", ["classical", "intuitionistic", "dual"])
+def test_search_refuses_require_off_the_frame_route(capsys, semantics):
+    code, out, err = run(capsys, "search", "--formula", "p", "--semantics", semantics,
+                         "--require", "reflexive")
+    assert (code, out) == (2, "")
+    assert "frame properties need frame semantics" in err
 
 
 def rieger_nishimura(n):

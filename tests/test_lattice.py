@@ -1,19 +1,22 @@
 import pytest
 
 from biheyt import (
+    BiheytError,
     NotALattice,
     NotAPartialOrder,
     NotBounded,
     NotDistributive,
     build_lattice,
     chain,
-    check_distributive,
     cover_pairs,
     dualize,
     is_boolean,
     lattice_of_subsets,
 )
 from biheyt.bitsets import iter_bits, subset_key
+from biheyt.lattice import _lattice_from_rows
+from biheyt.topology import enumerate_preorders
+from reference_lattice import reference_distributive_failure, reference_lattice_from_rows
 
 
 def leq_set(lat):
@@ -27,7 +30,7 @@ def test_one_element_lattice():
     one = build_lattice(1, [])
     assert one.bottom == one.top == 0
     assert one.meet[0][0] == one.join[0][0] == 0
-    assert check_distributive(one) and is_boolean(one)
+    assert one.distributive_failure is None and is_boolean(one)
     assert one.implies_table[0][0] == 0
     assert one.minus_table[0][0] == 0
 
@@ -82,7 +85,7 @@ def test_transitive_closure_of_arbitrary_pairs():
 
 def test_chains_are_distributive():
     for n in range(1, 6):
-        assert check_distributive(chain(n))
+        assert chain(n).distributive_failure is None
 
 
 def test_m3_is_not_distributive(m3_diamond):
@@ -105,7 +108,7 @@ def test_m3_is_not_distributive(m3_diamond):
         if meet(a, join(b, c)) != join(meet(a, b), meet(a, c))
     ]
     assert found
-    assert not check_distributive(m3_diamond)
+    assert m3_diamond.distributive_failure is not None
     assert m3_diamond.distributive_failure in found
 
 
@@ -113,7 +116,7 @@ def test_open_set_lattices_are_distributive(spaces_3):
     from biheyt import open_lattice
 
     for sp in spaces_3:
-        assert check_distributive(open_lattice(sp))
+        assert open_lattice(sp).distributive_failure is None
 
 
 def test_heyting_refused_on_m3(m3_diamond):
@@ -372,7 +375,7 @@ def test_enumeration_matches_bruteforce_up_to_size_4():
                 ])
             except (NotALattice, NotBounded):
                 continue
-            if not check_distributive(lat):
+            if lat.distributive_failure is not None:
                 continue
             classes.add(canonical_poset_key(lat.up))
         by_size[n] = len(classes)
@@ -498,3 +501,59 @@ def test_enumeration_contains_chains_and_booleans(lattices_6):
     keys = {canonical_poset_key(lat.up) for lat in lattices_6}
     for reference in [chain(4), chain(6), build_lattice(4, [(0, 1), (0, 2), (1, 3), (2, 3)])]:
         assert canonical_poset_key(reference.up) in keys
+
+
+# -- each check against the loop it replaced ----------------------------------
+
+
+def _build_outcome(build, rows):
+    """The lattice build gives (its rows and tables), or its error's
+    type, message and witness."""
+    try:
+        lat = build(rows)
+    except BiheytError as exc:
+        return type(exc), str(exc), vars(exc)
+    return lat.up, lat.down, lat.meet, lat.join, lat.bottom, lat.top
+
+
+def _preorder_lattices():
+    lattices = []
+    for points in range(1, 6):
+        for pre in enumerate_preorders(points):
+            try:
+                lattices.append(_lattice_from_rows(pre.rel))
+            except (NotAPartialOrder, NotALattice, NotBounded):
+                pass
+    return lattices
+
+
+def test_lattice_from_rows_matches_the_transitivity_walk_on_every_preorder():
+    """Closed rows need only the O(n) reflexivity and antisymmetry test:
+    on every preorder of 1..5 points the build equals the loop that also
+    walked every comparable pair for transitivity, error for error."""
+    count = 0
+    for points in range(1, 6):
+        for pre in enumerate_preorders(points):
+            assert (_build_outcome(_lattice_from_rows, pre.rel)
+                    == _build_outcome(reference_lattice_from_rows, pre.rel)), pre
+            count += 1
+    assert count == 1 + 4 + 29 + 355 + 6942 == 7331
+
+
+def test_distributivity_and_join_primes_match_their_definitions(m3_diamond):
+    n5 = build_lattice(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
+    lattices = _preorder_lattices()
+    assert len(lattices) == 425
+    for lat in lattices + [m3_diamond, n5]:
+        assert lat.distributive_failure == reference_distributive_failure(lat), lat
+        primes = tuple(
+            j for j in range(lat.n)
+            if j != lat.bottom and all(
+                lat.leq(j, a) or lat.leq(j, b)
+                for a in range(lat.n) for b in range(lat.n)
+                if lat.leq(j, lat.join[a][b])
+            )
+        )
+        assert lat.join_primes == primes, lat
+    assert (m3_diamond.join_primes, n5.join_primes) == ((), (1, 3))
+    assert n5.distributive_failure is not None

@@ -40,6 +40,7 @@ from biheyt.quotient import (
     _is_ideal_mask,
     is_hom,
 )
+from reference_lattice import reference_quotient
 
 
 def subsets_of(n):
@@ -542,6 +543,45 @@ def test_quotient_projection_preserves_lattice_ops(lattices_6):
                 for b in range(lat.n):
                     assert proj.map[lat.meet[a][b]] == q.meet[proj.map[a]][proj.map[b]]
                     assert proj.map[lat.join[a][b]] == q.join[proj.map[a]][proj.map[b]]
+
+
+def set_partitions(n):
+    """Every partition of 0..n-1, as block masks sorted by least member."""
+    if n == 0:
+        yield ()
+        return
+    for blocks in set_partitions(n - 1):
+        for k in range(len(blocks)):
+            yield blocks[:k] + (blocks[k] | 1 << (n - 1),) + blocks[k + 1:]
+        yield blocks + (1 << (n - 1),)
+
+
+def test_quotient_checks_the_congruence_before_the_lattice():
+    """On every partition of each distributive lattice with at most 6
+    elements, quotient() raises NotACongruence exactly when
+    check_congruence does, with its witness, and otherwise gives the
+    block lattice and projection of the pair-by-pair cross-check. Built
+    first, the lattice would fail on some, such as the blocks {0}, {1},
+    {3}, {2, 4, 5} of the lattice with covers 0<1, 0<2, 1<4, 2<3, 2<4,
+    3<5, 4<5, whose representative rows are not transitively closed."""
+    partitions = congruences = 0
+    for lat in enumerate_distributive_lattices(6):
+        for blocks in set_partitions(lat.n):
+            partitions += 1
+            cong = Congruence(lat, blocks)
+            try:
+                checked = check_congruence(lat, blocks)
+            except NotACongruence as exc:
+                with pytest.raises(NotACongruence) as got:
+                    quotient(lat, cong)
+                assert (got.value.op, got.value.witness) == (exc.op, exc.witness)
+                continue
+            congruences += 1
+            assert checked == cong
+            q, proj = quotient(lat, cong)
+            want_q, want_proj = reference_quotient(lat, cong)
+            assert (q.up, proj.map) == (want_q.up, want_proj.map)
+    assert (partitions, congruences) == (1209, 139)
 
 
 # -- hom enumeration / composition ---------------------------------------------------
