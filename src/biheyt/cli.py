@@ -15,9 +15,9 @@ frames).
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from .bitsets import bit_list, pattern, translate_table
 from .duallogic import (
@@ -72,16 +72,41 @@ from .textfmt import (
 )
 
 
+_ESCAPES = {ch: "\\" + letter for ch, letter in zip('"\\\n\r\t\b\f', '"\\nrtbf')}
+
+
+def _json_char(ch: str) -> str:
+    code = ord(ch)
+    if code > 0xFFFF:  # a surrogate pair: 0xD800 + (code - 0x10000 >> 10), then the low bits
+        return "\\u%04x\\u%04x" % (0xD7C0 + (code >> 10), 0xDC00 | code & 0x3FF)
+    return _ESCAPES.get(ch) or (ch if " " <= ch <= "~" else "\\u%04x" % code)
+
+
+def _json(value) -> str:
+    """json.dumps(value, sort_keys=True), byte for byte, for what records
+    hold: str, int, bool, None, lists, tuples, and dicts with str or int
+    keys (int keys sort as numbers). It spares every run `import json`."""
+    if isinstance(value, str):
+        return '"' + "".join(map(_json_char, value)) + '"'
+    if value is None or isinstance(value, bool):
+        return {None: "null", True: "true", False: "false"}[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(_json, value)) + "]"
+    if isinstance(value, dict) and all(type(key) in (str, int) for key in value):
+        return "{" + ", ".join(f"{_json(str(key))}: {_json(item)}"
+                               for key, item in sorted(value.items())) + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 class _Output:
     def __init__(self, fmt: str):
         self.json = fmt == "json"
-        if self.json:
-            from json import dumps  # human output does not pay for the import
-            self._dumps = dumps
 
     def record(self, **fields):
         if self.json:
-            print(self._dumps(fields, sort_keys=True))
+            print(_json(fields))
 
     def text(self, line=""):
         if not self.json:
@@ -98,23 +123,26 @@ def _env_cap() -> int | None:
         raise BiheytError(f"BIHEYT_MAX_POINTS={raw!r} is not an integer") from None
 
 
-def _capped(parser, value: int, what: str) -> int:
+def _capped(value: int, what: str) -> int:
     cap = _env_cap()
     if cap is not None and value > cap:
-        parser.error(f"{what} {value} exceeds BIHEYT_MAX_POINTS={cap}")
+        _argparser().error(f"{what} {value} exceeds BIHEYT_MAX_POINTS={cap}")
     return value
 
 
 def _at_least_one(text: str) -> int:
     """argparse type for sizes and point counts: below 1 the range is
-    empty and every check would pass vacuously."""
+    empty and every check would pass vacuously. argparse is imported only
+    to word a bad value."""
     try:
         value = parse_int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} gives an empty range; use 1 or more")
-    return value
+        value = None
+    if value is not None and value >= 1:
+        return value
+    from argparse import ArgumentTypeError
+    raise ArgumentTypeError(f"invalid int value: {text!r}" if value is None
+                            else f"{value} gives an empty range; use 1 or more")
 
 
 def _elements(text: str) -> list[int]:
@@ -588,124 +616,163 @@ def _subset_arg(raw: str, points: int) -> int:
     return parse_subset(raw.replace(",", " ").split(), points)
 
 
-# --- parser ----------------------------------------------------------------
+# --- the command table ------------------------------------------------------
+#
+# words -> (help, options, defaults), parents first; () is the top level,
+# with the description as its help, and a row without a "func" default is
+# a group. `options` maps each argument to its argparse keywords: "path" is
+# the positional, a pair of flags a required mutually exclusive group.
+# "cap_field" names the option BIHEYT_MAX_POINTS caps. _read reads a
+# well-formed argv from here; argparse, built by _argparser, the rest.
+
+_PATH = {"path": {}}
+_POINTS = {"--points": {"type": _at_least_one, "default": 3}}
+_MODEL = {"--model": {"required": True}, "--formula": {"required": True}}
+_COMMANDS = {
+    (): ("finite Heyting/co-Heyting algebras, Stone spectra, and S4 model checking",
+         {"--format": {"choices": ("human", "json"), "default": "human"}}, {}),
+    ("lattice",): ("lattice file operations", {}, {}),
+    ("lattice", "check"): ("validate a lattice file", _PATH, {"func": _cmd_lattice_check}),
+    ("lattice", "spectrum"): ("prime filter spectrum", _PATH, {"func": _cmd_lattice_spectrum}),
+    ("lattice", "quotient"): ("quotient by an ideal or filter", {
+        **_PATH, ("--by-ideal", "--by-filter"): {"metavar": "ELEMENTS"}},
+        {"func": _cmd_lattice_quotient}),
+    ("space",): ("topology file operations", {}, {}),
+    ("space", "check"): ("validate a space file", _PATH, {"func": _cmd_space_check}),
+    ("space", "opens"): ("open-set Heyting algebra", _PATH,
+                         {"func": lambda a, o: _space_algebra(a, o, closed=False)}),
+    ("space", "closeds"): ("closed-set co-Heyting algebra", _PATH,
+                           {"func": lambda a, o: _space_algebra(a, o, closed=True)}),
+    ("verify",): ("exhaustive law suites", {}, {}),
+    ("verify", "dual-laws"): ("De Morgan, LEM, boundary laws", _POINTS,
+                              {"func": _cmd_verify_dual_laws, "cap_field": "points"}),
+    ("verify", "stone"): ("spectra are isomorphisms", {
+        "--max-size": {"type": _at_least_one, "default": 5}}, {"func": _cmd_verify_stone}),
+    ("verify", "functoriality"): ("induced maps compose contravariantly", {
+        "--max-size": {"type": _at_least_one, "default": 4}}, {"func": _cmd_verify_functoriality}),
+    ("verify", "s4"): ("the five S4 schemas on all small spaces", _POINTS,
+                       {"func": _cmd_verify_s4, "cap_field": "points"}),
+    ("modal",): ("Kripke / topological evaluation", {}, {}),
+    ("modal", "eval"): ("evaluate at a world", {**_MODEL, "--world": {}, "--assign": {
+        "action": "append", "metavar": "ATOM=SUBSET",
+        "help": "atom values when the input is a space"}}, {"func": _cmd_modal_eval}),
+    ("modal", "valid"): ("validity in a model or frame", {
+        **_MODEL, "--alphabet": {"help": "check frame validity over these atoms"}},
+        {"func": _cmd_modal_valid}),
+    ("search",): ("bounded countermodel search", {
+        "--formula": {"required": True},
+        "--semantics": {"choices": ("classical", "intuitionistic", "dual", "frame"),
+                        "default": "classical"},
+        "--max-points": {"type": _at_least_one, "default": 3},
+        "--require": {"help": "frame properties, e.g. reflexive,transitive"}},
+        {"func": _cmd_modal_search, "cap_field": "max_points"}),
+    ("eval",): ("algebra-valued formula evaluation", {
+        "--algebra": {"required": True,
+                      "help": f"lattice/space file or one of {', '.join(BUILTINS)}"},
+        "--formula": {"required": True},
+        "--assign": {"action": "append", "metavar": "ATOM=VALUE"},
+        "--semantics": {"choices": ("auto", "intuitionistic", "dual"), "default": "auto"}},
+        {"func": _cmd_eval}),
+}
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse ignores an OSError from writing help or usage; a closed
-    stdout is let through, so it exits 2 like any other command."""
+def _read(argv):
+    """argparse's namespace for a well-formed argv, read from _COMMANDS:
+    words and exact flags, each with a value not starting with "-". Help,
+    abbreviated, `=`-joined, repeated or missing options and bad values
+    give None; argparse reads or words those."""
+    ns, words, at = {}, (), 0
+    while True:
+        _, options, defaults = _COMMANDS[words]
+        leaf = "func" in defaults
+        flags = {flag: kw for key, kw in options.items() if key != "path"
+                 for flag in (key if isinstance(key, tuple) else (key,))}
+        ns.update((flag[2:].replace("-", "_"), kw.get("default")) for flag, kw in flags.items())
+        given, positionals = set(), []
+        # a group's own options come before its next word; a leaf's take the rest
+        while at < len(argv) and (leaf or argv[at].startswith("-")):
+            token, at = argv[at], at + 1
+            if not token.startswith("-"):
+                positionals.append(token)
+                continue
+            kw = flags.get(token)
+            if kw is None or at == len(argv) or argv[at].startswith("-"):
+                return None
+            value, dest, at = argv[at], token[2:].replace("-", "_"), at + 1
+            if kw.get("action") == "append":
+                ns[dest] = (ns[dest] or []) + [value]
+                continue
+            if token in given or "choices" in kw and value not in kw["choices"]:
+                return None
+            given.add(token)
+            try:
+                ns[dest] = kw.get("type", str)(value)
+            except Exception:
+                return None
+        if not leaf:
+            if at == len(argv) or words + (argv[at],) not in _COMMANDS:
+                return None
+            ns["subcommand" if words else "command"] = argv[at]
+            words, at = words + (argv[at],), at + 1
+            continue
+        if len(positionals) != ("path" in options) or any(
+                len(given.intersection(key)) != 1 if isinstance(key, tuple)
+                else kw.get("required") and key not in given for key, kw in options.items()):
+            return None
+        return SimpleNamespace(**ns, **dict(zip(("path",), positionals)), **defaults)
 
-    def _print_message(self, message, file=None):
-        if file is sys.stdout:
-            file.write(message)
-        else:
-            super()._print_message(message, file)
 
+def _argparser():
+    """The argparse parser of _COMMANDS. It reads what _read leaves, and
+    words help and usage errors."""
+    import argparse
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="biheyt",
-        description="finite Heyting/co-Heyting algebras, Stone spectra, "
-                    "and S4 model checking",
-    )
-    parser.add_argument("--format", choices=("human", "json"), default="human")
-    sub = parser.add_subparsers(dest="command", required=True)
+    class Parser(argparse.ArgumentParser):
+        """argparse ignores an OSError from writing help or usage; a closed
+        stdout is let through, so it exits 2 like any other command."""
 
-    lat = sub.add_parser("lattice", help="lattice file operations")
-    lat_sub = lat.add_subparsers(dest="subcommand", required=True)
-    p = lat_sub.add_parser("check", help="validate a lattice file")
-    p.add_argument("path")
-    p.set_defaults(func=_cmd_lattice_check)
-    p = lat_sub.add_parser("spectrum", help="prime filter spectrum")
-    p.add_argument("path")
-    p.set_defaults(func=_cmd_lattice_spectrum)
-    p = lat_sub.add_parser("quotient", help="quotient by an ideal or filter")
-    p.add_argument("path")
-    grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--by-ideal", metavar="ELEMENTS")
-    grp.add_argument("--by-filter", metavar="ELEMENTS")
-    p.set_defaults(func=_cmd_lattice_quotient)
+        def _print_message(self, message, file=None):
+            if file is sys.stdout:
+                file.write(message)
+            else:
+                super()._print_message(message, file)
 
-    spc = sub.add_parser("space", help="topology file operations")
-    spc_sub = spc.add_subparsers(dest="subcommand", required=True)
-    p = spc_sub.add_parser("check", help="validate a space file")
-    p.add_argument("path")
-    p.set_defaults(func=_cmd_space_check)
-    p = spc_sub.add_parser("opens", help="open-set Heyting algebra")
-    p.add_argument("path")
-    p.set_defaults(func=lambda a, o: _space_algebra(a, o, closed=False))
-    p = spc_sub.add_parser("closeds", help="closed-set co-Heyting algebra")
-    p.add_argument("path")
-    p.set_defaults(func=lambda a, o: _space_algebra(a, o, closed=True))
-
-    ver = sub.add_parser("verify", help="exhaustive law suites")
-    ver_sub = ver.add_subparsers(dest="subcommand", required=True)
-    p = ver_sub.add_parser("dual-laws", help="De Morgan, LEM, boundary laws")
-    p.add_argument("--points", type=_at_least_one, default=3)
-    p.set_defaults(func=_cmd_verify_dual_laws, cap_field="points")
-    p = ver_sub.add_parser("stone", help="spectra are isomorphisms")
-    p.add_argument("--max-size", type=_at_least_one, default=5)
-    p.set_defaults(func=_cmd_verify_stone)
-    p = ver_sub.add_parser("functoriality", help="induced maps compose contravariantly")
-    p.add_argument("--max-size", type=_at_least_one, default=4)
-    p.set_defaults(func=_cmd_verify_functoriality)
-    p = ver_sub.add_parser("s4", help="the five S4 schemas on all small spaces")
-    p.add_argument("--points", type=_at_least_one, default=3)
-    p.set_defaults(func=_cmd_verify_s4, cap_field="points")
-
-    mod = sub.add_parser("modal", help="Kripke / topological evaluation")
-    mod_sub = mod.add_subparsers(dest="subcommand", required=True)
-    p = mod_sub.add_parser("eval", help="evaluate at a world")
-    p.add_argument("--model", required=True)
-    p.add_argument("--formula", required=True)
-    p.add_argument("--world")
-    p.add_argument("--assign", action="append", metavar="ATOM=SUBSET",
-                   help="atom values when the input is a space")
-    p.set_defaults(func=_cmd_modal_eval)
-    p = mod_sub.add_parser("valid", help="validity in a model or frame")
-    p.add_argument("--model", required=True)
-    p.add_argument("--formula", required=True)
-    p.add_argument("--alphabet", help="check frame validity over these atoms")
-    p.set_defaults(func=_cmd_modal_valid)
-
-    p = sub.add_parser("search", help="bounded countermodel search")
-    p.add_argument("--formula", required=True)
-    p.add_argument(
-        "--semantics",
-        choices=("classical", "intuitionistic", "dual", "frame"),
-        default="classical",
-    )
-    p.add_argument("--max-points", type=_at_least_one, default=3)
-    p.add_argument("--require", help="frame properties, e.g. reflexive,transitive")
-    p.set_defaults(func=_cmd_modal_search, cap_field="max_points")
-
-    p = sub.add_parser("eval", help="algebra-valued formula evaluation")
-    p.add_argument("--algebra", required=True,
-                   help=f"lattice/space file or one of {', '.join(BUILTINS)}")
-    p.add_argument("--formula", required=True)
-    p.add_argument("--assign", action="append", metavar="ATOM=VALUE")
-    p.add_argument("--semantics", choices=("auto", "intuitionistic", "dual"),
-                   default="auto")
-    p.set_defaults(func=_cmd_eval)
-
-    return parser
+    parsers, groups = {}, {}
+    for words, (text, options, defaults) in _COMMANDS.items():
+        up = words[:-1]
+        if words and up not in groups:
+            groups[up] = parsers[up].add_subparsers(dest="subcommand" if up else "command",
+                                                    required=True)
+        p = parsers[words] = (groups[up].add_parser(words[-1], help=text) if words
+                              else Parser(prog="biheyt", description=text))
+        for key, kw in options.items():
+            if isinstance(key, tuple):
+                group = p.add_mutually_exclusive_group(required=True)
+                for flag in key:
+                    group.add_argument(flag, **kw)
+            else:
+                p.add_argument(key, **kw)
+        p.set_defaults(**defaults)
+    return parsers[()]
 
 
 def main(argv=None) -> int:
     """Run one command and return its exit code (2 if stdout's reader has
     gone). The process and its file descriptors stay the caller's."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    for name, value in vars(args).items():
-        # argparse drops an option value that is exactly "--" (`--world=--`)
-        # and stores [] where the string would be
-        if isinstance(value, list) and (value == [] or [] in value):
-            parser.error(f"argument --{name.replace('_', '-')}: '--' is not a value")
+    args = _read(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        parser = _argparser()
+        args = parser.parse_args(argv)
+        for name, value in vars(args).items():
+            # argparse drops an option value that is exactly "--" (`--world=--`)
+            # and stores [] where the string would be
+            if isinstance(value, list) and (value == [] or [] in value):
+                parser.error(f"argument --{name.replace('_', '-')}: '--' is not a value")
     cap_field = getattr(args, "cap_field", None)
     out = _Output(args.format)
     try:
         if cap_field is not None:
-            _capped(parser, getattr(args, cap_field), cap_field.replace("_", "-"))
+            _capped(getattr(args, cap_field), cap_field.replace("_", "-"))
         code = args.func(args, out)
         sys.stdout.flush()  # a closed pipe shows up here, not at interpreter exit
         return code

@@ -1136,8 +1136,8 @@ def test_process_exit_loses_no_output(capsys, monkeypatch, tmp_path, argv, code)
 
 def test_cli_import_loads_no_source_inspection_modules():
     """`import dataclasses` pulls in inspect, ast, dis and tokenize, and
-    only --format json needs `json`; every short run would otherwise pay
-    for them at start-up."""
+    `json` is not needed even for --format json (cli._json writes the
+    records); every short run would otherwise pay for them at start-up."""
     script = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -1149,4 +1149,34 @@ def test_cli_import_loads_no_source_inspection_modules():
     assert proc.returncode == 0, proc.stderr
     added = set(proc.stdout.split())
     assert "biheyt.cli" in added
-    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "json"}
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "json",
+                        "argparse", "gettext", "locale"}
+
+
+@pytest.mark.parametrize("argv, by_argparse", [
+    (["--format", "json", "search", "--formula", "!!p -> p", "--semantics",
+      "intuitionistic", "--max-points", "3"], False),
+    (["verify", "s4"], False),
+    (["verify", "s4", "--points=2"], True),  # `=`-joined: argparse reads it
+    (["--help"], True),
+])
+def test_a_well_formed_command_loads_neither_argparse_nor_json(argv, by_argparse):
+    """cli._read reads a well-formed argv from the command table, so
+    argparse (with gettext and locale) is loaded only for help, usage
+    errors and the spellings that only argparse reads."""
+    script = (
+        "import sys\n"
+        "from biheyt.cli import main\n"
+        "try:\n"
+        "    main(sys.argv[1:])\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "sys.stdout.flush()\n"
+        "print(*sorted({'argparse', 'gettext', 'locale', 'json'} & set(sys.modules)),"
+        " file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout
+    loaded = set(proc.stderr.split())
+    assert "argparse" in loaded if by_argparse else loaded == set()
