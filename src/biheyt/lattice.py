@@ -1,19 +1,21 @@
 """Finite bounded lattices and their Heyting / co-Heyting operations.
 
-Elements are dense indices 0..n-1. The order relation is stored closed
-(full reflexive-transitive relation) as bitmask rows, so order queries
-are O(1) and candidate scans for residuals are O(n). Operation tables
-are memoized lazily via cached_property; the computations are pure and
-idempotent, so concurrent first use is harmless.
+Elements are dense indices 0..n-1. The order is stored closed (the
+full reflexive-transitive relation) as bitmask rows, so order queries
+are O(1). Operation tables are memoized lazily via cached_property;
+they are pure and idempotent, so concurrent first use is harmless.
 
 A lattice is distributive iff a∧(b∨c) = (a∧b)∨(a∧c) for all triples;
 the Heyting implication a→b = ⋁{x | a∧x ≤ b} and the co-Heyting
 subtraction a←b = ⋀{x | a ≤ b∨x} are only well behaved (residuation /
 co-residuation) on distributive lattices, so both refuse otherwise.
-A finite distributive lattice is therefore a Heyting and a co-Heyting
-algebra at once: FiniteLattice itself carries →, ←, ¬, ∼ and ∂ as the
-tables implies_table, minus_table, neg_table, conot_table and
-boundary_table, and every caller reads them there.
+There Birkhoff duality gives them in closed form: for J(x) the
+join-irreducibles below x, J(a→b) = J ∖ ↑(J(a) ∖ J(b)), and a←b is
+that rule in the order dual, on the meet-irreducibles. So a finite
+distributive lattice is a Heyting and a co-Heyting algebra at once:
+FiniteLattice itself carries →, ←, ¬, ∼ and ∂ as the tables
+implies_table, minus_table, neg_table, conot_table and boundary_table,
+and every caller reads them there.
 
 enumerate_distributive_lattices lists the distributive lattices up to
 MAX_ENUMERATION_SIZE elements through Birkhoff duality, as down-set
@@ -138,14 +140,14 @@ class FiniteLattice:
     def implies_table(self) -> tuple[tuple[int, ...], ...]:
         """implies[a][b] = ⋁{x | a∧x ≤ b}. Requires distributivity."""
         self.require_distributive()
-        return _residuals(self.n, self.meet, self.join, self.down, self.bottom)
+        return _residuals(self)
 
     @cached_property
     def minus_table(self) -> tuple[tuple[int, ...], ...]:
         """minus[a][b] = ⋀{x | a ≤ b∨x}: b → a in the order dual, where ∧
         and ∨, ≤ and ≥, ⊥ and ⊤ swap. Requires distributivity."""
         self.require_distributive()
-        return tuple(zip(*_residuals(self.n, self.join, self.meet, self.up, self.top)))
+        return tuple(zip(*_residuals(dualize(self))))
 
     @cached_property
     def neg_table(self) -> tuple[int, ...]:
@@ -163,21 +165,24 @@ class FiniteLattice:
         return tuple(self.meet[a][conot[a]] for a in range(self.n))
 
 
-def _residuals(n: int, meet, join, down, bottom) -> tuple[tuple[int, ...], ...]:
-    """t[a][b] = ⋁{x | a∧x ≤ b} from the given tables, order rows and ⊥."""
-    table = []
-    for a in range(n):
-        ma = meet[a]
-        row = []
-        for b in range(n):
-            db = down[b]
-            acc = bottom
-            for x in range(n):
-                if (db >> ma[x]) & 1:
-                    acc = join[acc][x]
-            row.append(acc)
-        table.append(tuple(row))
-    return tuple(table)
+def _residuals(lat: FiniteLattice) -> tuple[tuple[int, ...], ...]:
+    """t[a][b] = a→b: the x with J(x) = J ∖ ↑(J(a) ∖ J(b)), found once per
+    gap J(a) ∖ J(b)."""
+    irr = sum(1 << j for j in lat.join_irreducibles)
+    below = [d & irr for d in lat.down]
+    element = {s: x for x, s in enumerate(below)}
+    memo: dict[int, int] = {}
+
+    def implies(gap: int) -> int:
+        if gap not in memo:
+            upper, rest = 0, gap
+            while rest:  # iter_bits inlined: this loop is most of the cost of a table
+                upper |= lat.up[(rest & -rest).bit_length() - 1]
+                rest &= rest - 1
+            memo[gap] = element[irr & ~upper]
+        return memo[gap]
+
+    return tuple(tuple([implies(ja & ~jb) for jb in below]) for ja in below)
 
 
 def _lattice_from_rows(up: Sequence[int], subsets=None) -> FiniteLattice:
@@ -263,13 +268,9 @@ def is_boolean(lat: FiniteLattice) -> bool:
     """True iff every element has a complement. Refuses non-distributive
     input, where complements need not be unique."""
     lat.require_distributive()
-    for a in range(lat.n):
-        if not any(
-            lat.meet[a][x] == lat.bottom and lat.join[a][x] == lat.top
-            for x in range(lat.n)
-        ):
-            return False
-    return True
+    meet, join = lat.meet, lat.join
+    return all(any(meet[a][x] == lat.bottom and join[a][x] == lat.top for x in range(lat.n))
+               for a in range(lat.n))
 
 
 def cover_pairs(lat: FiniteLattice) -> list[tuple[int, int]]:
@@ -279,7 +280,6 @@ def cover_pairs(lat: FiniteLattice) -> list[tuple[int, int]]:
         for j in iter_bits(lat.up[i]):
             if j != i and lat.up[i] & lat.down[j] == (1 << i) | (1 << j):
                 out.append((i, j))
-    out.sort()
     return out
 
 
@@ -291,7 +291,7 @@ def cover_pairs(lat: FiniteLattice) -> list[tuple[int, int]]:
 
 # Largest size enumerate_distributive_lattices accepts. spectrum.spectrum
 # reads the same cap, so every enumerated lattice has a spectrum.
-MAX_ENUMERATION_SIZE = 12
+MAX_ENUMERATION_SIZE = 16
 
 
 def _downsets(up_rows: Sequence[int]) -> set[int]:

@@ -1,13 +1,16 @@
-"""The lattice checks that join-primality and congruence-first quotients
-replaced, kept as references for the differential tests in
-test_lattice.py and test_quotient.py.
+"""The lattice checks that join-primality, congruence-first quotients,
+Birkhoff residuals and the one-join prime test replaced, kept as
+references for the differential tests in test_lattice.py,
+test_quotient.py and test_spectrum.py.
 
 reference_lattice_from_rows walks every comparable pair of the order
 rows, testing antisymmetry and transitivity, before it builds the
 tables. reference_distributive_failure scans every triple.
 reference_quotient rebuilds the block lattice with
 reference_lattice_from_rows and cross-checks every projected meet and
-join against it, pair by pair.
+join against it, pair by pair. reference_residuals folds
+⋁{x | a∧x ≤ b} over all x for each pair, and reference_is_prime_filter
+tests a∨b ∈ F ⇒ a ∈ F or b ∈ F on every pair.
 """
 
 from biheyt.bitsets import iter_bits, transpose
@@ -90,3 +93,32 @@ def reference_quotient(lat: FiniteLattice, cong):
     proj = check_hom(block_of, lat, q, "lattice")
     assert proj.surjective
     return q, proj
+
+
+def reference_residuals(n, meet, join, down, bottom):
+    """t[a][b] = ⋁{x | a∧x ≤ b} from the given tables, order rows and ⊥.
+    The arguments of the order dual (join, meet, up, top) give b ← a."""
+    table = []
+    for a in range(n):
+        ma = meet[a]
+        row = []
+        for b in range(n):
+            db = down[b]
+            acc = bottom
+            for x in range(n):
+                if (db >> ma[x]) & 1:
+                    acc = join[acc][x]
+            row.append(acc)
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def reference_is_prime_filter(lat: FiniteLattice, members: int) -> bool:
+    """a∨b ∈ F forces a ∈ F or b ∈ F, over every pair."""
+    for a in range(lat.n):
+        for b in range(lat.n):
+            if (members >> lat.join[a][b]) & 1 and not (
+                (members >> a) & 1 or (members >> b) & 1
+            ):
+                return False
+    return True

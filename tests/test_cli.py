@@ -334,12 +334,12 @@ def test_model_file_with_a_repeated_val_line_is_an_input_error(capsys, tmp_path)
 
 
 def test_verify_stone_at_the_cap(capsys):
-    code, out, _ = run(capsys, "verify", "stone", "--max-size", "12")
+    code, out, _ = run(capsys, "verify", "stone", "--max-size", "16")
     assert code == 0
-    assert out.splitlines()[-1].startswith("342 lattices checked")
-    code, _, err = run(capsys, "verify", "stone", "--max-size", "13")
+    assert out.splitlines()[-1].startswith("3635 lattices checked")
+    code, _, err = run(capsys, "verify", "stone", "--max-size", "17")
     assert code == 2
-    assert "exceeds configured bound 12" in err
+    assert "exceeds configured bound 16" in err
 
 
 def test_verify_s4(capsys):

@@ -16,7 +16,11 @@ from biheyt import (
 from biheyt.bitsets import iter_bits, subset_key
 from biheyt.lattice import _lattice_from_rows
 from biheyt.topology import enumerate_preorders
-from reference_lattice import reference_distributive_failure, reference_lattice_from_rows
+from reference_lattice import (
+    reference_distributive_failure,
+    reference_lattice_from_rows,
+    reference_residuals,
+)
 
 
 def leq_set(lat):
@@ -397,7 +401,7 @@ def test_enumeration_bound():
     from biheyt import BoundExceeded, enumerate_distributive_lattices
 
     with pytest.raises(BoundExceeded):
-        enumerate_distributive_lattices(13)
+        enumerate_distributive_lattices(17)
     assert len(enumerate_distributive_lattices(12)) == 342
 
 
@@ -491,10 +495,10 @@ def test_enumeration_matches_labelled_reference(max_size):
 def test_enumeration_counts_match_a006982():
     from biheyt import enumerate_distributive_lattices
 
-    a006982 = [1, 1, 1, 2, 3, 5, 8, 15, 26, 47, 82, 151]
-    sizes = [lat.n for lat in enumerate_distributive_lattices(12)]
-    assert [sizes.count(n) for n in range(1, 13)] == a006982
-    assert len(sizes) == sum(a006982) == 342
+    a006982 = [1, 1, 1, 2, 3, 5, 8, 15, 26, 47, 82, 151, 269, 494, 891, 1639]
+    sizes = [lat.n for lat in enumerate_distributive_lattices(16)]
+    assert [sizes.count(n) for n in range(1, 17)] == a006982
+    assert len(sizes) == sum(a006982) == 3635
 
 
 def test_enumeration_contains_chains_and_booleans(lattices_6):
@@ -557,3 +561,32 @@ def test_distributivity_and_join_primes_match_their_definitions(m3_diamond):
         assert lat.join_primes == primes, lat
     assert (m3_diamond.join_primes, n5.join_primes) == ((), (1, 3))
     assert n5.distributive_failure is not None
+
+
+def test_residual_tables_match_the_fold(lattices_6, spaces_4):
+    """The Birkhoff closed forms of → and ← equal the ⋁{x | a∧x ≤ b} fold
+    and its order dual on all 342 lattices up to 12 elements, on the
+    distributive lattices of labelled preorders (where any index may be
+    ⊥), on the opens and closeds of every space up to 4 points, and on
+    every quotient by an ideal of a lattice up to 6 elements."""
+    from biheyt import (
+        closed_lattice,
+        congruence_from_ideal,
+        enumerate_distributive_lattices,
+        ideals,
+        open_lattice,
+        quotient,
+    )
+
+    enumerated = enumerate_distributive_lattices(12)
+    labelled = [lat for lat in _preorder_lattices() if lat.distributive_failure is None]
+    spaces = [make(sp) for sp in spaces_4 for make in (open_lattice, closed_lattice)]
+    quotients = [quotient(lat, congruence_from_ideal(lat, i))[0]
+                 for lat in lattices_6 for i in ideals(lat)]
+    assert (len(enumerated), len(spaces)) == (342, 2 * 389)
+    assert any(lat.bottom != 0 for lat in labelled)
+    for lat in enumerated + labelled + spaces + quotients:
+        assert lat.implies_table == reference_residuals(
+            lat.n, lat.meet, lat.join, lat.down, lat.bottom), lat
+        assert lat.minus_table == tuple(zip(*reference_residuals(
+            lat.n, lat.join, lat.meet, lat.up, lat.top))), lat

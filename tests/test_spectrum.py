@@ -24,11 +24,13 @@ from biheyt import (
     validate_topology,
     verify_stone_embedding,
 )
-from biheyt.bitsets import mask_of, pullback, translate_table, transpose
+from biheyt.bitsets import mask_of, pullback, translate_table, transpose, unions
 from biheyt.cli import main
-from biheyt.lattice import FiniteLattice
+from biheyt.lattice import FiniteLattice, enumerate_distributive_lattices
 from biheyt.quotient import FilterOrIdeal
+from biheyt.spectrum import open_implication
 from biheyt.topology import space_classes
+from reference_lattice import reference_is_prime_filter
 
 
 @pytest.fixture
@@ -63,6 +65,20 @@ def test_square_top_filter_not_prime(boolean4):
 def test_primality_rejects_ideals(chain3):
     with pytest.raises(WrongKind):
         is_prime_filter(chain3, make_ideal(chain3, [0]))
+
+
+def test_prime_test_matches_the_pair_loop(m3_diamond):
+    """The one-join test agrees with the pair loop on every up-set, ∅ and
+    L included, of every lattice up to 8 elements and of M3 and N5."""
+    n5 = build_lattice(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
+    checked = 0
+    for lat in enumerate_distributive_lattices(8) + [m3_diamond, n5]:
+        for members in unions(lat.up):
+            filt = FilterOrIdeal(lat, members, "filter")
+            assert is_prime_filter(lat, filt) == reference_is_prime_filter(lat, members), (
+                lat, members)
+            checked += 1
+    assert checked == 352
 
 
 # -- spectra ---------------------------------------------------------------------
@@ -116,6 +132,17 @@ def test_stone_implication_identity(chain3):
         spec.space, complement(spec.space, spec.beta[1]) | spec.beta[0]
     )
     assert spec.beta[m_to_bottom] == want
+
+
+def test_open_implication_matches_the_interior():
+    """U → V read off the smallest open neighbourhoods is the interior of
+    (X∖U) ∪ V, for every pair of opens of every spectrum up to 12
+    elements."""
+    for lat in enumerate_distributive_lattices(12):
+        space = spectrum(lat).space
+        for u in space.opens:
+            for v in space.opens:
+                assert open_implication(space, u, v) == interior(space, ~u | v), (lat, u, v)
 
 
 def test_verify_stone_catches_a_wrong_implication_table(wrong_implication, capsys):
