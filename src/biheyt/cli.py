@@ -595,13 +595,13 @@ def _cmd_eval(args, out: _Output) -> int:
 
 
 def _assignments(items, parse) -> dict:
-    """atom -> parse(value) for each ATOM=VALUE item; an atom may be
-    assigned only once, and a ValueError from parse is bad input."""
+    """atom -> parse(value) for each ATOM=VALUE item; an atom is named
+    and assigned only once, and a ValueError from parse is bad input."""
     out = {}
     for item in items or ():
-        if "=" not in item:
+        name, raw = (part.strip() for part in item.partition("=")[::2])
+        if "=" not in item or not name:
             raise BiheytError(f"assignment {item!r} is not of the form atom=value")
-        name, raw = (part.strip() for part in item.split("=", 1))
         if name in out:
             raise BiheytError(f"atom {name!r} is assigned more than once")
         try:

@@ -453,11 +453,11 @@ def countermodel_search(
     (over closeds). mode 'frame' (classical only) sweeps every frame
     with the sliced core, keeping those with frame_properties ⊆
     {reflexive, transitive, symmetric}. Point counts are decided per
-    class first (see the module docstring). max_points may not exceed
-    DEFAULT_MAX_WORLDS in frame mode or topology.DEFAULT_MAX_POINTS in space
-    mode, and each point count is checked against MAX_VALUATION_BITS, as
-    points × atoms, before it is swept. frame_properties need mode
-    'frame'.
+    class first (see the module docstring). max_points is at least 1 and
+    at most DEFAULT_MAX_WORLDS in frame mode or topology.DEFAULT_MAX_POINTS
+    in space mode, and each point count is checked against
+    MAX_VALUATION_BITS, as points × atoms, before it is swept.
+    frame_properties need mode 'frame'.
     """
     _choose("mode", mode, ("space", "frame"))
     allowed = ("classical",) if mode == "frame" else ("classical", "intuitionistic", "dual")
@@ -471,6 +471,8 @@ def countermodel_search(
         what, bound = "worlds", DEFAULT_MAX_WORLDS
     else:
         what, bound = "points", topology.DEFAULT_MAX_POINTS
+    if max_points < 1:
+        raise BiheytError(f"{what} range 1..{max_points} is empty")
     if max_points > bound:
         raise BoundExceeded(what, max_points, bound)
     if mode == "frame":

@@ -8,10 +8,12 @@ one candidate per order-preserving map from the target's
 join-irreducibles into the source, built one join-irreducible at a
 time, and two-valued homs from the principal filters; every candidate
 is still verified. Congruences are equivalence relations compatible
-with meet and join; a quotient checks its partition as a congruence
-before it rebuilds the block lattice, and verifies the projection as a
-hom. A filter is checked through its generator, the meet of its
-members, and ideals are the filters of the order dual (lattice.dualize).
+with meet and join; the one an ideal or filter generates is closed by
+union-find, each union queueing the meets and joins of its pair with
+every element. A quotient checks its partition as a congruence before
+it rebuilds the block lattice, and verifies the projection as a hom. A
+filter is checked through its generator, the meet of its members, and
+ideals are the filters of the order dual (lattice.dualize).
 """
 
 from __future__ import annotations
@@ -376,7 +378,10 @@ def check_congruence(lat: FiniteLattice, blocks) -> Congruence:
 
 
 def _congruence_closure(lat: FiniteLattice, seed_pairs) -> Congruence:
-    """Smallest lattice congruence containing the seed pairs."""
+    """Smallest lattice congruence containing the seed pairs. Each union
+    of the classes of a and b queues the pairs (a∧c, b∧c) and (a∨c, b∨c)
+    for every c, so every related pair is linked by unions whose
+    translated pairs are related, and the classes form a congruence."""
     parent = list(range(lat.n))
 
     def find(x):
@@ -385,33 +390,18 @@ def _congruence_closure(lat: FiniteLattice, seed_pairs) -> Congruence:
             x = parent[x]
         return x
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        parent[max(rx, ry)] = min(rx, ry)
-        return True
-
-    for a, b in seed_pairs:
-        union(a, b)
-    changed = True
-    while changed:
-        changed = False
-        for a in range(lat.n):
-            for b in range(a + 1, lat.n):
-                if find(a) != find(b):
-                    continue
-                for c in range(lat.n):
-                    if union(lat.meet[a][c], lat.meet[b][c]):
-                        changed = True
-                    if union(lat.join[a][c], lat.join[b][c]):
-                        changed = True
-    groups: dict[int, int] = {}
+    work = list(seed_pairs)
+    while work:
+        a, b = work.pop()
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+            work += zip(lat.meet[a], lat.meet[b])
+            work += zip(lat.join[a], lat.join[b])
+    blocks = [0] * lat.n  # each class under its root, its least member
     for a in range(lat.n):
-        groups.setdefault(find(a), 0)
-        groups[find(a)] |= 1 << a
-    blocks = sorted(groups.values(), key=lambda mask: (mask & -mask).bit_length())
-    return Congruence(lat, tuple(blocks))
+        blocks[find(a)] |= 1 << a
+    return Congruence(lat, tuple(filter(None, blocks)))
 
 
 def congruence_from_ideal(lat: FiniteLattice, ideal: FilterOrIdeal) -> Congruence:

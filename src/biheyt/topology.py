@@ -8,6 +8,7 @@ interchangeable with its specialization preorder. The opens are the
 unions of those neighbourhoods (bitsets.unions), so no construction
 here scans all 2^n subsets. Topology enumeration goes through
 preorders, which is exact and far smaller than scanning subset families.
+A space built from a preorder keeps its rows as min_open.
 
 space_classes lists the spaces up to homeomorphism instead, one
 representative per class with the number of labelled spaces in the
@@ -74,7 +75,8 @@ class FiniteSpace:
 
     @cached_property
     def min_open(self) -> tuple[int, ...]:
-        """Smallest open neighbourhood of each point."""
+        """Smallest open neighbourhood of each point, worked out from the
+        opens on first read unless from_preorder set it."""
         return _smallest_around(self.points, self.opens)
 
 
@@ -174,8 +176,11 @@ def specialization_preorder(space: FiniteSpace) -> Preorder:
 
 def from_preorder(pre: Preorder) -> FiniteSpace:
     """Opens = the up-closed sets of the preorder (Alexandrov): the
-    unions of the principal up-sets pre.rel[x], which must be closed."""
-    return FiniteSpace(pre.points, tuple(sorted(unions(pre.rel), key=subset_key)))
+    unions of the principal up-sets pre.rel[x], which must be closed
+    and are the points' smallest open neighbourhoods (min_open)."""
+    space = FiniteSpace(pre.points, tuple(sorted(unions(pre.rel), key=subset_key)))
+    space.min_open = tuple(pre.rel)
+    return space
 
 
 def enumerate_preorders(points: int) -> Iterator[Preorder]:

@@ -1,7 +1,7 @@
 """The lattice checks that join-primality, congruence-first quotients,
-Birkhoff residuals and the one-join prime test replaced, kept as
-references for the differential tests in test_lattice.py,
-test_quotient.py and test_spectrum.py.
+Birkhoff residuals, the one-join prime test and the worklist congruence
+closure replaced, kept as references for the differential tests in
+test_lattice.py, test_quotient.py and test_spectrum.py.
 
 reference_lattice_from_rows walks every comparable pair of the order
 rows, testing antisymmetry and transitivity, before it builds the
@@ -11,12 +11,15 @@ reference_lattice_from_rows and cross-checks every projected meet and
 join against it, pair by pair. reference_residuals folds
 ⋁{x | a∧x ≤ b} over all x for each pair, and reference_is_prime_filter
 tests a∨b ∈ F ⇒ a ∈ F or b ∈ F on every pair.
+reference_congruence_closure sweeps every related pair, uniting the
+meets and joins of each with every element, until a sweep unites
+nothing.
 """
 
 from biheyt.bitsets import iter_bits, transpose
 from biheyt.errors import NotACongruence, NotALattice, NotAPartialOrder, NotBounded
 from biheyt.lattice import FiniteLattice
-from biheyt.quotient import check_hom
+from biheyt.quotient import Congruence, check_hom
 
 
 def reference_lattice_from_rows(up, subsets=None) -> FiniteLattice:
@@ -122,3 +125,42 @@ def reference_is_prime_filter(lat: FiniteLattice, members: int) -> bool:
             ):
                 return False
     return True
+
+
+def reference_congruence_closure(lat: FiniteLattice, seed_pairs) -> Congruence:
+    """Smallest lattice congruence containing the seed pairs."""
+    parent = list(range(lat.n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            return False
+        parent[max(rx, ry)] = min(rx, ry)
+        return True
+
+    for a, b in seed_pairs:
+        union(a, b)
+    changed = True
+    while changed:
+        changed = False
+        for a in range(lat.n):
+            for b in range(a + 1, lat.n):
+                if find(a) != find(b):
+                    continue
+                for c in range(lat.n):
+                    if union(lat.meet[a][c], lat.meet[b][c]):
+                        changed = True
+                    if union(lat.join[a][c], lat.join[b][c]):
+                        changed = True
+    groups: dict[int, int] = {}
+    for a in range(lat.n):
+        groups.setdefault(find(a), 0)
+        groups[find(a)] |= 1 << a
+    blocks = sorted(groups.values(), key=lambda mask: (mask & -mask).bit_length())
+    return Congruence(lat, tuple(blocks))

@@ -863,6 +863,17 @@ def test_eval_rejects_repeated_assignment(capsys):
     assert "atom 'p' is assigned more than once" in err
 
 
+@pytest.mark.parametrize("argv, item", [
+    (("eval", "--algebra", "chain3", "--formula", "T", "--assign", " = 1"), "' = 1'"),
+    (("modal", "eval", "--model", "threepoint", "--formula", "p",
+      "--assign", "p=0,1,2", "--assign", "=1"), "'=1'"),
+])
+def test_assignment_must_name_an_atom(capsys, argv, item):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"assignment {item} is not of the form atom=value" in err
+
+
 def test_eval_refuses_non_distributive_lattice(capsys, tmp_path):
     f = tmp_path / "m3.lat"
     f.write_text("lattice n=5\nle 0 1\nle 0 2\nle 0 3\nle 1 4\nle 2 4\nle 3 4\n")

@@ -4,6 +4,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 from biheyt import (
+    BiheytError,
     BoundExceeded,
     FiniteSpace,
     UnknownOption,
@@ -428,6 +429,20 @@ def test_search_deterministic():
 def test_search_bound():
     with pytest.raises(BoundExceeded):
         countermodel_search(parse_formula("p"), 9)
+
+
+@pytest.mark.parametrize("max_points", [0, -5])
+@pytest.mark.parametrize("kwargs, what", [
+    ({"mode": "space", "semantics": "classical"}, "points"),
+    ({"mode": "space", "semantics": "intuitionistic"}, "points"),
+    ({"mode": "space", "semantics": "dual"}, "points"),
+    ({"mode": "frame"}, "worlds"),
+])
+def test_search_refuses_an_empty_range(max_points, kwargs, what):
+    """⊥ has a countermodel on one point, so None here would say the
+    range holds none; the empty range is refused instead."""
+    with pytest.raises(BiheytError, match=rf"^{what} range 1\.\.{max_points} is empty$"):
+        countermodel_search(parse_formula("_|_"), max_points, **kwargs)
 
 
 # -- Alexandrov agreement -----------------------------------------------------------------

@@ -37,10 +37,11 @@ from biheyt.quotient import (
     FilterOrIdeal,
     LatticeHom,
     _is_filter_mask,
+    _congruence_closure,
     _is_ideal_mask,
     is_hom,
 )
-from reference_lattice import reference_quotient
+from reference_lattice import reference_congruence_closure, reference_quotient
 
 
 def subsets_of(n):
@@ -465,6 +466,28 @@ def test_filter_closure_matches_meet_formula(lattices_6):
                 for y in range(lat.n):
                     oracle = any(lat.meet[x][f] == lat.meet[y][f] for f in members)
                     assert cong.related(x, y) == oracle
+
+
+def test_worklist_closure_matches_the_sweep(m3_diamond, n5_pentagon):
+    """The same blocks as the fixed-point sweep, on every principal ideal
+    and filter (proper or not) of the lattices ≤ 12, M3 and N5, and on
+    every one-pair seed of the lattices ≤ 8, M3 and N5."""
+    cases = 0
+    fixtures = [m3_diamond, n5_pentagon]
+    for lat in [*enumerate_distributive_lattices(12), *fixtures]:
+        for a in range(lat.n):
+            for seeds in ([(lat.bottom, x) for x in iter_bits(lat.down[a])],
+                          [(lat.top, x) for x in iter_bits(lat.up[a])]):
+                got = _congruence_closure(lat, seeds)
+                assert got == reference_congruence_closure(lat, seeds), (lat, seeds)
+                cases += 1
+    for lat in [*enumerate_distributive_lattices(8), *fixtures]:
+        for a in range(lat.n):
+            for b in range(a + 1, lat.n):
+                got = _congruence_closure(lat, [(a, b)])
+                assert got == reference_congruence_closure(lat, [(a, b)]), (lat, a, b)
+                cases += 1
+    assert cases == 8055
 
 
 def test_relational_definition_comparison(chain3):

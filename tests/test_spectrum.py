@@ -28,6 +28,7 @@ from biheyt.bitsets import mask_of, pullback, translate_table, transpose, unions
 from biheyt.cli import main
 from biheyt.lattice import FiniteLattice, enumerate_distributive_lattices
 from biheyt.quotient import FilterOrIdeal
+from biheyt import topology
 from biheyt.spectrum import open_implication
 from biheyt.topology import space_classes
 from reference_lattice import reference_is_prime_filter
@@ -137,12 +138,28 @@ def test_stone_implication_identity(chain3):
 def test_open_implication_matches_the_interior():
     """U → V read off the smallest open neighbourhoods is the interior of
     (X∖U) ∪ V, for every pair of opens of every spectrum up to 12
-    elements."""
+    elements, and those neighbourhoods are the ones the opens give."""
     for lat in enumerate_distributive_lattices(12):
         space = spectrum(lat).space
+        assert space.min_open == topology._smallest_around(space.points, space.opens), lat
         for u in space.opens:
             for v in space.opens:
                 assert open_implication(space, u, v) == interior(space, ~u | v), (lat, u, v)
+
+
+def test_a_spectrum_works_out_its_neighbourhoods_once(monkeypatch, boolean4):
+    """generate_from_basis intersects the basis around each point once,
+    and the space keeps those rows as its min_open."""
+    calls = []
+    smallest_around = topology._smallest_around
+
+    def counted(points, family):
+        calls.append(points)
+        return smallest_around(points, family)
+
+    monkeypatch.setattr(topology, "_smallest_around", counted)
+    assert spectrum(boolean4).space.min_open == (0b01, 0b10)
+    assert calls == [2]
 
 
 def test_verify_stone_catches_a_wrong_implication_table(wrong_implication, capsys):

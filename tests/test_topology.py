@@ -248,6 +248,17 @@ def test_from_preorder_matches_subset_scan():
     assert count == 1 + 4 + 29 + 355 + 6942
 
 
+def test_min_open_is_the_smallest_open_neighbourhood():
+    """A space built from a preorder keeps its rows as min_open; they
+    are the neighbourhoods worked out from the opens, for every space on
+    ≤ 4 points and every class representative on ≤ 5."""
+    spaces = [sp for m in range(1, 5) for sp in enumerate_topologies(m)]
+    spaces += [c.space for m in range(6) for c in space_classes(m)]
+    assert len(spaces) == 389 + 1 + 185
+    for sp in spaces:
+        assert sp.min_open == topology._smallest_around(sp.points, sp.opens), sp
+
+
 def test_preorders_in_lexicographic_row_order():
     # reference: every relation in row order, kept if reflexive and transitive
     for m in range(5):
