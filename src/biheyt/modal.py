@@ -50,14 +50,15 @@ preorder classify_frame keeps, and the algebra routes on the T0 classes
 alone, since a space's open and closed lattices are those of its T0
 quotient and every smaller quotient has been decided already. On at
 most 4 points that is 46 classes, or 24 T0 classes, against 389
-labelled spaces. On the classical routes a count on which some class
-fails is then walked in labelled enumeration order, so the first
-witness is the one a scan of every structure finds; _first_witness
-takes both steps, on frames and on spaces alike. The algebra routes
-need no walk: each T0 representative is the first labelled space of
-its class, and the classes come in the order that the labelled walk
-first meets them, so the first failing representative is the first
-failing labelled space.
+labelled spaces. One loop over the point counts serves every route: per
+count a route gives its class representatives, its labelled walk and
+how one structure is refuted. On the classical routes a count on which
+some class fails is walked in labelled enumeration order, so the first
+witness is the one a scan of every structure finds. The algebra routes
+give no representatives and walk the T0 ones alone: each is the first
+labelled space of its class, and the classes come in the order that the
+labelled walk first meets them, so the first failing representative is
+the first failing labelled space.
 """
 
 from __future__ import annotations
@@ -452,12 +453,15 @@ def countermodel_search(
     (valuations range over opens); 'dual' in the closed-set algebra
     (over closeds). mode 'frame' (classical only) sweeps every frame
     with the sliced core, keeping those with frame_properties ⊆
-    {reflexive, transitive, symmetric}. Point counts are decided per
-    class first (see the module docstring). max_points is at least 1 and
-    at most DEFAULT_MAX_WORLDS in frame mode or topology.DEFAULT_MAX_POINTS
-    in space mode, and each point count is checked against
-    MAX_VALUATION_BITS, as points × atoms, before it is swept.
-    frame_properties need mode 'frame'.
+    {reflexive, transitive, symmetric}. One loop runs over the point
+    counts: per count a route gives its class representatives (none on
+    the algebra routes) and its labelled walk, walked only when some
+    representative fails; the sliced core refutes a frame or a space,
+    _algebra_witness a lattice (see the module docstring). max_points is
+    at least 1 and at most DEFAULT_MAX_WORLDS in frame mode or
+    topology.DEFAULT_MAX_POINTS in space mode, and each point count is
+    checked against MAX_VALUATION_BITS, as points × atoms, before it is
+    swept. frame_properties need mode 'frame'.
     """
     _choose("mode", mode, ("space", "frame"))
     allowed = ("classical",) if mode == "frame" else ("classical", "intuitionistic", "dual")
@@ -467,16 +471,20 @@ def countermodel_search(
     if frame_properties and mode != "frame":
         raise BiheytError(
             f"frame properties need frame semantics (mode 'frame'), not mode {mode!r}")
-    if mode == "frame":
-        what, bound = "worlds", DEFAULT_MAX_WORLDS
-    else:
-        what, bound = "points", topology.DEFAULT_MAX_POINTS
+    what, bound = (("worlds", DEFAULT_MAX_WORLDS) if mode == "frame"
+                   else ("points", topology.DEFAULT_MAX_POINTS))
     if max_points < 1:
         raise BiheytError(f"{what} range 1..{max_points} is empty")
     if max_points > bound:
         raise BoundExceeded(what, max_points, bound)
+
+    def sliced(structure) -> Optional[SearchResult]:
+        points, box = _sweep(structure)
+        hit = next(_failures(prog, len(names), points, box), None)
+        return None if hit is None else _witness(structure, names, points, hit)
+
     if mode == "frame":
-        prog, names = compile_formula(phi, "kripke")
+        logic, refute = "kripke", sliced
         reflexive = "reflexive" in frame_properties
         # reflexive, transitive frames are preorders, so they come in classes
         by_class = reflexive and "transitive" in frame_properties
@@ -485,35 +493,35 @@ def countermodel_search(
             cls = classify_frame(frame)
             return all(getattr(cls, prop) for prop in frame_properties)
 
-        for worlds in range(1, max_points + 1):
-            _check_valuation_bits(worlds, len(names))
-            classes = None
-            if by_class:
-                classes = filter(kept, (KripkeFrame(worlds, c.space.min_open)
-                                        for c in space_classes(worlds)))
-            labelled = filter(kept, enumerate_frames(worlds, reflexive=reflexive))
-            found = _first_witness(prog, names, classes, labelled)
-            if found is not None:
-                return found
-        return None
-    if semantics == "classical":
-        prog, names = compile_formula(phi, "topological")
-        for points in range(1, max_points + 1):
-            _check_valuation_bits(points, len(names))
-            classes = (c.space for c in space_classes(points))
-            found = _first_witness(prog, names, classes, enumerate_topologies(points))
-            if found is not None:
-                return found
-        return None
-    prog, names = compile_formula(phi, semantics)
-    lattice = open_lattice if semantics == "intuitionistic" else closed_lattice
+        def count(worlds: int) -> tuple:
+            reps = filter(kept, (KripkeFrame(worlds, c.space.min_open)
+                                 for c in space_classes(worlds))) if by_class else None
+            return reps, filter(kept, enumerate_frames(worlds, reflexive=reflexive))
+    elif semantics == "classical":
+        logic, refute = "topological", sliced
+
+        def count(points: int) -> tuple:
+            return (c.space for c in space_classes(points)), enumerate_topologies(points)
+    else:
+        logic = semantics
+        lattice = open_lattice if semantics == "intuitionistic" else closed_lattice
+
+        def count(points: int) -> tuple:
+            # each T0 representative is the first labelled space of its class
+            return None, (c.space for c in space_classes(points) if len(c.skeleton) == points)
+
+        def refute(space: FiniteSpace) -> Optional[SearchResult]:
+            return _algebra_witness(prog, names, lattice(space), space)
+    prog, names = compile_formula(phi, logic)
     for points in range(1, max_points + 1):
         _check_valuation_bits(points, len(names))
-        for c in space_classes(points):
-            if len(c.skeleton) == points:
-                found = _algebra_witness(prog, names, lattice(c.space), c.space)
-                if found is not None:
-                    return found
+        reps, labelled = count(points)
+        if reps is not None and all(refute(rep) is None for rep in reps):
+            continue
+        for structure in labelled:
+            found = refute(structure)
+            if found is not None:
+                return found
     return None
 
 
@@ -524,24 +532,6 @@ def _check_valuation_bits(points: int, natoms: int) -> None:
     bits = points * natoms
     if bits > MAX_VALUATION_BITS:
         raise BoundExceeded("valuation space bits", bits, MAX_VALUATION_BITS)
-
-
-def _first_witness(prog, names: list[str], classes, labelled) -> Optional[SearchResult]:
-    """The first structure of labelled on which some valuation falsifies
-    the compiled formula, with its first witness. classes holds one
-    structure per class of those in labelled (None: no classes); when
-    each of them satisfies the formula, labelled is not walked."""
-    natoms = len(names)
-    if classes is not None and all(
-        next(_failures(prog, natoms, *_sweep(rep)), None) is None for rep in classes
-    ):
-        return None
-    for structure in labelled:
-        points, box = _sweep(structure)
-        hit = next(_failures(prog, natoms, points, box), None)
-        if hit is not None:
-            return _witness(structure, names, points, hit)
-    return None
 
 
 def _algebra_witness(prog, names: list[str], lat, space: FiniteSpace) -> Optional[SearchResult]:
@@ -605,49 +595,27 @@ def agreement_closure(space: FiniteSpace, valuation: Mapping[str, int]) -> Agree
     is finite, so the closure saturates — afterwards any formula of
     any depth evaluates inside the checked set."""
     model = model_from_space(space, valuation)
-    worlds = range(space.points)
-
-    def kripke_set(phi: Formula) -> int:
-        mask = 0
-        for w in worlds:
-            if kripke_eval(model, w, phi):
-                mask |= 1 << w
-        return mask
-
-    checked = 0
     seen: dict[int, Formula] = {}
-    frontier: list[tuple[int, Formula]] = []
+    fresh: list[Formula] = []  # realised a new value, not yet combined
 
-    def consider(phi: Formula) -> Optional[Formula]:
-        nonlocal checked
-        checked += 1
+    def candidates() -> Iterator[Formula]:
+        yield from (Formula("bot"), Formula("top"), *map(atom, valuation))
+        while fresh:
+            sources, known = fresh[:], list(seen.values())
+            fresh.clear()
+            for phi in sources:
+                for wrap in (neg, box, dia):
+                    yield wrap(phi)
+                for psi in known:
+                    for combine in ("and", "or", "imp"):
+                        yield Formula(combine, args=(phi, psi))
+                        yield Formula(combine, args=(psi, phi))
+
+    for checked, phi in enumerate(candidates(), 1):
         t = topo_eval(space, valuation, phi)
-        k = kripke_set(phi)
-        if t != k:
-            return phi
+        if t != sum(1 << w for w in range(space.points) if kripke_eval(model, w, phi)):
+            return AgreementResult(len(seen), checked, phi)
         if t not in seen:
             seen[t] = phi
-            frontier.append((t, phi))
-        return None
-
-    seeds = [Formula("bot"), Formula("top")] + [atom(name) for name in valuation]
-    for phi in seeds:
-        bad = consider(phi)
-        if bad is not None:
-            return AgreementResult(len(seen), checked, bad)
-    while frontier:
-        new_sources = frontier
-        frontier = []
-        known = list(seen.items())
-        for _, phi in new_sources:
-            for wrap in (neg, box, dia):
-                bad = consider(wrap(phi))
-                if bad is not None:
-                    return AgreementResult(len(seen), checked, bad)
-            for _, psi in known:
-                for combine in ("and", "or", "imp"):
-                    for a, b in ((phi, psi), (psi, phi)):
-                        bad = consider(Formula(combine, args=(a, b)))
-                        if bad is not None:
-                            return AgreementResult(len(seen), checked, bad)
+            fresh.append(phi)
     return AgreementResult(len(seen), checked, None)

@@ -78,6 +78,129 @@ MUTANTS = (
         " for x in range(pre.points))",
         ("tests/test_topology.py::test_min_open_is_the_smallest_open_neighbourhood",),
     ),
+    Mutant(
+        "diamond-without-inner-complement",
+        "biheyt/modal.py",
+        "box([full ^ a for a in vals[node[1]]], full)",
+        "box(vals[node[1]], full)",
+        ("tests/test_modal.py::test_sliced_core_matches_topo_eval",),
+    ),
+    Mutant(
+        "diamond-without-outer-complement",
+        "biheyt/modal.py",
+        "value = [full ^ a for a in box(",
+        "value = [a for a in box(",
+        ("tests/test_modal.py::test_sliced_core_matches_topo_eval",),
+    ),
+    Mutant(
+        "pullback-tests-the-source-point",
+        "biheyt/bitsets.py",
+        "if (mask >> y) & 1:",
+        "if (mask >> x) & 1:",
+        ("tests/test_spectrum.py::test_pullback_matches_its_definition",),
+    ),
+    Mutant(
+        "minus-table-not-transposed",
+        "biheyt/lattice.py",
+        "return tuple(zip(*_residuals(dualize(self))))",
+        "return _residuals(dualize(self))",
+        ("tests/test_lattice.py::test_implies_against_max_candidate_oracle",),
+    ),
+    Mutant(
+        "induced-map-default-repr",
+        "biheyt/spectrum.py",
+        "    def __repr__(self):\n"
+        "        return (\n"
+        '            f"InducedMap(point_map={self.point_map}, continuous={self.continuous}, "\n'
+        '            f"identity_ok={self.identity_ok})"\n'
+        "        )\n",
+        "",
+        ("tests/test_modal.py::test_value_types_keep_their_reprs_hash_and_equality",),
+    ),
+    Mutant(
+        "two-valued-candidates-reversed",
+        "biheyt/quotient.py",
+        "for f in filters(lat):",
+        "for f in reversed(filters(lat)):",
+        ("tests/test_quotient.py::test_two_valued_homs_match_the_labelling_scan",),
+    ),
+    Mutant(
+        "read-ignores-choices",
+        "biheyt/cli.py",
+        'if token in given or "choices" in kw and value not in kw["choices"]:',
+        "if token in given:",
+        ("tests/test_cli_parser.py::test_direct_reader_leaves_the_rest_to_argparse",),
+    ),
+    Mutant(
+        "read-ignores-required-options",
+        "biheyt/cli.py",
+        'else kw.get("required") and key not in given for key',
+        "else False for key",
+        ("tests/test_cli_parser.py::test_direct_reader_leaves_the_rest_to_argparse",),
+    ),
+    Mutant(
+        "read-takes-a-repeated-option",
+        "biheyt/cli.py",
+        'if token in given or "choices" in kw and value not in kw["choices"]:',
+        'if "choices" in kw and value not in kw["choices"]:',
+        ("tests/test_cli_parser.py::test_direct_reader_leaves_the_rest_to_argparse",),
+    ),
+    Mutant(
+        "main-drops-the-cap-field-check",
+        "biheyt/cli.py",
+        '            _capped(getattr(args, cap_field), cap_field.replace("_", "-"))\n',
+        "            pass\n",
+        ("tests/test_cli.py::test_env_cap",),
+    ),
+    Mutant(
+        "read-takes-a-dashed-value",
+        "biheyt/cli.py",
+        'if kw is None or at == len(argv) or argv[at].startswith("-"):',
+        "if kw is None or at == len(argv):",
+        ("tests/test_cli_parser.py::test_direct_reader_leaves_the_rest_to_argparse",),
+    ),
+    Mutant(
+        "read-takes-an-empty-group",
+        "biheyt/cli.py",
+        "len(given.intersection(key)) != 1",
+        "len(given.intersection(key)) > 1",
+        ("tests/test_cli_parser.py::test_direct_reader_leaves_the_rest_to_argparse",),
+    ),
+    Mutant(
+        "read-takes-both-group-members",
+        "biheyt/cli.py",
+        "len(given.intersection(key)) != 1",
+        "len(given.intersection(key)) < 1",
+        ("tests/test_cli_parser.py::test_direct_reader_leaves_the_rest_to_argparse",),
+    ),
+    Mutant(
+        "search-skips-a-failing-count",
+        "biheyt/modal.py",
+        "all(refute(rep) is None for rep in reps)",
+        "all(refute(rep) is not None for rep in reps)",
+        ("tests/test_modal.py::test_space_search_matches_reference_on_small_formulas",),
+    ),
+    Mutant(
+        "search-answers-from-the-class-representative",
+        "biheyt/modal.py",
+        "for structure in labelled:",
+        "for structure in count(points)[0] or labelled:",
+        ("tests/test_modal.py::test_space_search_matches_reference_on_small_formulas",),
+    ),
+    Mutant(
+        "closure-combines-with-one-known-value",
+        "biheyt/modal.py",
+        "known = fresh[:], list(seen.values())",
+        "known = fresh[:], list(seen.values())[:1]",
+        ("tests/test_modal.py::test_agreement_closure_matches_the_round_by_round_loop",),
+    ),
+    Mutant(
+        "closure-never-applies-box-or-diamond",
+        "biheyt/modal.py",
+        "for wrap in (neg, box, dia):",
+        "for wrap in (neg,):",
+        ("tests/test_modal.py::test_agreement_closure_matches_the_round_by_round_loop",),
+    ),
 )
 
 

@@ -8,6 +8,11 @@ structures of every point count in enumeration order: every frame
 lattice per T0 class met on that walk (t0_class). Option checks are
 left out.
 
+reference_agreement_closure is agreement_closure as a round-by-round
+loop that checks each candidate where it is built. It calls kripke_eval
+through biheyt.modal, so a test that patches it there patches both
+routes.
+
 reference_verify_s4 and reference_verify_dual_laws are the bodies of
 `verify s4` and `verify dual-laws` as one pass over every labelled
 space. They call the suites through biheyt.cli, so a test that patches
@@ -17,17 +22,21 @@ a suite there patches both routes.
 from itertools import product
 
 import biheyt.cli as cli
+import biheyt.modal as modal
 from biheyt.bitsets import iter_bits, mask_of, pattern
 
 from biheyt.duallogic import algebra_evaluator
-from biheyt.formulas import compile_formula
+from biheyt.formulas import Formula, atom, box, compile_formula, dia, neg
 from biheyt.modal import (
+    AgreementResult,
     SearchResult,
     _failures,
     _sweep,
     _witness,
     classify_frame,
     enumerate_frames,
+    model_from_space,
+    topo_eval,
 )
 from biheyt.lattice import _lex_min_form
 from biheyt.topology import closed_lattice, enumerate_preorders, from_preorder, open_lattice
@@ -83,6 +92,56 @@ def reference_search(phi, max_points, mode="space", semantics="classical",
                     return SearchResult(space, val, missing)
             valid.add(key)
     return None
+
+
+def reference_agreement_closure(space, valuation):
+    model = model_from_space(space, valuation)
+    worlds = range(space.points)
+
+    def kripke_set(phi):
+        mask = 0
+        for w in worlds:
+            if modal.kripke_eval(model, w, phi):
+                mask |= 1 << w
+        return mask
+
+    checked = 0
+    seen = {}
+    frontier = []
+
+    def consider(phi):
+        nonlocal checked
+        checked += 1
+        t = topo_eval(space, valuation, phi)
+        k = kripke_set(phi)
+        if t != k:
+            return phi
+        if t not in seen:
+            seen[t] = phi
+            frontier.append((t, phi))
+        return None
+
+    seeds = [Formula("bot"), Formula("top")] + [atom(name) for name in valuation]
+    for phi in seeds:
+        bad = consider(phi)
+        if bad is not None:
+            return AgreementResult(len(seen), checked, bad)
+    while frontier:
+        new_sources = frontier
+        frontier = []
+        known = list(seen.items())
+        for _, phi in new_sources:
+            for wrap in (neg, box, dia):
+                bad = consider(wrap(phi))
+                if bad is not None:
+                    return AgreementResult(len(seen), checked, bad)
+            for _, psi in known:
+                for combine in ("and", "or", "imp"):
+                    for a, b in ((phi, psi), (psi, phi)):
+                        bad = consider(Formula(combine, args=(a, b)))
+                        if bad is not None:
+                            return AgreementResult(len(seen), checked, bad)
+    return AgreementResult(len(seen), checked, None)
 
 
 def _spaces(points):

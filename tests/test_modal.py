@@ -45,8 +45,8 @@ from biheyt.bitsets import iter_bits, mask_of
 from biheyt.duallogic import algebra_evaluator
 from biheyt.formulas import atom, compile_formula, conj, dia, disj, enumerate_formulas
 from biheyt.modal import S4_SCHEMAS, SchemaReport, SearchResult
-from biheyt.topology import space_classes
-from reference_labelled import reference_search, t0_class
+from biheyt.topology import closure, interior, space_classes
+from reference_labelled import reference_agreement_closure, reference_search, t0_class
 
 
 # -- value types ----------------------------------------------------------------
@@ -431,6 +431,24 @@ def test_search_bound():
         countermodel_search(parse_formula("p"), 9)
 
 
+def test_search_reads_its_patch_points_when_it_runs(monkeypatch):
+    """Traced counters and test patches wrap these module globals, so
+    each search route must look them up when it runs."""
+    calls = dict.fromkeys(("enumerate_topologies", "enumerate_frames", "classify_frame",
+                           "open_lattice", "closed_lattice"), 0)
+    for name in calls:
+        def counting(*args, _real=getattr(modal, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(modal, name, counting)
+    p = parse_formula("p")
+    for kwargs in ({}, {"mode": "frame", "frame_properties": ("reflexive", "transitive")},
+                   {"semantics": "intuitionistic"}, {"semantics": "dual"}):
+        assert countermodel_search(p, 2, **kwargs) is not None
+    assert all(calls.values()), calls
+
+
 @pytest.mark.parametrize("max_points", [0, -5])
 @pytest.mark.parametrize("kwargs, what", [
     ({"mode": "space", "semantics": "classical"}, "points"),
@@ -448,12 +466,68 @@ def test_search_refuses_an_empty_range(max_points, kwargs, what):
 # -- Alexandrov agreement -----------------------------------------------------------------
 
 
+def mask_closure(space, masks):
+    """How many subsets the formulas over atoms with these masks can
+    denote, closed on masks alone: from ∅, X and the masks, under
+    complement, interior, closure, ∩, ∪ and (X∖a) ∪ b."""
+    full = space.full
+    values = {0, full, *masks}
+    while True:
+        grown = values | {full ^ a for a in values}
+        grown |= {interior(space, a) for a in values} | {closure(space, a) for a in values}
+        grown |= {op for a in values for b in values for op in (a & b, a | b, (full ^ a) | b)}
+        if grown == values:
+            return len(values)
+        values = grown
+
+
 def test_agreement_closure_everywhere(spaces_3):
+    """No disagreement, and the closure reaches every value the formulas
+    over p and q can take."""
     for sp in spaces_3:
         for vp in range(1 << sp.points):
             for vq in range(1 << sp.points):
                 result = agreement_closure(sp, {"p": vp, "q": vq})
                 assert result.disagreement is None
+                assert result.distinct_values == mask_closure(sp, (vp, vq)), (sp, vp, vq)
+
+
+def agreement_cases():
+    """Every space of at most 3 points with {p}, and of at most 2 points
+    with {p, q}."""
+    for atoms, points in ((("p",), 3), (("p", "q"), 2)):
+        for sp in (sp for m in range(1, points + 1) for sp in enumerate_topologies(m)):
+            for masks in product(range(1 << sp.points), repeat=len(atoms)):
+                yield sp, dict(zip(atoms, masks))
+
+
+def test_agreement_closure_matches_the_round_by_round_loop():
+    cases = list(agreement_cases())
+    assert len(cases) == 318
+    for sp, valuation in cases:
+        assert agreement_closure(sp, valuation) == reference_agreement_closure(sp, valuation)
+
+
+def test_agreement_closure_finds_a_flipped_world_where_the_loop_does(monkeypatch, spaces_3):
+    """With kripke_eval wrong at the last world on implications out of a
+    ◇, both routes stop at the same candidate, which only the second
+    round or a later one builds, or saturate without meeting one."""
+    real = modal.kripke_eval
+
+    def flipped(model, world, phi):
+        wrong = world == model.frame.worlds - 1 and phi.kind == "imp" and phi.args[0].kind == "dia"
+        return real(model, world, phi) != wrong
+
+    monkeypatch.setattr(modal, "kripke_eval", flipped)
+    found = 0
+    for sp in spaces_3:
+        for vp in range(1 << sp.points):
+            got = agreement_closure(sp, {"p": vp})
+            assert got == reference_agreement_closure(sp, {"p": vp})
+            if got.disagreement is not None:
+                assert got.disagreement.kind == "imp" and got.formulas_checked > 6
+                found += 1
+    assert found == 60  # of the 250 closures over {p}
 
 
 def test_agreement_literal_small_formulas(threepoint):
