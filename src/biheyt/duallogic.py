@@ -19,11 +19,12 @@ general — that failure is the point, so suites never stop early.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import UnknownOption
 from .formulas import Formula, compile_formula
 from .lattice import FiniteLattice, is_boolean
+from .records import Record
 
 LOGICS = ("intuitionistic", "dual")
 # connective -> the FiniteLattice table that interprets it
@@ -69,7 +70,8 @@ def algebra_evaluator(
     return value
 
 
-class LawReport(NamedTuple):
+class LawReport(Record):
+    __slots__ = ()
     law: str
     checked: int
     violations: tuple
@@ -144,7 +146,8 @@ def check_boundary_laws(lat: FiniteLattice) -> list[LawReport]:
     ]
 
 
-class BooleanCriterion(NamedTuple):
+class BooleanCriterion(Record):
+    __slots__ = ()
     complemented: bool
     boundary_trivial: bool
     double_negation: bool

@@ -25,9 +25,10 @@ compiler it accepts any nesting depth.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import FormulaSyntaxError, UnboundAtom, UnsupportedConnective
+from .records import Record
 
 UNARY = ("not", "conot", "box", "dia")
 BINARY = ("and", "or", "imp", "coimp")
@@ -42,7 +43,8 @@ FRAGMENTS = {"kripke": KRIPKE, "topological": KRIPKE,
 _UNARY_ASCII = {"not": "!", "conot": "~", "box": "[]", "dia": "<>"}
 
 
-class Formula(NamedTuple):
+class Formula(Record):
+    __slots__ = ()
     kind: str
     name: Optional[str] = None
     args: tuple["Formula", ...] = ()

@@ -314,24 +314,33 @@ def _lex_min_form(
     element's row has a bit above i, so it is at least 2^(i+1), while
     the rows of those elements are below that. Among them the least row
     wins, and only ties branch, so every labelling with the least rows
-    is reached."""
+    is reached.
+
+    Tied elements share their strict up-set. Two of them with the same
+    strict down-set and size as well are twins: swapping them is an
+    automorphism that fixes every labelled element, so their branches
+    give the same forms with the same counts. A tie branches once per
+    twin group, weighted by the group's size (McKay 1981). The strict
+    down-sets are worked out at the first tie, so a poset without ties
+    never needs them."""
     k = len(up_rows)
     above = [up_rows[x] & ~(1 << x) for x in range(k)]
+    below: list[int] = []
     label = [0] * k
     rows: list[int] = []
     order: list[int] = []  # order[i] = the element holding label i
     best: Optional[tuple[int, ...]] = None
     count = 0
 
-    def extend(done: int) -> None:
+    def extend(done: int, weight: int) -> None:
         nonlocal best, count
         i = len(rows)
         if i == k:
             form = (*rows, *(sizes[x] for x in order)) if sizes else tuple(rows)
             if best is None or form < best:
-                best, count = form, 1
+                best, count = form, weight
             elif form == best:
-                count += 1
+                count += weight
             return
         least, ties = None, []
         for x in range(k):
@@ -345,14 +354,23 @@ def _lex_min_form(
             elif row == least:
                 ties.append(x)
         rows.append(least)
-        for x in ties:
+        groups = [ties]
+        if len(ties) > 1:
+            if not below:
+                below.extend(transpose(above, k))
+            twins: dict[tuple[int, int], list[int]] = {}
+            for x in ties:
+                twins.setdefault((below[x], sizes[x] if sizes else 0), []).append(x)
+            groups = twins.values()
+        for group in groups:
+            x = group[0]
             label[x] = i
             order.append(x)
-            extend(done | 1 << x)
+            extend(done | 1 << x, weight * len(group))
             order.pop()
         rows.pop()
 
-    extend(0)
+    extend(0, 1)
     return best, count
 
 

@@ -64,12 +64,13 @@ the first failing labelled space.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .bitsets import iter_bits, transpose
 from .errors import BiheytError, BoundExceeded, UnboundAtom, UnknownOption, UnsupportedConnective
 from .formulas import KRIPKE, Formula, atom, box, compile_formula, dia, neg, parse_formula
 from .duallogic import algebra_evaluator
+from .records import Record
 from . import topology
 from .topology import (
     FiniteSpace,
@@ -89,9 +90,10 @@ FRAME_PROPERTIES = ("reflexive", "transitive", "symmetric")
 SLICE_BITS = 12  # a slice holds at most 2**SLICE_BITS valuations
 
 
-class KripkeFrame(NamedTuple):
+class KripkeFrame(Record):
     """Worlds 0..worlds-1 and one row of successors per world."""
 
+    __slots__ = ()
     worlds: int
     rel: tuple[int, ...]  # rel[w] = mask of successors
 
@@ -108,14 +110,16 @@ class KripkeFrame(NamedTuple):
         return [(w, u) for w in range(self.worlds) for u in iter_bits(self.rel[w])]
 
 
-class KripkeModel(NamedTuple):
+class KripkeModel(Record):
     """A frame and a valuation (atom -> world mask), kept as given."""
 
+    __slots__ = ()
     frame: KripkeFrame
     valuation: dict[str, int]
 
 
-class FrameClass(NamedTuple):
+class FrameClass(Record):
+    __slots__ = ()
     reflexive: bool
     transitive: bool
     symmetric: bool
@@ -372,7 +376,8 @@ S4_SCHEMAS: tuple[tuple[str, Formula], ...] = (
 _S4_PROGRAMS = [compile_formula(phi, "kripke", ("p", "q"))[0] for _, phi in S4_SCHEMAS]
 
 
-class SchemaReport(NamedTuple):
+class SchemaReport(Record):
+    __slots__ = ()
     name: str
     formula: Formula
     checked: int
@@ -431,7 +436,8 @@ def enumerate_frames(worlds: int, reflexive: bool = False) -> Iterator[KripkeFra
         yield KripkeFrame(worlds, tuple(rel))
 
 
-class SearchResult(NamedTuple):
+class SearchResult(Record):
+    __slots__ = ()
     structure: object  # FiniteSpace or KripkeFrame
     valuation: dict
     point: int
@@ -578,7 +584,8 @@ def worked_examples() -> tuple[KripkeModel, KripkeModel]:
 # --- Alexandrov agreement -------------------------------------------------
 
 
-class AgreementResult(NamedTuple):
+class AgreementResult(Record):
+    __slots__ = ()
     distinct_values: int
     formulas_checked: int
     disagreement: Optional[Formula]

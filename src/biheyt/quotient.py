@@ -19,7 +19,7 @@ ideals are the filters of the order dual (lattice.dualize).
 from __future__ import annotations
 
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .bitsets import bit_list, iter_bits, pullback, subset_key, translate_table
 from .errors import (
@@ -30,6 +30,7 @@ from .errors import (
     WrongKind,
 )
 from .lattice import FiniteLattice, _lattice_from_rows, chain, dualize
+from .records import Record
 
 # largest source enumerate_homs accepts. verify functoriality keeps
 # elements and points as bytes below 128 and tags a map from lattice i
@@ -38,10 +39,11 @@ from .lattice import FiniteLattice, _lattice_from_rows, chain, dualize
 MAX_HOM_SIZE = 7
 
 
-class FilterOrIdeal(NamedTuple):
+class FilterOrIdeal(Record):
     """A nonempty proper filter (up-closed, meet-closed) or ideal
     (down-closed, join-closed). members is an element bitmask."""
 
+    __slots__ = ()
     lattice: FiniteLattice
     members: int
     kind: str
@@ -124,7 +126,7 @@ def ideals(lat: FiniteLattice) -> list[FilterOrIdeal]:
 
 
 class LatticeHom:
-    """A verified hom, map[a] the image of element a. Not a NamedTuple:
+    """A verified hom, map[a] the image of element a. Not a Record:
     == and hash ignore the flavor, any map sequence is stored as a
     tuple, and surjective is memoised."""
 
@@ -324,10 +326,11 @@ def two_valued_homs(lat: FiniteLattice) -> list[LatticeHom]:
     return out
 
 
-class Congruence(NamedTuple):
+class Congruence(Record):
     """A partition of the carrier compatible with meet and join. Blocks
     are bitmasks sorted by least member."""
 
+    __slots__ = ()
     lattice: FiniteLattice
     blocks: tuple[int, ...]
 

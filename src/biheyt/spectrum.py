@@ -20,13 +20,14 @@ compositions on the point maps.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .bitsets import iter_bits, pullback, transpose
 from .errors import BoundExceeded, WrongKind
 from . import lattice
 from .lattice import FiniteLattice
 from .quotient import FilterOrIdeal, LatticeHom, filters
+from .records import Record
 # open_lattice is unused here, but bench/spans.py wraps spectrum.open_lattice by name
 from .topology import FiniteSpace, generate_from_basis, interior, open_lattice  # noqa: F401
 
@@ -49,10 +50,11 @@ def prime_filters(lat: FiniteLattice) -> list[FilterOrIdeal]:
     return [f for f in filters(lat) if is_prime_filter(lat, f)]
 
 
-class SpectralSpace(NamedTuple):
+class SpectralSpace(Record):
     """Spectrum of a lattice: prime filter points, the generated space,
     and the element → point-set map beta."""
 
+    __slots__ = ()
     base: FiniteLattice
     points: tuple[int, ...]  # prime-filter member masks
     space: FiniteSpace
@@ -76,7 +78,8 @@ def open_implication(space: FiniteSpace, u: int, v: int) -> int:
     return sum(1 << x for x, m in enumerate(space.min_open) if not m & u & ~v)
 
 
-class StoneReport(NamedTuple):
+class StoneReport(Record):
+    __slots__ = ()
     violations: list[str]
 
     @property
@@ -114,11 +117,12 @@ def verify_stone_embedding(lat: FiniteLattice) -> StoneReport:
     return StoneReport(violations)
 
 
-class InducedMap(NamedTuple):
+class InducedMap(Record):
     """Point map Spec(target) → Spec(source) induced by a hom, with the
     continuity verdict and the β-preimage identity check. Its repr
     leaves out the hom and the two spectra."""
 
+    __slots__ = ()
     hom: LatticeHom
     source_spec: SpectralSpace
     target_spec: SpectralSpace

@@ -19,8 +19,11 @@ more, or a new one-point cluster goes below an up-set of the clusters,
 as enumerate_distributive_lattices grows its posets. Children are kept
 once each under the lex-min canonical form of the cluster poset with
 its sizes (lattice._lex_min_form), which also counts the automorphisms.
-The labelled enumeration stays: it is the reference, and the route a
-caller takes to find the first labelled witness.
+Clusters that are twins (the same strict up-set, strict down-set and
+size) can swap places, so the form branches once per group of twins
+and weights the count by the group's size. The labelled enumeration
+stays: it is the reference, and the route a caller takes to find the
+first labelled witness.
 
 The open sets form a Heyting algebra under inclusion and the closed
 sets a co-Heyting algebra under inclusion (∅ bottom, X top, ∧=∩, ∨=∪).
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from math import factorial, prod
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .bitsets import iter_bits, pattern, subset_key, unions
 from .errors import (
@@ -45,6 +48,7 @@ from .lattice import (
     _lex_min_form,
     lattice_of_subsets,
 )
+from .records import Record
 
 DEFAULT_MAX_POINTS = 4
 # Most points the exhaustive suites sweep: 6,942 spaces on 5, 209,527 on 6.
@@ -93,9 +97,10 @@ def _smallest_around(points: int, family: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-class Preorder(NamedTuple):
+class Preorder(Record):
     """A preorder on 0..points-1, one row per point."""
 
+    __slots__ = ()
     points: int
     rel: tuple[int, ...]  # rel[x] = mask of y with x R y
 
@@ -216,9 +221,10 @@ def enumerate_topologies(points: int) -> Iterator[FiniteSpace]:
         yield from_preorder(pre)
 
 
-class SpaceClass(NamedTuple):
+class SpaceClass(Record):
     """One homeomorphism class of spaces on a given number of points."""
 
+    __slots__ = ()
     space: FiniteSpace  # a representative
     orbit: int  # labelled spaces in the class: points! / automorphisms
     skeleton: tuple[int, ...]  # canonical rows of the cluster poset (the T0 quotient)

@@ -201,6 +201,27 @@ MUTANTS = (
         "for wrap in (neg,):",
         ("tests/test_modal.py::test_agreement_closure_matches_the_round_by_round_loop",),
     ),
+    Mutant(
+        "twin-weight-ignores-the-group-size",
+        "biheyt/lattice.py",
+        "extend(done | 1 << x, weight * len(group))",
+        "extend(done | 1 << x, weight)",
+        ("tests/test_topology.py::test_twin_groups_keep_the_branching_form",),
+    ),
+    Mutant(
+        "twin-key-without-the-down-set",
+        "biheyt/lattice.py",
+        "twins.setdefault((below[x], sizes[x] if sizes else 0), [])",
+        "twins.setdefault((0, sizes[x] if sizes else 0), [])",
+        ("tests/test_topology.py::test_twin_groups_keep_the_branching_form",),
+    ),
+    Mutant(
+        "record-replace-ignores-its-arguments",
+        "biheyt/records.py",
+        "return _new(type(self), values)",
+        "return _new(type(self), self)",
+        ("tests/test_records.py::test_replace_changes_only_the_named_fields",),
+    ),
 )
 
 

@@ -1,7 +1,8 @@
 """The lattice checks that join-primality, congruence-first quotients,
-Birkhoff residuals, the one-join prime test and the worklist congruence
-closure replaced, kept as references for the differential tests in
-test_lattice.py, test_quotient.py and test_spectrum.py.
+Birkhoff residuals, the one-join prime test, the worklist congruence
+closure and twin groups replaced, kept as references for the
+differential tests in test_lattice.py, test_quotient.py,
+test_spectrum.py and test_topology.py.
 
 reference_lattice_from_rows walks every comparable pair of the order
 rows, testing antisymmetry and transitivity, before it builds the
@@ -13,7 +14,8 @@ join against it, pair by pair. reference_residuals folds
 tests a∨b ∈ F ⇒ a ∈ F or b ∈ F on every pair.
 reference_congruence_closure sweeps every related pair, uniting the
 meets and joins of each with every element, until a sweep unites
-nothing.
+nothing. reference_lex_min_form is the canonical form before twin
+groups: it branches on every tied element.
 """
 
 from biheyt.bitsets import iter_bits, transpose
@@ -164,3 +166,47 @@ def reference_congruence_closure(lat: FiniteLattice, seed_pairs) -> Congruence:
         groups[find(a)] |= 1 << a
     blocks = sorted(groups.values(), key=lambda mask: (mask & -mask).bit_length())
     return Congruence(lat, tuple(blocks))
+
+
+def reference_lex_min_form(up_rows, sizes=()):
+    """lattice._lex_min_form branching on every tie: k interchangeable
+    elements cost k! leaves, each counted once."""
+    k = len(up_rows)
+    above = [up_rows[x] & ~(1 << x) for x in range(k)]
+    label = [0] * k
+    rows = []
+    order = []  # order[i] = the element holding label i
+    best = None
+    count = 0
+
+    def extend(done):
+        nonlocal best, count
+        i = len(rows)
+        if i == k:
+            form = (*rows, *(sizes[x] for x in order)) if sizes else tuple(rows)
+            if best is None or form < best:
+                best, count = form, 1
+            elif form == best:
+                count += 1
+            return
+        least, ties = None, []
+        for x in range(k):
+            if (done >> x) & 1 or above[x] & ~done:
+                continue
+            row = 1 << i
+            for y in iter_bits(above[x]):
+                row |= 1 << label[y]
+            if least is None or row < least:
+                least, ties = row, [x]
+            elif row == least:
+                ties.append(x)
+        rows.append(least)
+        for x in ties:
+            label[x] = i
+            order.append(x)
+            extend(done | 1 << x)
+            order.pop()
+        rows.pop()
+
+    extend(0)
+    return best, count

@@ -53,9 +53,10 @@ from reference_labelled import reference_agreement_closure, reference_search, t0
 
 
 def test_value_types_keep_their_reprs_hash_and_equality():
-    """The value types are NamedTuples: a frame hashes as its fields, a
-    model compares by frame and valuation, and these reprs are pinned
-    (an InducedMap prints neither its hom nor its spectra)."""
+    """The value types are records.Record tuples with named fields: a
+    frame hashes as its fields, a model compares by frame and valuation,
+    and these reprs are pinned (an InducedMap prints neither its hom nor
+    its spectra). tests/test_records.py covers all 16 types."""
     frame = KripkeFrame.from_edges(3, [(0, 0), (0, 1), (1, 2)])
     assert repr(frame) == "KripkeFrame(worlds=3, rel=(3, 4, 0))"
     assert repr(Preorder(3, (3, 2, 6))) == "Preorder(points=3, rel=(3, 2, 6))"

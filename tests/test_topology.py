@@ -10,6 +10,7 @@ from biheyt import (
     closed_lattice,
     closure,
     complement,
+    enumerate_distributive_lattices,
     enumerate_preorders,
     enumerate_topologies,
     from_preorder,
@@ -21,9 +22,11 @@ from biheyt import (
     validate_topology,
 )
 from biheyt.bitsets import iter_bits, mask_of, subset_key
-from biheyt import topology
+from biheyt import lattice, topology
+from biheyt.lattice import _lex_min_form
 from biheyt.topology import space_classes
 from reference_labelled import t0_class
+from reference_lattice import reference_lex_min_form
 
 
 # -- validation --------------------------------------------------------------
@@ -333,6 +336,31 @@ def test_class_counts_follow_oeis(monkeypatch):
         1, 4, 29, 355, 6942, 209_527, 9_535_241]
     monkeypatch.setattr(topology, "MAX_SUITE_POINTS", 6)
     assert len(space_classes(6)) == 718
+
+
+def test_twin_groups_keep_the_branching_form(monkeypatch):
+    """_lex_min_form branches once per twin group. On every child that
+    _space_classes(≤ 6) and enumerate_distributive_lattices(≤ 12)
+    canonicalize, it gives the form and count of the reference that
+    branches on every tie, and _space_classes(n) is the same under
+    either for n ≤ 6 (each level grown from the same parents)."""
+    seen = []
+
+    def spy(*child):
+        seen.append((child, _lex_min_form(*child)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(lattice, "_lex_min_form", spy)
+    monkeypatch.setattr(topology, "_lex_min_form", spy)
+    enumerate_distributive_lattices(12)
+    for n in range(1, 7):
+        topology._space_classes.__wrapped__(n)
+    assert len(seen) > 2000 and any(count > 1 for _, (_, count) in seen)
+    for child, got in seen:
+        assert reference_lex_min_form(*child) == got, child
+    monkeypatch.setattr(topology, "_lex_min_form", reference_lex_min_form)
+    for n in range(7):
+        assert topology._space_classes.__wrapped__(n) == topology._space_classes(n), n
 
 
 def test_space_classes_refuse_a_negative_count():
