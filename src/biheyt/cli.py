@@ -9,7 +9,7 @@ harness consumption; the default human mode prints aligned tables.
 
 The environment variable BIHEYT_MAX_POINTS, when set, caps every
 --points / --max-points argument; it can only lower the library bounds
-(search: topology.DEFAULT_MAX_POINTS spaces, modal.DEFAULT_MAX_WORLDS
+(search: topology.MAX_SUITE_POINTS spaces, modal.DEFAULT_MAX_WORLDS
 frames).
 """
 

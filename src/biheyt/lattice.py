@@ -31,6 +31,7 @@ from typing import Optional, Sequence
 
 from .bitsets import closed_relation, iter_bits, subset_key, translate_table, transpose, unions
 from .errors import (
+    BiheytError,
     BoundExceeded,
     NotALattice,
     NotAPartialOrder,
@@ -303,40 +304,40 @@ def _downsets(up_rows: Sequence[int]) -> set[int]:
 def _lex_min_form(
     up_rows: Sequence[int], sizes: Sequence[int] = ()
 ) -> tuple[tuple[int, ...], int]:
-    """Canonical form of a poset whose elements may carry sizes: the
-    least row tuple over all labellings, then, among the labellings that
-    reach it, the least tuple of sizes in label order. Also the number
-    of labellings that give this form, which is the order of the
-    automorphism group (of the poset with its sizes).
+    """Canonical form of a poset whose elements may carry sizes (all 1
+    when sizes is empty): a labelling gives element x a block of
+    sizes[x] consecutive point labels, and each of its points the union
+    of the blocks of x's up-set as its row. The form is the least tuple
+    of point rows over all labellings, so the least preorder in row
+    order with these clusters; also the number of labellings that give
+    it, the order of the automorphism group of the poset with its sizes.
 
-    Labels are handed out top-down. Label i can only go to an element
-    whose strict upper bounds all hold labels already: any other
-    element's row has a bit above i, so it is at least 2^(i+1), while
-    the rows of those elements are below that. Among them the least row
-    wins, and only ties branch, so every labelling with the least rows
-    is reached.
-
-    Tied elements share their strict up-set. Two of them with the same
-    strict down-set and size as well are twins: swapping them is an
-    automorphism that fixes every labelled element, so their branches
-    give the same forms with the same counts. A tie branches once per
-    twin group, weighted by the group's size (McKay 1981). The strict
-    down-sets are worked out at the first tie, so a poset without ties
-    never needs them."""
+    Blocks go out top-down. The block from label p can only go to an
+    element whose strict upper bounds all hold blocks: any other one's
+    row holds p and every point of a maximal unlabelled element above
+    it, which would take the block with a smaller row. Of those that
+    can take it the least row wins, and only ties branch, so every
+    labelling with the least rows is reached. Tied rows agree from bit p
+    on, so tied elements share their size and strict up-set. Two of them
+    with the same strict down-set as well are twins: swapping them is an
+    automorphism that fixes every labelled element, so a tie branches
+    once per twin group, weighted by the group's size (McKay 1981). The
+    strict down-sets are worked out at the first tie, so a poset without
+    ties never needs them."""
     k = len(up_rows)
+    size = sizes or (1,) * k
     above = [up_rows[x] & ~(1 << x) for x in range(k)]
     below: list[int] = []
-    label = [0] * k
+    block = [0] * k
     rows: list[int] = []
-    order: list[int] = []  # order[i] = the element holding label i
     best: Optional[tuple[int, ...]] = None
     count = 0
 
     def extend(done: int, weight: int) -> None:
         nonlocal best, count
-        i = len(rows)
-        if i == k:
-            form = (*rows, *(sizes[x] for x in order)) if sizes else tuple(rows)
+        p = len(rows)
+        if done == (1 << k) - 1:
+            form = tuple(rows)
             if best is None or form < best:
                 best, count = form, weight
             elif form == best:
@@ -346,29 +347,27 @@ def _lex_min_form(
         for x in range(k):
             if (done >> x) & 1 or above[x] & ~done:
                 continue
-            row = 1 << i
+            row = ((1 << size[x]) - 1) << p
             for y in iter_bits(above[x]):
-                row |= 1 << label[y]
+                row |= block[y]
             if least is None or row < least:
                 least, ties = row, [x]
             elif row == least:
                 ties.append(x)
-        rows.append(least)
+        rows.extend([least] * size[ties[0]])
         groups = [ties]
         if len(ties) > 1:
             if not below:
                 below.extend(transpose(above, k))
-            twins: dict[tuple[int, int], list[int]] = {}
+            twins: dict[int, list[int]] = {}
             for x in ties:
-                twins.setdefault((below[x], sizes[x] if sizes else 0), []).append(x)
+                twins.setdefault(below[x], []).append(x)
             groups = twins.values()
         for group in groups:
             x = group[0]
-            label[x] = i
-            order.append(x)
+            block[x] = least >> p << p
             extend(done | 1 << x, weight * len(group))
-            order.pop()
-        rows.pop()
+        del rows[p:]
 
     extend(0, 1)
     return best, count
@@ -388,10 +387,12 @@ def enumerate_distributive_lattices(max_size: int) -> list[FiniteLattice]:
     which is the order in which a scan of all labelled posets in
     lexicographic row order first meets each class.
 
-    Raises BoundExceeded above MAX_ENUMERATION_SIZE.
+    Raises BiheytError for an empty range (max_size < 1), which would
+    hold every claim vacuously, and BoundExceeded above
+    MAX_ENUMERATION_SIZE.
     """
     if max_size < 1:
-        return []
+        raise BiheytError(f"lattice size range 1..{max_size} is empty")
     if max_size > MAX_ENUMERATION_SIZE:
         raise BoundExceeded("lattice size", max_size, MAX_ENUMERATION_SIZE)
     out = []

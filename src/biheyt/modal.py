@@ -49,16 +49,16 @@ properties include reflexive and transitive on the classes whose
 preorder classify_frame keeps, and the algebra routes on the T0 classes
 alone, since a space's open and closed lattices are those of its T0
 quotient and every smaller quotient has been decided already. On at
-most 4 points that is 46 classes, or 24 T0 classes, against 389
+most 5 points that is 185 classes, or 87 T0 classes, against 7,331
 labelled spaces. One loop over the point counts serves every route: per
 count a route gives its class representatives, its labelled walk and
-how one structure is refuted. On the classical routes a count on which
-some class fails is walked in labelled enumeration order, so the first
-witness is the one a scan of every structure finds. The algebra routes
-give no representatives and walk the T0 ones alone: each is the first
-labelled space of its class, and the classes come in the order that the
-labelled walk first meets them, so the first failing representative is
-the first failing labelled space.
+how one structure is refuted. The space routes walk the classes (the
+algebra routes the T0 ones) as their labelled walk: each representative
+is the first labelled space of its class, and the classes come in the
+order that the labelled walk first meets them, so the first failing
+representative is the first failing labelled space. Frame order is not
+that order, so on the frame routes a count on which some class fails
+is walked labelled, and the first witness is the one a scan finds.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ from .topology import (
     closed_lattice,
     closure,
     complement,
-    enumerate_topologies,
+    enumerate_topologies,  # noqa: F401 -- bench/spans.py wraps it by this name
     interior,
     open_lattice,
     space_classes,
@@ -460,12 +460,12 @@ def countermodel_search(
     (over closeds). mode 'frame' (classical only) sweeps every frame
     with the sliced core, keeping those with frame_properties ⊆
     {reflexive, transitive, symmetric}. One loop runs over the point
-    counts: per count a route gives its class representatives (none on
-    the algebra routes) and its labelled walk, walked only when some
+    counts: per count a route gives its class representatives (frame
+    routes only) and its labelled walk, walked only when some
     representative fails; the sliced core refutes a frame or a space,
     _algebra_witness a lattice (see the module docstring). max_points is
     at least 1 and at most DEFAULT_MAX_WORLDS in frame mode or
-    topology.DEFAULT_MAX_POINTS in space mode, and each point count is
+    topology.MAX_SUITE_POINTS in space mode, and each point count is
     checked against MAX_VALUATION_BITS, as points × atoms, before it is
     swept. frame_properties need mode 'frame'.
     """
@@ -478,7 +478,7 @@ def countermodel_search(
         raise BiheytError(
             f"frame properties need frame semantics (mode 'frame'), not mode {mode!r}")
     what, bound = (("worlds", DEFAULT_MAX_WORLDS) if mode == "frame"
-                   else ("points", topology.DEFAULT_MAX_POINTS))
+                   else ("points", topology.MAX_SUITE_POINTS))
     if max_points < 1:
         raise BiheytError(f"{what} range 1..{max_points} is empty")
     if max_points > bound:
@@ -505,19 +505,17 @@ def countermodel_search(
             return reps, filter(kept, enumerate_frames(worlds, reflexive=reflexive))
     elif semantics == "classical":
         logic, refute = "topological", sliced
-
-        def count(points: int) -> tuple:
-            return (c.space for c in space_classes(points)), enumerate_topologies(points)
     else:
         logic = semantics
         lattice = open_lattice if semantics == "intuitionistic" else closed_lattice
 
-        def count(points: int) -> tuple:
-            # each T0 representative is the first labelled space of its class
-            return None, (c.space for c in space_classes(points) if len(c.skeleton) == points)
-
         def refute(space: FiniteSpace) -> Optional[SearchResult]:
             return _algebra_witness(prog, names, lattice(space), space)
+    if mode == "space":
+        def count(points: int) -> tuple:
+            # each representative is the first labelled space of its class
+            return None, (c.space for c in space_classes(points)
+                          if semantics == "classical" or len(c.skeleton) == points)
     prog, names = compile_formula(phi, logic)
     for points in range(1, max_points + 1):
         _check_valuation_bits(points, len(names))

@@ -18,12 +18,13 @@ classes on m points grow from those on m-1: one cluster gets a point
 more, or a new one-point cluster goes below an up-set of the clusters,
 as enumerate_distributive_lattices grows its posets. Children are kept
 once each under the lex-min canonical form of the cluster poset with
-its sizes (lattice._lex_min_form), which also counts the automorphisms.
-Clusters that are twins (the same strict up-set, strict down-set and
-size) can swap places, so the form branches once per group of twins
-and weights the count by the group's size. The labelled enumeration
-stays: it is the reference, and the route a caller takes to find the
-first labelled witness.
+its sizes (lattice._lex_min_form): the least preorder in row order
+with these clusters as blocks of consecutive points, which also counts
+the automorphisms. Twin clusters (the same strict up-set, strict
+down-set and size) can swap places, so the form branches once per
+group of twins and weights the count by the group's size. So each
+representative is the first labelled space of its class, and the
+labelled enumeration stays only as the reference.
 
 The open sets form a Heyting algebra under inclusion and the closed
 sets a co-Heyting algebra under inclusion (∅ bottom, X top, ∧=∩, ∨=∪).
@@ -35,7 +36,7 @@ from functools import cached_property, lru_cache
 from math import factorial, prod
 from typing import Iterable, Iterator
 
-from .bitsets import iter_bits, pattern, subset_key, unions
+from .bitsets import iter_bits, mask_of, pattern, subset_key, unions
 from .errors import (
     BoundExceeded,
     MissingEmptyOrFull,
@@ -50,8 +51,8 @@ from .lattice import (
 )
 from .records import Record
 
-DEFAULT_MAX_POINTS = 4
-# Most points the exhaustive suites sweep: 6,942 spaces on 5, 209,527 on 6.
+# Most points the exhaustive suites, searches and enumerations sweep:
+# 6,942 spaces on 5, 209,527 on 6.
 MAX_SUITE_POINTS = 5
 
 
@@ -213,10 +214,10 @@ def enumerate_preorders(points: int) -> Iterator[Preorder]:
 def enumerate_topologies(points: int) -> Iterator[FiniteSpace]:
     """Every topology on the labeled point set 0..points-1, exactly once,
     via the preorder correspondence, in a deterministic order. At most
-    DEFAULT_MAX_POINTS points: map from_preorder over enumerate_preorders
+    MAX_SUITE_POINTS points: map from_preorder over enumerate_preorders
     for more."""
-    if points > DEFAULT_MAX_POINTS:
-        raise BoundExceeded("points", points, DEFAULT_MAX_POINTS)
+    if points > MAX_SUITE_POINTS:
+        raise BoundExceeded("points", points, MAX_SUITE_POINTS)
     for pre in enumerate_preorders(points):
         yield from_preorder(pre)
 
@@ -228,18 +229,18 @@ class SpaceClass(Record):
     space: FiniteSpace  # a representative
     orbit: int  # labelled spaces in the class: points! / automorphisms
     skeleton: tuple[int, ...]  # canonical rows of the cluster poset (the T0 quotient)
-    sizes: tuple[int, ...]  # cluster sizes, in the skeleton's label order
+    sizes: tuple[int, ...]  # cluster sizes, in the representative's point order
 
 
 def space_classes(points: int) -> tuple[SpaceClass, ...]:
     """One space per homeomorphism class on exactly `points` points
     (OEIS A001930: 1, 3, 9, 33, 139 on 1..5), ordered by canonical form.
     The orbits sum to the labelled count (A000798), and the classes with
-    skeletons of `points` clusters are the T0 ones (A000112). A T0
+    skeletons of `points` clusters are the T0 ones (A000112). Each
     representative is the first space of its class that
-    enumerate_topologies yields, and the T0 classes come in the order
-    that enumeration first meets them. At most MAX_SUITE_POINTS points;
-    a negative count raises ValueError, and 0 gives the empty space."""
+    enumerate_topologies yields, and the classes come in the order that
+    enumeration first meets them. At most MAX_SUITE_POINTS points; a
+    negative count raises ValueError, and 0 gives the empty space."""
     if points < 0:
         raise ValueError(f"point count {points} is negative")
     if points > MAX_SUITE_POINTS:
@@ -252,25 +253,30 @@ def _space_classes(points: int) -> tuple[SpaceClass, ...]:
     if points == 0:
         return (SpaceClass(FiniteSpace(0, (0,)), 1, (), ()),)
     grown: dict[tuple[int, ...], int] = {}  # canonical form -> automorphisms
+    # growing a cluster keeps the T0 quotient, and reaches every class that is not T0
+    skeletons: dict[tuple[int, ...], tuple[int, ...]] = {}
     for parent in _space_classes(points - 1):
-        rows, sizes = parent.skeleton, parent.sizes
+        rows, sizes = _clusters(parent.space.min_open)
         k = len(rows)
-        children = [(rows, sizes[:c] + (sizes[c] + 1,) + sizes[c + 1 :]) for c in range(k)]
-        children += [
-            (rows + ((1 << k) | (((1 << k) - 1) & ~down),), sizes + (1,))
-            for down in _downsets(rows)
-        ]
-        for child in children:
-            form, automorphisms = _lex_min_form(*child)
+        for c in range(k):
+            form, automorphisms = _lex_min_form(rows, sizes[:c] + (sizes[c] + 1,) + sizes[c + 1 :])
+            grown[form], skeletons[form] = automorphisms, parent.skeleton
+        for down in _downsets(rows):
+            form, automorphisms = _lex_min_form(
+                rows + ((1 << k) | (((1 << k) - 1) & ~down),), sizes + (1,))
             grown[form] = automorphisms
     out = []
     for form in sorted(grown):
-        k = len(form) // 2
-        rows, sizes = form[:k], form[k:]
-        start = [sum(sizes[:c]) for c in range(k)]
-        cluster = [((1 << size) - 1) << first for size, first in zip(sizes, start)]
-        up = [sum(cluster[d] for d in iter_bits(row)) for row in rows]
-        pre = Preorder(points, tuple(up[c] for c in range(k) for _ in range(sizes[c])))
+        sizes = _clusters(form)[1]
         orbit = factorial(points) // (grown[form] * prod(map(factorial, sizes)))
-        out.append(SpaceClass(from_preorder(pre), orbit, rows, sizes))
+        skeleton = skeletons.get(form, form)
+        out.append(SpaceClass(from_preorder(Preorder(points, form)), orbit, skeleton, sizes))
     return tuple(out)
+
+
+def _clusters(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The cluster poset and the cluster sizes of preorder rows whose
+    clusters are blocks of consecutive points, in point order."""
+    starts = [x for x, row in enumerate(rows) if not x or row != rows[x - 1]]
+    return (tuple(mask_of(d for d, s in enumerate(starts) if (rows[t] >> s) & 1) for t in starts),
+            tuple(b - a for a, b in zip(starts, starts[1:] + [len(rows)])))

@@ -178,14 +178,18 @@ MUTANTS = (
         "biheyt/modal.py",
         "all(refute(rep) is None for rep in reps)",
         "all(refute(rep) is not None for rep in reps)",
-        ("tests/test_modal.py::test_space_search_matches_reference_on_small_formulas",),
+        ("tests/test_modal.py::test_frame_search_matches_reference_on_small_formulas"
+         "[reflexive,transitive]",
+         "tests/test_modal.py::test_search_matches_reference_on_four_points[s4-frame]"),
     ),
     Mutant(
         "search-answers-from-the-class-representative",
         "biheyt/modal.py",
         "for structure in labelled:",
         "for structure in count(points)[0] or labelled:",
-        ("tests/test_modal.py::test_space_search_matches_reference_on_small_formulas",),
+        ("tests/test_modal.py::test_frame_search_matches_reference_on_small_formulas"
+         "[reflexive,transitive]",
+         "tests/test_modal.py::test_search_matches_reference_on_four_points[s4-frame]"),
     ),
     Mutant(
         "closure-combines-with-one-known-value",
@@ -211,9 +215,16 @@ MUTANTS = (
     Mutant(
         "twin-key-without-the-down-set",
         "biheyt/lattice.py",
-        "twins.setdefault((below[x], sizes[x] if sizes else 0), [])",
-        "twins.setdefault((0, sizes[x] if sizes else 0), [])",
+        "twins.setdefault(below[x], [])",
+        "twins.setdefault(0, [])",
         ("tests/test_topology.py::test_twin_groups_keep_the_branching_form",),
+    ),
+    Mutant(
+        "block-row-holds-one-point-of-its-block",
+        "biheyt/lattice.py",
+        "row = ((1 << size[x]) - 1) << p",
+        "row = 1 << p",
+        ("tests/test_topology.py::test_lex_min_form_is_the_least_expanded_preorder",),
     ),
     Mutant(
         "record-replace-ignores-its-arguments",

@@ -14,8 +14,8 @@ join against it, pair by pair. reference_residuals folds
 tests a∨b ∈ F ⇒ a ∈ F or b ∈ F on every pair.
 reference_congruence_closure sweeps every related pair, uniting the
 meets and joins of each with every element, until a sweep unites
-nothing. reference_lex_min_form is the canonical form before twin
-groups: it branches on every tied element.
+nothing. reference_lex_min_form is the block-row canonical form before
+twin groups: it branches on every tied element.
 """
 
 from biheyt.bitsets import iter_bits, transpose
@@ -170,20 +170,22 @@ def reference_congruence_closure(lat: FiniteLattice, seed_pairs) -> Congruence:
 
 def reference_lex_min_form(up_rows, sizes=()):
     """lattice._lex_min_form branching on every tie: k interchangeable
-    elements cost k! leaves, each counted once."""
+    elements cost k! leaves, each counted once. Element x takes a block
+    of sizes[x] consecutive point labels (1 when sizes is empty), and
+    the form is the tuple of point rows."""
     k = len(up_rows)
+    size = sizes or (1,) * k
     above = [up_rows[x] & ~(1 << x) for x in range(k)]
-    label = [0] * k
+    block = [0] * k
     rows = []
-    order = []  # order[i] = the element holding label i
     best = None
     count = 0
 
     def extend(done):
         nonlocal best, count
-        i = len(rows)
-        if i == k:
-            form = (*rows, *(sizes[x] for x in order)) if sizes else tuple(rows)
+        p = len(rows)
+        if done == (1 << k) - 1:
+            form = tuple(rows)
             if best is None or form < best:
                 best, count = form, 1
             elif form == best:
@@ -193,20 +195,18 @@ def reference_lex_min_form(up_rows, sizes=()):
         for x in range(k):
             if (done >> x) & 1 or above[x] & ~done:
                 continue
-            row = 1 << i
+            row = ((1 << size[x]) - 1) << p
             for y in iter_bits(above[x]):
-                row |= 1 << label[y]
+                row |= block[y]
             if least is None or row < least:
                 least, ties = row, [x]
             elif row == least:
                 ties.append(x)
-        rows.append(least)
         for x in ties:
-            label[x] = i
-            order.append(x)
+            block[x] = ((1 << size[x]) - 1) << p
+            rows.extend([least] * size[x])
             extend(done | 1 << x)
-            order.pop()
-        rows.pop()
+            del rows[p:]
 
     extend(0)
     return best, count

@@ -651,6 +651,19 @@ def test_rieger_nishimura_ladder_is_refuted_first_at_its_rung(capsys, n, want):
     assert (code, out) == (1 if n < 8 else 0, want)
 
 
+@pytest.mark.parametrize("n, want", [
+    (8, "space m=5\nopen 00000\nopen 10000\nopen 01000\nopen 11000\nopen 10100\n"
+        "open 11100\nopen 11010\nopen 11110\nopen 11111\nval p: 0\nfalsified at 4\n"),
+    (10, "no countermodel within 5 points\n"),
+])
+def test_rieger_nishimura_ladder_reaches_five_points(capsys, n, want):
+    """Space searches run to 5 points: R8 is refuted first there, on the
+    first labelled space of its class, and R10 holds up to it."""
+    code, out, _ = run(capsys, "search", "--formula", rieger_nishimura(n),
+                       "--semantics", "intuitionistic", "--max-points", "5")
+    assert (code, out) == (1 if n < 10 else 0, want)
+
+
 def test_modal_search_alias_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["modal", "search", "--formula", "p"])
@@ -689,19 +702,21 @@ def test_search_unknown_frame_property(capsys):
     assert "unknown frame property 'reflexiv'" in err
 
 
-@pytest.mark.parametrize("semantics", ["frame", "classical", "intuitionistic"])
-def test_search_above_library_bound(capsys, monkeypatch, semantics):
+@pytest.mark.parametrize("semantics, bound", [
+    ("frame", 4), ("classical", 5), ("intuitionistic", 5)],
+    ids=["frame", "classical", "intuitionistic"])
+def test_search_above_library_bound(capsys, monkeypatch, semantics, bound):
     """--max-points is checked against the library bound (4 worlds for
-    frames, 4 points for spaces); BIHEYT_MAX_POINTS can only lower it.
+    frames, 5 points for spaces); BIHEYT_MAX_POINTS can only lower it.
     "p" fails on the first structure, so a missing guard returns at once."""
     monkeypatch.setenv("BIHEYT_MAX_POINTS", "9")
     code, out, err = run(
         capsys, "search", "--semantics", semantics, "--formula", "p",
-        "--max-points", "5",
+        "--max-points", str(bound + 1),
     )
     assert code == 2
     assert out == ""
-    assert "5 exceeds configured bound 4" in err
+    assert f"{bound + 1} exceeds configured bound {bound}" in err
     monkeypatch.setenv("BIHEYT_MAX_POINTS", "2")
     with pytest.raises(SystemExit) as exc:
         main(["search", "--semantics", semantics, "--formula", "p", "--max-points", "3"])

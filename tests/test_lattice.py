@@ -501,6 +501,15 @@ def test_enumeration_counts_match_a006982():
     assert len(sizes) == sum(a006982) == 3635
 
 
+@pytest.mark.parametrize("max_size", [0, -3])
+def test_enumeration_refuses_an_empty_range(max_size):
+    """An empty list would pass every check over it vacuously."""
+    from biheyt import enumerate_distributive_lattices
+
+    with pytest.raises(BiheytError, match=rf"^lattice size range 1\.\.{max_size} is empty$"):
+        enumerate_distributive_lattices(max_size)
+
+
 def test_enumeration_contains_chains_and_booleans(lattices_6):
     keys = {canonical_poset_key(lat.up) for lat in lattices_6}
     for reference in [chain(4), chain(6), build_lattice(4, [(0, 1), (0, 2), (1, 3), (2, 3)])]:

@@ -331,14 +331,14 @@ def test_s4_suite_bound():
     ("topology", "MAX_SUITE_POINTS", lambda: s4_axiom_suite(KripkeFrame(3, (7, 7, 7)))),
     ("modal", "MAX_VALUATION_BITS",
      lambda: valid_in_frame(KripkeFrame(3, (7, 7, 7)), parse_formula("p"), ["p"])),
-    ("topology", "DEFAULT_MAX_POINTS", lambda: countermodel_search(parse_formula("p"), 3)),
+    ("topology", "MAX_SUITE_POINTS", lambda: countermodel_search(parse_formula("p"), 3)),
     ("modal", "DEFAULT_MAX_WORLDS",
      lambda: countermodel_search(parse_formula("p"), 3, mode="frame")),
     ("lattice", "MAX_ENUMERATION_SIZE", lambda: spectrum(chain(3))),
     ("lattice", "MAX_ENUMERATION_SIZE", lambda: verify_stone_embedding(chain(3))),
     ("lattice", "MAX_ENUMERATION_SIZE", lambda: enumerate_distributive_lattices(3)),
     ("quotient", "MAX_HOM_SIZE", lambda: enumerate_homs(chain(3), chain(2))),
-    ("topology", "DEFAULT_MAX_POINTS", lambda: next(enumerate_topologies(3))),
+    ("topology", "MAX_SUITE_POINTS", lambda: next(enumerate_topologies(3))),
     ("topology", "MAX_SUITE_POINTS", lambda: space_classes(3)),
 ], ids=["s4_axiom_suite", "valid_in_frame", "space search", "frame search", "spectrum",
         "verify_stone_embedding", "enumerate_distributive_lattices", "enumerate_homs",
@@ -435,7 +435,7 @@ def test_search_bound():
 def test_search_reads_its_patch_points_when_it_runs(monkeypatch):
     """Traced counters and test patches wrap these module globals, so
     each search route must look them up when it runs."""
-    calls = dict.fromkeys(("enumerate_topologies", "enumerate_frames", "classify_frame",
+    calls = dict.fromkeys(("space_classes", "enumerate_frames", "classify_frame",
                            "open_lattice", "closed_lattice"), 0)
     for name in calls:
         def counting(*args, _real=getattr(modal, name), _name=name, **kwargs):
@@ -1040,3 +1040,61 @@ def test_search_matches_reference_on_four_points(formulas, kwargs):
         phi = parse_formula(text)
         got = countermodel_search(phi, 4, **kwargs)
         assert repr(got) == repr(reference_search(phi, 4, **kwargs)), text
+
+
+def ladder(n, p, neg, join, imp):
+    """Rung n of the Rieger–Nishimura ladder written with these
+    templates: R0 = p, R1 = neg(p), R(2k+2) = join(R(2k), R(2k+1)),
+    R(2k+3) = imp(R(2k+2), R(2k))."""
+    rungs = [p, neg.format(p)]
+    while len(rungs) <= n:
+        k = len(rungs)
+        rungs.append(join.format(rungs[k - 2], rungs[k - 1]) if k % 2 == 0
+                     else imp.format(rungs[k - 1], rungs[k - 3]))
+    return rungs[n]
+
+
+# Each formula with the point count of its first countermodel (None when
+# it holds on every space of at most 5 points). R8 is first refuted on 5
+# points intuitionistically, and so is its Gödel translation into S4
+# classically. A dual formula that holds on one point holds on every
+# space, so the dual ones hold or fail at once.
+FIVE_POINT_SEARCHES = {
+    "classical": (("[]p -> [][]p", None), ("[]p -> p", None), ("<>[]p -> []<>p", 3),
+                  (ladder(8, "[]p", "[]!({})", "({}) | ({})", "[](({}) -> ({}))"), 5)),
+    "intuitionistic": (("p -> !!p", None), (ladder(10, "p", "!({})", "({}) | ({})",
+                                                   "({}) -> ({})"), None),
+                       ("!!p -> p", 2), ("(p -> q) | (q -> r) | (r -> p)", 4),
+                       (ladder(8, "p", "!({})", "({}) | ({})", "({}) -> ({})"), 5)),
+    "dual": (("p | ~p", None), ("~~p | ~p", None), ("(p <- q) | ~(p <- q)", None),
+             ("~p", 1)),
+}
+
+
+@pytest.mark.parametrize("semantics", sorted(FIVE_POINT_SEARCHES))
+def test_space_search_matches_reference_on_five_points(semantics):
+    """Space searches run to 5 points, walking class representatives
+    alone; the reference walks every labelled preorder."""
+    for text, points in FIVE_POINT_SEARCHES[semantics]:
+        phi = parse_formula(text)
+        got = countermodel_search(phi, 5, semantics=semantics)
+        assert repr(got) == repr(reference_search(phi, 5, semantics=semantics)), text
+        assert (got and got.structure.points) == points, text
+
+
+def test_space_searches_walk_no_labelled_space(monkeypatch):
+    """Each class representative is the first labelled space of its class,
+    so every space route answers with the labelled enumerations gone."""
+    cases = [(sem, parse_formula(text)) for sem, searches in FIVE_POINT_SEARCHES.items()
+             for text, _ in searches[:1] + searches[-1:]]
+    want = [repr(countermodel_search(phi, 5, semantics=sem)) for sem, phi in cases]
+
+    def refuse(*_args):
+        raise AssertionError("a labelled enumeration ran")
+
+    topology = importlib.import_module("biheyt.topology")
+    monkeypatch.setattr(modal, "enumerate_topologies", refuse)
+    monkeypatch.setattr(topology, "enumerate_topologies", refuse)
+    monkeypatch.setattr(topology, "enumerate_preorders", refuse)
+    topology._space_classes.cache_clear()
+    assert [repr(countermodel_search(phi, 5, semantics=sem)) for sem, phi in cases] == want

@@ -1,4 +1,5 @@
 from itertools import permutations, product
+from math import factorial, prod
 
 import pytest
 
@@ -314,11 +315,10 @@ def test_enumeration_unique_and_deterministic():
     assert len(set(first)) == len(first)
 
 
-def test_bound_exceeded(monkeypatch):
+def test_bound_exceeded():
     with pytest.raises(BoundExceeded):
-        next(iter(enumerate_topologies(5)))
-    monkeypatch.setattr(topology, "DEFAULT_MAX_POINTS", 5)
-    assert sum(1 for _ in enumerate_topologies(5)) > 355
+        next(iter(enumerate_topologies(6)))
+    assert sum(1 for _ in enumerate_topologies(5)) == 6942
 
 
 # -- homeomorphism classes -------------------------------------------------------
@@ -381,16 +381,21 @@ def relabelled(rows, perm):
 def test_classes_partition_the_labelled_preorders(m):
     """Brute force: the orbit of each representative under every
     permutation of the points. Every labelled preorder lies in exactly
-    one orbit, whose size is the class's orbit count."""
+    one orbit, whose size is the class's orbit count. Every
+    representative, T0 or not, is the least of its orbit, so it is the
+    first space of its class that enumerate_preorders yields, and the
+    classes come in the order that walk first meets them."""
     labelled = {pre.rel for pre in enumerate_preorders(m)}
     seen = set()
-    for c in space_classes(m):
-        rows = specialization_preorder(c.space).rel
+    reps = [specialization_preorder(c.space).rel for c in space_classes(m)]
+    for c, rows in zip(space_classes(m), reps):
         orbit = {relabelled(rows, perm) for perm in permutations(range(m))}
-        assert len(orbit) == c.orbit, c
+        assert len(orbit) == c.orbit and min(orbit) == rows, c
         assert not orbit & seen and orbit <= labelled, c
         seen |= orbit
     assert seen == labelled
+    firsts = set(reps)
+    assert [pre.rel for pre in enumerate_preorders(m) if pre.rel in firsts] == reps
 
 
 def test_class_skeletons_are_t0_quotients(spaces_4):
@@ -420,6 +425,38 @@ def test_t0_representatives_come_first_in_enumeration_order(m):
         firsts.setdefault(t0_class(sp), sp)
     met = [sp for key, sp in firsts.items() if len(key) == m]
     assert met == [c.space for c in space_classes(m) if len(c.skeleton) == m]
+
+
+def expanded(rows, sizes):
+    """The preorder of a cluster poset whose cluster x is a block of
+    sizes[x] consecutive points: each point's row holds the blocks of
+    its cluster's up-set."""
+    starts = [sum(sizes[:x]) for x in range(len(sizes))]
+    blocks = [((1 << size) - 1) << start for size, start in zip(sizes, starts)]
+    return tuple(sum(blocks[y] for y in iter_bits(row))
+                 for row, size in zip(rows, sizes) for _ in range(size))
+
+
+def test_lex_min_form_is_the_least_expanded_preorder(monkeypatch):
+    """On every child that _space_classes(≤ 5) canonicalizes, the form
+    is the least relabelling of the expanded preorder, and count × ∏
+    sizes! is the number of point permutations that reach it."""
+    seen = []
+
+    def spy(*child):
+        seen.append((child, _lex_min_form(*child)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(topology, "_lex_min_form", spy)
+    for n in range(1, 6):
+        topology._space_classes.__wrapped__(n)
+    assert len(seen) >= 400 and any(count > 1 for _, (_, count) in seen)
+    for (rows, sizes), (form, count) in seen:
+        points = sum(sizes)
+        labelled = [relabelled(expanded(rows, sizes), perm)
+                    for perm in permutations(range(points))]
+        assert form == min(labelled), (rows, sizes)
+        assert count * prod(map(factorial, sizes)) == labelled.count(form), (rows, sizes)
 
 
 def test_class_bound():
