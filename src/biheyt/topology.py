@@ -32,11 +32,12 @@ sets a co-Heyting algebra under inclusion (∅ bottom, X top, ∧=∩, ∨=∪).
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from math import factorial, prod
+from operator import and_
 from typing import Iterable, Iterator
 
-from .bitsets import iter_bits, mask_of, pattern, subset_key, unions
+from .bitsets import iter_bits, mask_of, pattern, subset_key, transpose, unions
 from .errors import (
     BoundExceeded,
     MissingEmptyOrFull,
@@ -187,6 +188,23 @@ def from_preorder(pre: Preorder) -> FiniteSpace:
     space = FiniteSpace(pre.points, tuple(sorted(unions(pre.rel), key=subset_key)))
     space.min_open = tuple(pre.rel)
     return space
+
+
+def count_continuous_maps(source: FiniteSpace, target: FiniteSpace) -> int:
+    """How many maps source → target are continuous: y ∈ min_open(x)
+    must force f(y) ∈ min_open(f(x)). The points get their images one at
+    a time, each tested only against the earlier points it is comparable
+    with. A space with no points has one map into any space, the empty one."""
+    rows, onto = source.min_open, target.min_open
+    under = transpose(onto, target.points)  # under[v]: the u with v ∈ min_open(u)
+    maps = [()]
+    for x, row in enumerate(rows):
+        # f(x) ∈ under[f(p)] if p ∈ min_open(x), and f(x) ∈ onto[f(p)] if x ∈ min_open(p)
+        tests = ([(p, under) for p in range(x) if (row >> p) & 1]
+                 + [(p, onto) for p in range(x) if (rows[p] >> x) & 1])
+        maps = [f + (v,) for f in maps
+                for v in iter_bits(reduce(and_, [table[f[p]] for p, table in tests], target.full))]
+    return len(maps)
 
 
 def enumerate_preorders(points: int) -> Iterator[Preorder]:

@@ -227,6 +227,55 @@ MUTANTS = (
         ("tests/test_topology.py::test_lex_min_form_is_the_least_expanded_preorder",),
     ),
     Mutant(
+        "hom-count-in-the-wrong-direction",
+        "biheyt/cli.py",
+        "count_continuous_maps(spectra[j].space, spectra[i].space)",
+        "count_continuous_maps(spectra[i].space, spectra[j].space)",
+        ("tests/test_cli.py::test_verify_functoriality",),
+    ),
+    Mutant(
+        "empty-space-counted-as-no-maps",
+        "biheyt/topology.py",
+        "    maps = [()]\n",
+        "    maps = [()] if rows else []\n",
+        ("tests/test_topology.py::test_count_continuous_maps_matches_the_product",),
+    ),
+    Mutant(
+        "enumerate-homs-drops-its-last-hom",
+        "biheyt/quotient.py",
+        "return [found[m] for m in sorted(found)]",
+        "return [found[m] for m in sorted(found)][:max(1, len(found) - 1)]",
+        ("tests/test_cli.py::test_verify_functoriality",),
+    ),
+    Mutant(
+        "hom-count-never-reports",
+        "biheyt/cli.py",
+        "if len(ims) != by_duality:",
+        "if False:",
+        ("tests/test_cli.py::test_functoriality_counts_the_homs_of_every_pair",),
+    ),
+    Mutant(
+        "walk-swaps-the-none-test",
+        "biheyt/cli.py",
+        "if i_gf is None:",
+        "if i_gf is not None:",
+        ("tests/test_cli.py::test_functoriality_reports_a_composite_missing_from_the_homs",),
+    ),
+    Mutant(
+        "suite-cap-hard-coded",
+        "biheyt/cli.py",
+        "if points > topology.MAX_SUITE_POINTS:",
+        "if points > 5:",
+        ("tests/test_modal.py::test_verify_s4_reads_the_suite_cap_when_it_runs",),
+    ),
+    Mutant(
+        "hom-cap-hard-coded",
+        "biheyt/cli.py",
+        "if args.max_size > cap:",
+        "if args.max_size > 8:",
+        ("tests/test_modal.py::test_verify_functoriality_reads_the_hom_cap_when_it_runs",),
+    ),
+    Mutant(
         "record-replace-ignores-its-arguments",
         "biheyt/records.py",
         "return _new(type(self), values)",

@@ -13,6 +13,10 @@ from biheyt.bitsets import mask_of, pattern
 from biheyt.cli import main
 from biheyt.formulas import compile_formula
 from biheyt.textfmt import load_structure
+from reference_functoriality import (
+    reference_compositions_certified,
+    reference_count_continuous_maps,
+)
 from reference_labelled import reference_verify_dual_laws, reference_verify_s4
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -150,10 +154,14 @@ def test_verify_functoriality_at_the_cap(capsys):
     assert code == 0
     assert out == ("identities: 21, beta identities: 18724, compositions: 23913274, "
                    "all contravariant\n")
-    code, out, err = run(capsys, "verify", "functoriality", "--max-size", "8")
+    code, out, _ = run(capsys, "verify", "functoriality", "--max-size", "8")
+    assert code == 0
+    assert out == ("identities: 36, beta identities: 143693, compositions: 835132946, "
+                   "all contravariant\n")
+    code, out, err = run(capsys, "verify", "functoriality", "--max-size", "9")
     assert code == 2
     assert out == ""
-    assert "exceeds configured bound 7" in err
+    assert "exceeds configured bound 8" in err
 
 
 def _corrupt_point_map(induced_map):
@@ -191,11 +199,32 @@ def test_functoriality_reports_a_corrupted_point_map(capsys, monkeypatch):
 
 
 def test_functoriality_reports_a_composite_missing_from_the_homs(capsys, monkeypatch):
-    violations = _functoriality_violations(capsys, monkeypatch, "enumerate_homs",
-                                           _drop_a_hom)
+    count, *violations = _functoriality_violations(capsys, monkeypatch, "enumerate_homs",
+                                                   _drop_a_hom)
+    assert count == ("hom count violation: lattice 2 (n=3) -> lattice 1 (n=2): "
+                     "1 enumerated, 2 by duality")
     assert violations
     assert all(v.startswith("composition violation: ") and
                v.endswith("composes to no enumerated hom") for v in violations)
+
+
+def _identity_homs_only(enumerate_homs):
+    return lambda h, k: [phi for phi in enumerate_homs(h, k)
+                         if h is k and phi.map == tuple(range(h.n))]
+
+
+def _drop_the_last_hom(enumerate_homs):
+    return lambda h, k: enumerate_homs(h, k)[:-1] or enumerate_homs(h, k)
+
+
+@pytest.mark.parametrize("patched", [_identity_homs_only, _drop_the_last_hom],
+                         ids=["identity homs only", "last hom of a pair dropped"])
+def test_functoriality_counts_the_homs_of_every_pair(capsys, monkeypatch, patched):
+    """Lists closed under composition pass a check of the composites
+    alone; the count by duality shows that they are incomplete."""
+    violations = _functoriality_violations(capsys, monkeypatch, "enumerate_homs", patched)
+    assert violations
+    assert all(v.startswith("hom count violation: ") for v in violations)
 
 
 def test_functoriality_reports_a_discontinuous_induced_map(capsys, monkeypatch):
@@ -213,7 +242,8 @@ def reference_verify_functoriality(max_size, out):
     composable pair: g∘f is built as a tuple and looked up in the table
     of its pair, and Spec(f)∘Spec(g) is built from the point maps. It
     calls its callees through biheyt.cli, so a patch there patches both
-    routes."""
+    routes. Each pair's hom count is checked against a brute-force count
+    of the continuous maps between the spectra."""
     import biheyt.cli as cli
 
     lattices = cli.enumerate_distributive_lattices(max_size)
@@ -240,6 +270,15 @@ def reference_verify_functoriality(max_size, out):
                 if not (im.continuous and im.identity_ok):
                     exit_code = 1
                     out.text(f"beta identity violation for {im.hom!r}")
+    for i, h in enumerate(lattices):
+        for j, k in enumerate(lattices):
+            enumerated = len(induced[(id(h), id(k))])
+            by_duality = reference_count_continuous_maps(spectra[id(k)].space,
+                                                         spectra[id(h)].space)
+            if enumerated != by_duality:
+                exit_code = 1
+                out.text(f"hom count violation: lattice {i} (n={h.n}) -> lattice {j} "
+                         f"(n={k.n}): {enumerated} enumerated, {by_duality} by duality")
     for h in lattices:
         for k in lattices:
             for f, i_f in induced[(id(h), id(k))].items():
@@ -287,10 +326,10 @@ def test_functoriality_violations_match_the_per_pair_loop(capsys, monkeypatch, p
                 (size, fmt)
 
 
-def _certified(max_size):
-    """Whether the bulk composition certificate of `verify
-    functoriality` holds at max_size. Its inputs are built through
-    biheyt.cli's callees, so a patch there reaches them."""
+def _certificate_inputs(max_size):
+    """The spectra and the induced maps `verify functoriality` certifies
+    at max_size, built through biheyt.cli's callees, so a patch there
+    reaches them."""
     import biheyt.cli as cli
 
     lattices = cli.enumerate_distributive_lattices(max_size)
@@ -299,11 +338,28 @@ def _certified(max_size):
     induced = {(i, j): {phi.map: cli.induced_map(phi, spectra[i], spectra[j])
                         for phi in cli.enumerate_homs(lattices[i], lattices[j])}
                for i in indices for j in indices}
-    return cli._compositions_certified(spectra, induced)
+    return spectra, induced
+
+
+def _certified(spectra, induced):
+    """Whether the bulk composition certificate of `verify
+    functoriality` holds: C1 and every hom count."""
+    import biheyt.cli as cli
+
+    point_maps_ok, miscounts = cli._compositions_certified(spectra, induced)
+    return point_maps_ok and not miscounts
 
 
 def test_the_composition_certificate_holds_through_size_6():
-    assert all(_certified(size) for size in range(1, 7))
+    """So does the composite certificate it replaced."""
+    for size in range(1, 7):
+        inputs = _certificate_inputs(size)
+        assert _certified(*inputs) is reference_compositions_certified(*inputs) is True, size
+
+
+def test_the_certificate_agrees_with_the_composite_certificate_at_size_7():
+    inputs = _certificate_inputs(7)
+    assert _certified(*inputs) is reference_compositions_certified(*inputs) is True
 
 
 @violation_patches
@@ -312,7 +368,8 @@ def test_the_composition_certificate_fails_under_each_patch(monkeypatch, patches
 
     for name, patched in patches.items():
         monkeypatch.setattr(cli, name, patched(getattr(cli, name)))
-    assert not _certified(3)
+    inputs = _certificate_inputs(3)
+    assert _certified(*inputs) is reference_compositions_certified(*inputs) is False
 
 
 @pytest.mark.parametrize("world", ["\u00b2", "w\u00b2"])

@@ -367,6 +367,20 @@ def test_verify_s4_reads_the_suite_cap_when_it_runs(monkeypatch, capsys):
     assert "points 3 exceeds configured bound 2" in err
 
 
+def test_verify_functoriality_reads_the_hom_cap_when_it_runs(monkeypatch, capsys):
+    import biheyt.cli as cli
+
+    def no_lattices(*_args):
+        raise AssertionError("lattices were enumerated past the cap")
+
+    monkeypatch.setattr(importlib.import_module("biheyt.quotient"), "MAX_HOM_SIZE", 2)
+    monkeypatch.setattr(cli, "enumerate_distributive_lattices", no_lattices)
+    assert cli.main(["verify", "functoriality", "--max-size", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "lattice size 3 exceeds configured bound 2" in err
+
+
 # -- countermodel search ----------------------------------------------------------------
 
 

@@ -713,8 +713,8 @@ def test_enumerate_homs_never_scans_for_distributivity():
 
 def test_enumerate_homs_bound(chain3):
     with pytest.raises(BoundExceeded):
-        enumerate_homs(chain(8), chain3)
-    assert len(enumerate_homs(chain(7), chain(1))) == 1
+        enumerate_homs(chain(9), chain3)
+    assert len(enumerate_homs(chain(8), chain(1))) == 1
 
 
 def test_enumerate_homs_identity_present(chain3):

@@ -267,6 +267,21 @@ def test_contravariance_on_sample(chain3):
                 )
 
 
+def test_hom_counts_follow_duality_through_size_7():
+    """|Hom(A, B)| is the number of continuous maps Spec(B) → Spec(A),
+    counted without the lattices, on all 441 pairs of distributive
+    lattices of size ≤ 7. Counted Spec(A) → Spec(B), 406 pairs differ."""
+    lattices = enumerate_distributive_lattices(7)
+    spaces = [spectrum(lat).space for lat in lattices]
+    pairs = [(a, b) for a in range(len(lattices)) for b in range(len(lattices))]
+    homs = {(a, b): len(enumerate_homs(lattices[a], lattices[b])) for a, b in pairs}
+    assert len(homs) == 441 and sum(homs.values()) == 18724
+    assert all(topology.count_continuous_maps(spaces[b], spaces[a]) == homs[(a, b)]
+               for a, b in pairs)
+    assert sum(topology.count_continuous_maps(spaces[a], spaces[b]) != homs[(a, b)]
+               for a, b in pairs) == 406
+
+
 # -- open map criterion -----------------------------------------------------------------
 
 

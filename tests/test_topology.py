@@ -26,6 +26,7 @@ from biheyt.bitsets import iter_bits, mask_of, subset_key
 from biheyt import lattice, topology
 from biheyt.lattice import _lex_min_form
 from biheyt.topology import space_classes
+from reference_functoriality import reference_count_continuous_maps
 from reference_labelled import t0_class
 from reference_lattice import reference_lex_min_form
 
@@ -261,6 +262,20 @@ def test_min_open_is_the_smallest_open_neighbourhood():
     assert len(spaces) == 389 + 1 + 185
     for sp in spaces:
         assert sp.min_open == topology._smallest_around(sp.points, sp.opens), sp
+
+
+def test_count_continuous_maps_matches_the_product():
+    """The count read off the smallest open neighbourhoods against every
+    map tried and its preimages of opens, on every ordered pair of
+    labelled spaces on ≤ 3 points and of T0 classes on ≤ 4, the empty
+    space among them."""
+    labelled = [sp for m in range(4) for sp in enumerate_topologies(m)]
+    t0 = [c.space for m in range(5) for c in space_classes(m) if len(c.skeleton) == m]
+    assert (len(labelled), len(t0)) == (1 + 1 + 4 + 29, 1 + 1 + 2 + 5 + 16)
+    for spaces in (labelled, t0):
+        for source, target in product(spaces, repeat=2):
+            assert topology.count_continuous_maps(source, target) == \
+                reference_count_continuous_maps(source, target), (source, target)
 
 
 def test_preorders_in_lexicographic_row_order():
