@@ -355,8 +355,13 @@ def _compositions_certified(spectra, induced) -> tuple[bool, list[str]]:
     # points[i]: the index of each point of Spec(L_i), by its membership bytes
     points = [{table[:spec.base.n]: x for x, table in enumerate(tables)}
               for spec, tables in zip(spectra, members)]
-    return all(tuple(map(points[i].get, map(bytes(f).translate, members[j]))) == im.point_map
-               for (i, j), ims in induced.items() for f, im in ims.items()), miscounts
+    for (i, j), ims in induced.items():
+        index, tables = points[i], members[j]
+        for f, im in ims.items():
+            f = bytes(f)
+            if tuple([index.get(f.translate(table)) for table in tables]) != im.point_map:
+                return False, miscounts
+    return True, miscounts
 
 
 def _cmd_verify_functoriality(args, out: _Output) -> int:
@@ -395,8 +400,9 @@ def _cmd_verify_functoriality(args, out: _Output) -> int:
             if not (im.continuous and im.identity_ok):
                 exit_code = 1
                 out.text(f"beta identity violation for {im.hom!r}")
-    composition_checked = sum(len(induced[(i, j)]) * len(induced[(j, l)])
-                              for i in indices for j in indices for l in indices)
+    # the homs into L_j times the homs out of it, summed over j
+    composition_checked = sum(sum(len(induced[(i, j)]) for i in indices)
+                              * sum(len(induced[(j, l)]) for l in indices) for j in indices)
     point_maps_ok, miscounts = _compositions_certified(spectra, induced)
     for line in miscounts:
         exit_code = 1

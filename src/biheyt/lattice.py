@@ -100,17 +100,55 @@ class FiniteLattice:
         return tuple(j for j in self.join_irreducibles
                      if not self.leq(j, self._join_of(full & ~self.up[j])))
 
-    def byte_rows(self, table: str) -> tuple[bytes, tuple[bytes, ...]]:
-        """The named table (meet, join, implies_table or minus_table) as
+    @cached_property
+    def hom_shape(self) -> tuple[tuple[tuple[bool, tuple[int, ...], tuple[int, ...]], ...],
+                                 Optional[bytes]]:
+        """What quotient.enumerate_homs reads of the lattice as the target
+        of homs. First, for each join-irreducible point q in index order,
+        whether it is join-prime, the earlier points below it and the
+        earlier points above it. Then joins, the translate table sending
+        each set S of points, as a mask, to ⋁S; it is None above 8 points,
+        where the masks are not bytes (with at most 8 join-irreducibles a
+        lattice has at most 256 elements)."""
+        points = self.join_irreducibles
+        primes = set(self.join_primes)
+        shape = tuple((j in primes,
+                       tuple(p for p in range(q) if self.leq(points[p], j)),
+                       tuple(p for p in range(q) if self.leq(j, points[p])))
+                      for q, j in enumerate(points))
+        if len(points) > 8:
+            return shape, None
+        joins = bytearray(256)
+        joins[0] = self.bottom
+        for s in range(1, 1 << len(points)):
+            low = s & -s
+            joins[s] = self.join[joins[s ^ low]][points[low.bit_length() - 1]]
+        return shape, bytes(joins)
+
+    @cached_property
+    def hom_images(self) -> tuple[int, int, tuple[int, ...]]:
+        """What quotient.enumerate_homs reads of the lattice as the source
+        of homs: the mask of its join-irreducibles, the mask of every
+        element but ⊥, and each up[v] spread into bytes, byte a of
+        spread[v] being 1 when v ≤ a."""
+        spread = tuple(int.from_bytes(bytes((row >> a) & 1 for a in range(self.n)), "little")
+                       for row in self.up)
+        return (sum(1 << j for j in self.join_irreducibles),
+                ((1 << self.n) - 1) & ~(1 << self.bottom), spread)
+
+    def byte_rows(self, tables: tuple[str, ...]) -> tuple[bytes, tuple[tuple[bytes, ...], ...]]:
+        """The named tables (meet, join, implies_table or minus_table) as
         bytes for bytes.translate, memoized like the tables; needs
-        n ≤ 256. First every row concatenated, so byte a·n + b is
-        table[a][b]; then each row a as a bitsets.translate_table,
-        sending b to table[a][b] and every byte from n up to itself."""
-        rows = self._byte_rows.get(table)
+        n ≤ 256. First every row of every table concatenated, so byte
+        t·n² + a·n + b is tables[t][a][b]; then, per table, each row a as
+        a bitsets.translate_table, sending b to table[a][b] and every
+        byte from n up to itself."""
+        rows = self._byte_rows.get(tables)
         if rows is None:
-            plain = tuple(map(bytes, getattr(self, table)))
-            rows = self._byte_rows[table] = (
-                b"".join(plain), tuple(map(translate_table, plain)))
+            plain = [tuple(map(bytes, getattr(self, table))) for table in tables]
+            rows = self._byte_rows[tables] = (
+                b"".join(b"".join(table) for table in plain),
+                tuple(tuple(map(translate_table, table)) for table in plain))
         return rows
 
     @cached_property

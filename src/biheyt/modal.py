@@ -59,6 +59,17 @@ order that the labelled walk first meets them, so the first failing
 representative is the first failing labelled space. Frame order is not
 that order, so on the frame routes a count on which some class fails
 is walked labelled, and the first witness is the one a scan finds.
+
+Decided on one point. In a co-Heyting algebra x ↦ ∼∼x is a
+homomorphism onto the Boolean algebra of the regular elements, and
+∼∼x ≤ x, so a formula is ⊤ under every valuation in every closed-set
+algebra once it is a classical tautology: the order dual of Glivenko's
+theorem, by which ¬ψ is intuitionistically valid once it is classically
+valid. The one-point space is the two-element Boolean algebra, so the
+dual route, and the intuitionistic route on a formula ¬ψ, sweep one
+point only: a formula that fails there fails on the first structure
+the search walks, and one that holds there holds everywhere. The
+valuation-bit bound is still checked for every point count.
 """
 
 from __future__ import annotations
@@ -467,7 +478,9 @@ def countermodel_search(
     at least 1 and at most DEFAULT_MAX_WORLDS in frame mode or
     topology.MAX_SUITE_POINTS in space mode, and each point count is
     checked against MAX_VALUATION_BITS, as points × atoms, before it is
-    swept. frame_properties need mode 'frame'.
+    swept. frame_properties need mode 'frame'. The dual route, and the
+    intuitionistic route on a formula ¬ψ, sweep one point only (Glivenko,
+    see the module docstring).
     """
     _choose("mode", mode, ("space", "frame"))
     allowed = ("classical",) if mode == "frame" else ("classical", "intuitionistic", "dual")
@@ -516,9 +529,13 @@ def countermodel_search(
             # each representative is the first labelled space of its class
             return None, (c.space for c in space_classes(points)
                           if semantics == "classical" or len(c.skeleton) == points)
+    # decided on one point, by Glivenko's theorem (see the module docstring)
+    one_point = semantics == "dual" or semantics == "intuitionistic" and phi.kind == "not"
     prog, names = compile_formula(phi, logic)
     for points in range(1, max_points + 1):
         _check_valuation_bits(points, len(names))
+        if one_point and points > 1:
+            continue
         reps, labelled = count(points)
         if reps is not None and all(refute(rep) is None for rep in reps):
             continue

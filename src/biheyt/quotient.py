@@ -18,10 +18,11 @@ ideals are the filters of the order dual (lattice.dualize).
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 from typing import Sequence
 
-from .bitsets import bit_list, iter_bits, pullback, subset_key, translate_table
+from .bitsets import iter_bits, pullback, subset_key, translate_table
 from .errors import (
     BoundExceeded,
     NotACongruence,
@@ -173,18 +174,37 @@ def _flavor_tables(flavor) -> tuple[str, ...]:
     return tables
 
 
-def _first_row_off(phi: bytes, source, target, table: str):
-    """Writing · for the named table and m for the map whose translate
-    table is phi: the first row a with m(a·b) ≠ m(a)·m(b) for some b, or
-    None. Every m(a·b) is the source's rows, joined, translated by m;
-    m(a)·m(b) for every b is the map translated by the target's row
-    m(a)."""
-    images = phi[:source.n]
-    got = source.byte_rows(table)[0].translate(phi)
-    want = b"".join(map(images.translate, map(target.byte_rows(table)[1].__getitem__, images)))
+def _row_products(maps, flat: bytes, rows) -> tuple[bytes, bytes]:
+    """For each map m in maps, given by its images as bytes, and tables
+    ·₁, ·₂, … whose source rows, all joined, are flat and whose target
+    rows, as translate tables, are rows[0], rows[1], …: m(a ·ᵢ b) and
+    m(a) ·ᵢ m(b) for every m, i, a and b, in that order. Every m(a ·ᵢ b)
+    is flat translated by m; m(a) ·ᵢ m(b) for every b is the images
+    translated by the target's row m(a) of ·ᵢ."""
+    return (b"".join([flat.translate(translate_table(m)) for m in maps]),
+            b"".join([m.translate(row[y]) for m in maps for row in rows for y in m]))
+
+
+def _first_row_off(images: bytes, source, target, table: str):
+    """The first row a with m(a·b) ≠ m(a)·m(b) for some b, for the named
+    table and the map m with the given images, or None."""
+    got, want = _row_products([images], source.byte_rows((table,))[0],
+                              target.byte_rows((table,))[1])
     if got == want:
         return None
     return next(i for i, (x, y) in enumerate(zip(got, want)) if x != y) // source.n
+
+
+def _rows_kept(maps: list[bytes], source, target, names: tuple[str, ...]) -> bool:
+    """check_hom's test without its witness, on every map at once, each
+    given by its images as bytes: each keeps ⊥ and ⊤, and m(a·b) =
+    m(a)·m(b) for each named table, compared in bulk (_row_products).
+    Needs at most 256 elements on each side."""
+    joined, n = b"".join(maps), source.n
+    return (joined[source.bottom::n] == bytes([target.bottom]) * len(maps)
+            and joined[source.top::n] == bytes([target.top]) * len(maps)
+            and operator.eq(*_row_products(maps, source.byte_rows(names)[0],
+                                           target.byte_rows(names)[1])))
 
 
 def check_hom(map: Sequence[int], source, target, flavor="lattice") -> LatticeHom:
@@ -211,9 +231,9 @@ def check_hom(map: Sequence[int], source, target, flavor="lattice") -> LatticeHo
     tables = [(name, getattr(source, name), getattr(target, name)) for name in names]
     rowwise = n <= 256 and target.n <= 256
     if rowwise:
-        phi = translate_table(m)
+        images = bytes(m)
     for name, src_op, dst_op in tables:
-        first = _first_row_off(phi, source, target, name) if rowwise else 0
+        first = _first_row_off(images, source, target, name) if rowwise else 0
         if first is None:
             continue
         for a in range(first, n):
@@ -244,45 +264,60 @@ def enumerate_homs(source, target, flavor="lattice") -> list[LatticeHom]:
     assigned one at a time, each image tried in index order and tested
     only against the earlier points it is comparable with, so the
     order-preserving f come in the order of itertools.product over each
-    point's images and no other f is built. φ is carried along: giving j
-    the image v joins j into φ(a) for every a ≥ v. Every candidate is
-    verified with is_hom; several f can give the same map, which is kept
-    once. The source has at most MAX_HOM_SIZE elements."""
-    _flavor_tables(flavor)
+    point's images and no other f is built. What the target and the
+    source give to this are read once per lattice (hom_shape and
+    hom_images).
+
+    Along with f goes one int whose field a holds the mask of the points
+    j with f(j) ≤ a: giving the point j the image v ORs j's bit into the
+    field of every a ≥ v. With at most 8 points the fields are bytes,
+    and φ is that int's bytes translated by the target's table of joins;
+    otherwise each field is read out and its points joined. Several f
+    can give the same map, which is kept once. Every candidate is
+    verified as check_hom would, without raising (_rows_kept): ⊥, ⊤ and
+    the byte rows of each table the flavor preserves, for all the maps
+    of the pair at once, and map by map only when that fails. A target
+    of more than 256 elements has no byte rows, and there each map is
+    verified with is_hom. The source has at most MAX_HOM_SIZE
+    elements."""
+    names = _flavor_tables(flavor)
     if source.n > MAX_HOM_SIZE:
         raise BoundExceeded("lattice size", source.n, MAX_HOM_SIZE)
-    points = target.join_irreducibles
-    join, up, down = target.join, source.up, source.down
-    primes = set(target.join_primes)
-    prime_images = sum(1 << a for a in source.join_irreducibles)
-    any_image = ((1 << source.n) - 1) & ~(1 << source.bottom)
-    images = [prime_images if j in primes else any_image for j in points]
-    k = len(points)
-    # the earlier points each point lies above, and those it lies below
-    above = [[p for p in range(q) if target.leq(points[p], points[q])] for q in range(k)]
-    beneath = [[p for p in range(q) if target.leq(points[q], points[p])] for q in range(k)]
-    # each entry: the images f of the first points, and φ built from them
-    stack = [((), [target.bottom] * source.n)]
-    found = {}
-    while stack:
-        f, phi = stack.pop()
-        q = len(f)
-        if q == k:
-            m = tuple(phi)
-            if m not in found and is_hom(m, source, target, flavor):
-                found[m] = LatticeHom(source, target, m, flavor)
-            continue
-        allowed = images[q]
-        for p in above[q]:
-            allowed &= up[f[p]]
-        for p in beneath[q]:
-            allowed &= down[f[p]]
-        row = join[points[q]]
-        for v in reversed(bit_list(allowed)):  # popped in index order
-            over = up[v]
-            stack.append((f + (v,), [row[x] if (over >> a) & 1 else x
-                                     for a, x in enumerate(phi)]))
-    return [found[m] for m in sorted(found)]
+    shape, joins = target.hom_shape
+    primes, others, spread = source.hom_images
+    up, down, n, k = source.up, source.down, source.n, len(shape)
+    if joins is None:  # a field of k bits per element
+        spread = [sum(1 << a * k for a in iter_bits(row)) for row in up]
+    # each entry: the images f of the first points, and the fields built from them
+    level = [((), 0)]
+    for q, (prime, lower, upper) in enumerate(shape):
+        grown = []
+        for f, fields in level:
+            allowed = primes if prime else others
+            for p in lower:
+                allowed &= up[f[p]]
+            for p in upper:
+                allowed &= down[f[p]]
+            while allowed:  # iter_bits inlined: this loop visits every node
+                v = (allowed & -allowed).bit_length() - 1
+                grown.append((f + (v,), fields | spread[v] << q))
+                allowed &= allowed - 1
+        if not grown:
+            return []
+        level = grown
+    if joins is not None:
+        maps = [fields.to_bytes(n, "little").translate(joins) for _, fields in level]
+    else:
+        points, ones = target.join_irreducibles, (1 << k) - 1
+        pack = bytes if target.n <= 256 else tuple
+        maps = [pack(target._join_of(sum(1 << points[q] for q in iter_bits(fields >> a * k & ones)))
+                     for a in range(n)) for _, fields in level]
+    maps = list(dict.fromkeys(maps))  # several f can give the same map
+    if target.n > 256:
+        maps = [m for m in maps if is_hom(m, source, target, flavor)]
+    elif not _rows_kept(maps, source, target, names):
+        maps = [m for m in maps if _rows_kept([m], source, target, names)]
+    return [LatticeHom(source, target, m, flavor) for m in sorted(maps)]
 
 
 def compose(g: LatticeHom, f: LatticeHom) -> LatticeHom:

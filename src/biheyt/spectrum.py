@@ -11,18 +11,22 @@ the lattice's implies_table. Lattice homs induce continuous point maps
 in the opposite direction (preimage of a prime filter), and each
 continuous map of spectra comes from exactly one hom (Birkhoff
 duality), so `verify functoriality` counts the homs A → B as the
-continuous maps Spec B → Spec A. Every preimage, of a prime filter
-along a hom or of a point set along a point map, is taken by
-bitsets.pullback. induced_map reads each φ⁻¹(P) off the verified
-spectrum instead of checking it again as a prime filter (a preimage
-that is no point of the source spectrum raises WrongKind).
+continuous maps Spec B → Spec A. induced_map reads its sets as 0/1
+bytes, from tables built once per spectrum and cached by the lattice's
+size and the points: each φ⁻¹(P) is a column of the rows β(φ(a)),
+looked up among the points of the source spectrum instead of checked
+again as a prime filter (a preimage that is no point of the source
+spectrum raises WrongKind), and the preimage of each β(h) along the
+point map is one bytes.translate. spectrum() and verify_stone_embedding
+build no such table. open_map_criterion takes its preimages with
+bitsets.pullback.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .bitsets import iter_bits, pullback, transpose
+from .bitsets import iter_bits, pullback, translate_table, transpose
 from .errors import BoundExceeded, WrongKind
 from . import lattice
 from .lattice import FiniteLattice
@@ -137,27 +141,59 @@ class InducedMap(Record):
         )
 
 
+# the tables induced_map reads of each spectrum, keyed by its lattice's
+# size and its points (see _spectrum_tables)
+_TABLES: dict[tuple[int, tuple[int, ...]], tuple] = {}
+
+
+def _spectrum_tables(spec: SpectralSpace) -> tuple:
+    """What induced_map reads of a spectrum, built on the first call
+    that meets it. A set of points is written as 0/1 bytes over the
+    points, a filter as 0/1 bytes over the elements. The tables: the
+    index of each point by its filter; for each element h, the translate
+    table sending each point to 1 inside β(h) and to 0 outside it; each
+    β(h) as bytes; and the set of the opens as bytes. The points and the
+    lattice's size fix them all, as spectrum() builds β from the points
+    and the opens from β: the opens are exactly the β(h), which are
+    closed under ∩ and ∪."""
+    key = (spec.base.n, spec.points)
+    tables = _TABLES.get(key)
+    if tables is None:
+        n, points = key
+        beta = [bytes((p >> h) & 1 for p in points) for h in range(n)]
+        tables = _TABLES[key] = (
+            {bytes((p >> a) & 1 for a in range(n)): x for x, p in enumerate(points)},
+            list(map(translate_table, beta)), beta, set(beta))
+    return tables
+
+
 def induced_map(
     phi: LatticeHom, source_spec: SpectralSpace, target_spec: SpectralSpace
 ) -> InducedMap:
     """Send a prime filter P of φ's target to φ⁻¹(P), looked up among
     the points of source_spec, the spectrum of φ's source; target_spec
     is the spectrum of φ's target. Verify the map is continuous and that
-    the preimage of β(h) is β(φ(h)) for every h."""
-    index = {p: i for i, p in enumerate(source_spec.points)}
-    point_map = []
-    for p in target_spec.points:
-        pre = pullback(phi.map, p)
-        if pre not in index:
-            raise WrongKind("preimage of a prime filter is not a point of the source spectrum")
-        point_map.append(index[pre])
-    point_map = tuple(point_map)
-    preimages = {o: pullback(point_map, o) for o in source_spec.space.opens}
-    target_opens = set(target_spec.space.opens)
-    continuous = all(pre in target_opens for pre in preimages.values())
-    # spectrum() generates the space from the β(h), so each is an open
-    identity_ok = all(preimages[b] == target_spec.beta[v]
-                      for b, v in zip(source_spec.beta, phi.map))
+    the preimage of β(h) is β(φ(h)) for every h.
+
+    Every set is read as bytes (_spectrum_tables). The rows β(φ(a)), one
+    per element a of the source, are joined, and the column of a point P
+    is φ⁻¹(P): a holds it when P holds φ(a). The preimage of each β(h)
+    along the point map is the point map, as bytes, translated by β(h)'s
+    table: one translate per element of the source. Those β(h) are the
+    opens of the source spectrum, so the map is continuous when each
+    preimage is an open of the target spectrum."""
+    index, members, _, _ = _spectrum_tables(source_spec)
+    _, _, beta, opens = _spectrum_tables(target_spec)
+    k = len(target_spec.points)
+    betas = [beta[v] for v in phi.map]
+    rows = b"".join(betas)
+    point_map = tuple([index.get(rows[x::k]) for x in range(k)])
+    if None in point_map:
+        raise WrongKind("preimage of a prime filter is not a point of the source spectrum")
+    pulled = bytes(point_map)
+    preimages = [pulled.translate(table) for table in members]
+    continuous = opens.issuperset(preimages)
+    identity_ok = preimages == betas
     return InducedMap(phi, source_spec, target_spec, point_map, continuous, identity_ok)
 
 

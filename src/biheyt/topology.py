@@ -32,9 +32,8 @@ sets a co-Heyting algebra under inclusion (∅ bottom, X top, ∧=∩, ∨=∪).
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from math import factorial, prod
-from operator import and_
 from typing import Iterable, Iterator
 
 from .bitsets import iter_bits, mask_of, pattern, subset_key, transpose, unions
@@ -84,6 +83,21 @@ class FiniteSpace:
         """Smallest open neighbourhood of each point, worked out from the
         opens on first read unless from_preorder set it."""
         return _smallest_around(self.points, self.opens)
+
+    @cached_property
+    def min_closed(self) -> tuple[int, ...]:
+        """Smallest closed set around each point, its closure: the points
+        whose smallest open neighbourhood holds it."""
+        return tuple(transpose(self.min_open, self.points))
+
+    @cached_property
+    def earlier_comparable(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """For each point x, the earlier points in min_open(x), and the
+        earlier points whose min_open holds x."""
+        rows = self.min_open
+        return tuple((tuple(p for p in range(x) if (row >> p) & 1),
+                      tuple(p for p in range(x) if (rows[p] >> x) & 1))
+                     for x, row in enumerate(rows))
 
 
 def _smallest_around(points: int, family: Iterable[int]) -> tuple[int, ...]:
@@ -194,16 +208,24 @@ def count_continuous_maps(source: FiniteSpace, target: FiniteSpace) -> int:
     """How many maps source → target are continuous: y ∈ min_open(x)
     must force f(y) ∈ min_open(f(x)). The points get their images one at
     a time, each tested only against the earlier points it is comparable
-    with. A space with no points has one map into any space, the empty one."""
-    rows, onto = source.min_open, target.min_open
-    under = transpose(onto, target.points)  # under[v]: the u with v ∈ min_open(u)
+    with (source.earlier_comparable). A space with no points has one map
+    into any space, the empty one."""
+    onto, under = target.min_open, target.min_closed
     maps = [()]
-    for x, row in enumerate(rows):
-        # f(x) ∈ under[f(p)] if p ∈ min_open(x), and f(x) ∈ onto[f(p)] if x ∈ min_open(p)
-        tests = ([(p, under) for p in range(x) if (row >> p) & 1]
-                 + [(p, onto) for p in range(x) if (rows[p] >> x) & 1])
-        maps = [f + (v,) for f in maps
-                for v in iter_bits(reduce(and_, [table[f[p]] for p, table in tests], target.full))]
+    for inside, around in source.earlier_comparable:
+        grown = []
+        for f in maps:
+            # f(x) ∈ under[f(p)] if p ∈ min_open(x),
+            # and f(x) ∈ onto[f(p)] if x ∈ min_open(p)
+            allowed = target.full
+            for p in inside:
+                allowed &= under[f[p]]
+            for p in around:
+                allowed &= onto[f[p]]
+            while allowed:
+                grown.append(f + ((allowed & -allowed).bit_length() - 1,))
+                allowed &= allowed - 1
+        maps = grown
     return len(maps)
 
 

@@ -243,9 +243,39 @@ MUTANTS = (
     Mutant(
         "enumerate-homs-drops-its-last-hom",
         "biheyt/quotient.py",
-        "return [found[m] for m in sorted(found)]",
-        "return [found[m] for m in sorted(found)][:max(1, len(found) - 1)]",
+        "return [LatticeHom(source, target, m, flavor) for m in sorted(maps)]",
+        "return [LatticeHom(source, target, m, flavor)"
+        " for m in sorted(maps)][:max(1, len(maps) - 1)]",
         ("tests/test_cli.py::test_verify_functoriality",),
+    ),
+    Mutant(
+        "hom-leaf-check-drops-the-join-table",
+        "biheyt/quotient.py",
+        "elif not _rows_kept(maps, source, target, names):",
+        "elif not _rows_kept(maps, source, target, names[:1]):",
+        ("tests/test_quotient.py::"
+         "test_enumerate_homs_matches_the_product_enumerator_into_m3_n5_and_relabellings",),
+    ),
+    Mutant(
+        "induced-continuity-against-the-source-opens",
+        "biheyt/spectrum.py",
+        "    continuous = opens.issuperset(preimages)",
+        "    continuous = _spectrum_tables(source_spec)[3].issuperset(preimages)",
+        ("tests/test_spectrum.py::test_induced_map_matches_the_pullback_route",),
+    ),
+    Mutant(
+        "glivenko-shortcut-on-every-intuitionistic-formula",
+        "biheyt/modal.py",
+        'semantics == "intuitionistic" and phi.kind == "not"',
+        'semantics == "intuitionistic"',
+        ("tests/test_modal.py::test_one_point_decides_only_the_glivenko_routes",),
+    ),
+    Mutant(
+        "glivenko-shortcut-on-the-classical-route",
+        "biheyt/modal.py",
+        'one_point = semantics == "dual" or',
+        'one_point = semantics in ("dual", "classical") or',
+        ("tests/test_modal.py::test_one_point_decides_only_the_glivenko_routes",),
     ),
     Mutant(
         "hom-count-never-reports",

@@ -1,5 +1,11 @@
-"""The routes that `verify functoriality`'s certificate replaced or
-counts against, kept as references for test_cli.py and test_topology.py.
+"""The routes that `verify functoriality` replaced or counts against,
+kept as references for test_cli.py, test_spectrum.py and
+test_topology.py.
+
+reference_induced_map is induced_map as it was before it read its sets
+as bytes: each φ⁻¹(P) by bitsets.pullback, and each open's preimage
+along the point map by a pullback loop, tested against the target's
+opens and, through a dict of the opens, against β.
 
 reference_count_continuous_maps counts the continuous maps between two
 finite spaces by trying every map, itertools.product over the points,
@@ -16,7 +22,30 @@ not that they are complete.
 
 from itertools import product
 
-from biheyt.bitsets import translate_table
+from biheyt import WrongKind
+from biheyt.bitsets import pullback, translate_table
+from biheyt.spectrum import InducedMap
+
+
+def reference_induced_map(phi, source_spec, target_spec) -> InducedMap:
+    """Send a prime filter P of φ's target to φ⁻¹(P), looked up among
+    the points of source_spec; verify the map is continuous and that the
+    preimage of β(h) is β(φ(h)) for every h."""
+    index = {p: i for i, p in enumerate(source_spec.points)}
+    point_map = []
+    for p in target_spec.points:
+        pre = pullback(phi.map, p)
+        if pre not in index:
+            raise WrongKind("preimage of a prime filter is not a point of the source spectrum")
+        point_map.append(index[pre])
+    point_map = tuple(point_map)
+    preimages = {o: pullback(point_map, o) for o in source_spec.space.opens}
+    target_opens = set(target_spec.space.opens)
+    continuous = all(pre in target_opens for pre in preimages.values())
+    # spectrum() generates the space from the β(h), so each is an open
+    identity_ok = all(preimages[b] == target_spec.beta[v]
+                      for b, v in zip(source_spec.beta, phi.map))
+    return InducedMap(phi, source_spec, target_spec, point_map, continuous, identity_ok)
 
 
 def reference_count_continuous_maps(source, target) -> int:

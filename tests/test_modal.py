@@ -1112,3 +1112,64 @@ def test_space_searches_walk_no_labelled_space(monkeypatch):
     monkeypatch.setattr(topology, "enumerate_preorders", refuse)
     topology._space_classes.cache_clear()
     assert [repr(countermodel_search(phi, 5, semantics=sem)) for sem, phi in cases] == want
+
+
+# -- routes decided on one point (Glivenko) ----------------------------------------------
+
+
+def test_glivenko_routes_match_the_labelled_walk():
+    """The dual route, and the intuitionistic route on a formula ¬ψ,
+    sweep one point only; the reference walks every labelled preorder on
+    every point count. The cases: all 1,356 dual formulas over p, q with
+    at most two connectives at 4 points, the 33 over p with at most one
+    at 5, and the 56 negations among the intuitionistic formulas over
+    p, q with at most two connectives at 4 points."""
+    cases = [("dual", phi, 4) for phi in enumerate_formulas(2, ("p", "q"),
+                                                           kinds=ALGEBRA_KINDS["dual"])]
+    cases += [("dual", phi, 5) for phi in enumerate_formulas(1, ("p",),
+                                                            kinds=ALGEBRA_KINDS["dual"])]
+    cases += [("intuitionistic", phi, 4)
+              for phi in enumerate_formulas(2, ("p", "q"), kinds=ALGEBRA_KINDS["intuitionistic"])
+              if phi.kind == "not"]
+    held = []
+    for semantics, phi, points in cases:
+        want = reference_search(phi, points, semantics=semantics)
+        got = countermodel_search(phi, points, semantics=semantics)
+        assert repr(got) == repr(want), (semantics, str(phi), points)
+        assert want is None or want.structure.points == 1, (semantics, str(phi))
+        held.append(want is None)
+    assert (len(cases), sum(held)) == (1356 + 33 + 56, 249 + 9 + 11)
+
+
+def test_glivenko_routes_build_no_class_above_one_point(monkeypatch):
+    asked = []
+    classes = modal.space_classes
+
+    def counted(points):
+        asked.append(points)
+        return classes(points)
+
+    monkeypatch.setattr(modal, "space_classes", counted)
+    for semantics, text in (("dual", "p | ~p"), ("intuitionistic", "!(p & !p)")):
+        assert countermodel_search(parse_formula(text), 5, semantics=semantics) is None
+    assert asked == [1, 1]
+
+
+def test_one_point_decides_only_the_glivenko_routes():
+    """!!p -> p is no negation and p -> []p is classical: both hold on
+    one point and fail first on two."""
+    for semantics, text in (("intuitionistic", "!!p -> p"), ("classical", "p -> []p")):
+        phi = parse_formula(text)
+        assert countermodel_search(phi, 1, semantics=semantics) is None, text
+        got = countermodel_search(phi, 4, semantics=semantics)
+        assert got.structure.points == 2, text
+        assert repr(got) == repr(reference_search(phi, 4, semantics=semantics)), text
+
+
+def test_glivenko_routes_keep_the_valuation_bound():
+    """A dual formula that holds on one point is still refused at the
+    first point count whose sweep is too wide, as the walk would be."""
+    phi = parse_formula("(a | ~a) | (b & c & d & e & f)")
+    assert countermodel_search(phi, 3, semantics="dual") is None
+    with pytest.raises(BoundExceeded, match="valuation space bits 24 exceeds configured bound 22"):
+        countermodel_search(phi, 4, semantics="dual")

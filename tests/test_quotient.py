@@ -711,6 +711,13 @@ def test_enumerate_homs_never_scans_for_distributivity():
     assert "distributive_failure" not in vars(target)
 
 
+def test_enumerate_homs_into_more_than_256_elements():
+    """A target of more than 256 elements has more than 8
+    join-irreducibles and no byte rows: its fields are read out one by
+    one and each map is verified with is_hom."""
+    assert [h.map for h in enumerate_homs(chain(2), chain(300))] == [(0, 299)]
+
+
 def test_enumerate_homs_bound(chain3):
     with pytest.raises(BoundExceeded):
         enumerate_homs(chain(9), chain3)
