@@ -52,6 +52,7 @@ from .quotient import (
     make_filter,
     make_ideal,
     quotient as quotient_by,
+    LatticeHom,
 )
 from .spectrum import induced_map, spectrum, verify_stone_embedding
 from . import topology
@@ -325,107 +326,90 @@ def _cmd_verify_stone(args, out: _Output) -> int:
     return exit_code
 
 
-def _compositions_certified(spectra, induced) -> tuple[bool, list[str]]:
-    """Two bulk checks that together imply the per-pair check of every
-    composable pair: whether C1 holds, and a line for each lattice pair
-    that fails C2.
-
-    C1, once per hom f: its point map is its preimage map. Translating
-    f by the 0/1 membership table of each point y of its target's
-    spectrum gives f⁻¹(y), which must be the point Spec f(y).
-    C2, once per lattice pair (i, j): Hom(L_i, L_j) has as many maps as
-    there are continuous maps Spec(L_j) → Spec(L_i) (Birkhoff duality),
-    counted from the spectra alone by topology.count_continuous_maps.
-
-    The homs of a pair are verified and, keyed by map, distinct, so by
-    C2 they are every hom of the pair. Then for each composable pair,
-    g∘f, a hom, is enumerated, and by C1 its point map sends x to
-    (g∘f)⁻¹(x) = f⁻¹(g⁻¹(x)), the point Spec f(Spec g(x)); the points of
-    a spectrum are distinct filters, so the two point maps agree."""
-    miscounts = []
-    for (i, j), ims in induced.items():
-        by_duality = count_continuous_maps(spectra[j].space, spectra[i].space)
-        if len(ims) != by_duality:
-            miscounts.append(f"hom count violation: lattice {i} (n={spectra[i].base.n}) -> "
-                             f"lattice {j} (n={spectra[j].base.n}): {len(ims)} enumerated, "
-                             f"{by_duality} by duality")
-    # members[i][x]: the translate table of point x of Spec(L_i), e ↦ [e ∈ x]
-    members = [[translate_table((p >> e) & 1 for e in range(spec.base.n)) for p in spec.points]
-               for spec in spectra]
-    # points[i]: the index of each point of Spec(L_i), by its membership bytes
-    points = [{table[:spec.base.n]: x for x, table in enumerate(tables)}
-              for spec, tables in zip(spectra, members)]
-    for (i, j), ims in induced.items():
-        index, tables = points[i], members[j]
-        for f, im in ims.items():
-            f = bytes(f)
-            if tuple([index.get(f.translate(table)) for table in tables]) != im.point_map:
-                return False, miscounts
-    return True, miscounts
-
-
 def _cmd_verify_functoriality(args, out: _Output) -> int:
-    """Each hom's induced map is computed once, into a table per lattice
-    pair keyed by the hom's map, and checked against the identity and
-    the β identity. The compositions are certified in bulk
-    (_compositions_certified), and a pair whose hom count is off is
-    reported. Only when the certificate fails are they walked pair by
-    pair: g∘f is built as a tuple and looked up in the table of (source
-    of f, target of g), and its point map is compared with Spec f ∘
-    Spec g. `compositions:` counts every composable pair either way.
-    The cap, quotient.MAX_HOM_SIZE, is checked before anything is
-    enumerated."""
+    """One pass over the lattice pairs (i, j): the homs of a pair, keyed
+    by map so that a repeated map counts once, each get their induced
+    map, checked against the β identity and C1, and only the point maps
+    are kept; the pair's hom count is checked by C2. The violations are
+    printed in the order identity, β, hom count, composition.
+
+    C1, per hom f: translating f by the 0/1 membership table of each
+    point y of its target's spectrum (the command's own tables, not
+    induced_map's) gives f⁻¹(y), which must be the point Spec f(y).
+    C2, per pair: Hom(L_i, L_j) has as many maps as there are continuous
+    maps Spec(L_j) → Spec(L_i) (Birkhoff duality), counted from the
+    spectra alone by topology.count_continuous_maps.
+
+    The homs of a pair are verified and distinct, so by C2 they are all
+    of them: each composite g∘f is enumerated, and by C1 its point map
+    sends x to (g∘f)⁻¹(x) = f⁻¹(g⁻¹(x)), the point Spec f(Spec g(x)), as
+    the points of a spectrum are distinct filters. Only when C1 or C2
+    fails are the composable pairs walked: g∘f is looked up among the
+    point maps of its pair and compared with Spec f ∘ Spec g.
+    `compositions:` counts every composable pair either way. The cap,
+    quotient.MAX_HOM_SIZE, is checked before anything is enumerated."""
     cap = sys.modules["biheyt.quotient"].MAX_HOM_SIZE  # `from . import quotient` is the function
     if args.max_size > cap:
         raise BoundExceeded("lattice size", args.max_size, cap)
     lattices = enumerate_distributive_lattices(args.max_size)
     spectra = [spectrum(lat) for lat in lattices]
     indices = range(len(lattices))
-    induced = {
-        (i, j): {phi.map: induced_map(phi, spectra[i], spectra[j])
-                 for phi in enumerate_homs(lattices[i], lattices[j])}
-        for i in indices for j in indices
-    }
-    exit_code = 0
-    identity_checked = beta_checked = 0
-    for i, lat in enumerate(lattices):
-        im = induced[(i, i)].get(tuple(range(lat.n)))
-        identity_checked += 1
-        if im is None or im.point_map != tuple(range(len(spectra[i].points))):
-            exit_code = 1
-            out.text(f"identity map violation on n={lat.n}")
-    for ims in induced.values():
-        for im in ims.values():
-            beta_checked += 1
-            if not (im.continuous and im.identity_ok):
-                exit_code = 1
-                out.text(f"beta identity violation for {im.hom!r}")
-    # the homs into L_j times the homs out of it, summed over j
-    composition_checked = sum(sum(len(induced[(i, j)]) for i in indices)
-                              * sum(len(induced[(j, l)]) for l in indices) for j in indices)
-    point_maps_ok, miscounts = _compositions_certified(spectra, induced)
-    for line in miscounts:
-        exit_code = 1
+    # members[i][x]: point x of Spec(L_i) as the table e ↦ [e ∈ x]; points[i] finds x by its bytes
+    members = [[translate_table((p >> e) & 1 for e in range(spec.base.n)) for p in spec.points]
+               for spec in spectra]
+    points = [{table[:spec.base.n]: x for x, table in enumerate(tables)}
+              for spec, tables in zip(spectra, members)]
+    point_maps = {}  # point_maps[(i, j)][f]: the point map of the hom f: L_i → L_j
+    betas, miscounts, preimages_ok = [], [], True
+    for i in indices:
+        for j in indices:
+            ims = {phi.map: induced_map(phi, spectra[i], spectra[j])
+                   for phi in enumerate_homs(lattices[i], lattices[j])}
+            index, tables = points[i], members[j]
+            for f, im in ims.items():
+                if not (im.continuous and im.identity_ok):
+                    betas.append(f"beta identity violation for {im.hom!r}")
+                if preimages_ok and tuple([index.get(bytes(f).translate(table))
+                                           for table in tables]) != im.point_map:
+                    preimages_ok = False
+            point_maps[(i, j)] = {f: im.point_map for f, im in ims.items()}
+            by_duality = count_continuous_maps(spectra[j].space, spectra[i].space)
+            if len(ims) != by_duality:
+                miscounts.append(f"hom count violation: lattice {i} (n={lattices[i].n}) -> "
+                                 f"lattice {j} (n={lattices[j].n}): {len(ims)} enumerated, "
+                                 f"{by_duality} by duality")
+    identities = [f"identity map violation on n={lat.n}" for i, lat in enumerate(lattices)
+                  if point_maps[(i, i)].get(tuple(range(lat.n)))
+                  != tuple(range(len(spectra[i].points)))]
+    exit_code = 1 if identities or betas or miscounts else 0
+    for line in identities + betas + miscounts:
         out.text(line)
-    if miscounts or not point_maps_ok:
-        for (i, j), ims in induced.items():
-            for f, i_f in ims.items():
+    # the homs into L_j times the homs out of it, summed over j
+    composition_checked = sum(sum(len(point_maps[(i, j)]) for i in indices)
+                              * sum(len(point_maps[(j, l)]) for l in indices) for j in indices)
+    if miscounts or not preimages_ok:
+        def hom(i, j, f):
+            return LatticeHom(lattices[i], lattices[j], f, "lattice")
+
+        for (i, j), maps in point_maps.items():
+            for f, spec_f in maps.items():
                 for l in indices:
-                    from_i = induced[(i, l)]
-                    for g, i_g in induced[(j, l)].items():
-                        i_gf = from_i.get(tuple(map(g.__getitem__, f)))
-                        if i_gf is None:
+                    from_i = point_maps[(i, l)]
+                    for g, spec_g in point_maps[(j, l)].items():
+                        spec_gf = from_i.get(tuple(map(g.__getitem__, f)))
+                        if spec_gf is None:
                             exit_code = 1
-                            out.text(f"composition violation: {i_f.hom!r} ; {i_g.hom!r} "
-                                     f"composes to no enumerated hom")
-                        elif i_gf.point_map != tuple(map(i_f.point_map.__getitem__,
-                                                         i_g.point_map)):
+                            out.text(f"composition violation: {hom(i, j, f)!r} ; "
+                                     f"{hom(j, l, g)!r} composes to no enumerated hom")
+                        elif spec_gf != tuple(map(spec_f.__getitem__, spec_g)):
                             exit_code = 1
-                            out.text(f"composition violation: {i_f.hom!r} ; {i_g.hom!r}")
-    out.text(f"identities: {identity_checked}, beta identities: {beta_checked}, "
+                            out.text(f"composition violation: {hom(i, j, f)!r} ; "
+                                     f"{hom(j, l, g)!r}")
+    beta_checked = sum(map(len, point_maps.values()))
+    out.text(f"identities: {len(lattices)}, beta identities: {beta_checked}, "
              f"compositions: {composition_checked}, "
              f"{'all contravariant' if exit_code == 0 else 'violations found'}")
-    out.record(record="functoriality", identities=identity_checked,
+    out.record(record="functoriality", identities=len(lattices),
                beta=beta_checked, compositions=composition_checked,
                ok=exit_code == 0)
     return exit_code

@@ -181,7 +181,11 @@ def induced_map(
     along the point map is the point map, as bytes, translated by β(h)'s
     table: one translate per element of the source. Those β(h) are the
     opens of the source spectrum, so the map is continuous when each
-    preimage is an open of the target spectrum."""
+    preimage is an open of the target spectrum. On spectra that
+    spectrum() built both verdicts follow from the point lookup, and
+    they stay: they test _spectrum_tables' bytes against the spectrum,
+    and they are what `verify functoriality` counts as beta
+    identities."""
     index, members, _, _ = _spectrum_tables(source_spec)
     _, _, beta, opens = _spectrum_tables(target_spec)
     k = len(target_spec.points)

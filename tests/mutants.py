@@ -287,9 +287,16 @@ MUTANTS = (
     Mutant(
         "walk-swaps-the-none-test",
         "biheyt/cli.py",
-        "if i_gf is None:",
-        "if i_gf is not None:",
+        "if spec_gf is None:",
+        "if spec_gf is not None:",
         ("tests/test_cli.py::test_functoriality_reports_a_composite_missing_from_the_homs",),
+    ),
+    Mutant(
+        "preimage-check-never-fails",
+        "biheyt/cli.py",
+        "                    preimages_ok = False\n",
+        "                    preimages_ok = True\n",
+        ("tests/test_cli.py::test_functoriality_reports_a_corrupted_point_map",),
     ),
     Mutant(
         "suite-cap-hard-coded",

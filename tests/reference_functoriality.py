@@ -14,7 +14,7 @@ topology.count_continuous_maps, which reads only the smallest open
 neighbourhoods.
 
 reference_compositions_certified is the composite certificate the hom
-count replaced. C1 is as in cli._compositions_certified. C2 translates
+count replaced. C1 is as in cli._cmd_verify_functoriality. C2 translates
 every composite g∘f and tests it against the enumerated homs of its
 pair, so it shows that the hom lists are closed under composition, but
 not that they are complete.

@@ -327,8 +327,9 @@ def test_functoriality_violations_match_the_per_pair_loop(capsys, monkeypatch, p
 
 
 def _certificate_inputs(max_size):
-    """The spectra and the induced maps `verify functoriality` certifies
-    at max_size, built through biheyt.cli's callees, so a patch there
+    """The spectra and the table of induced maps, per lattice pair and
+    keyed by hom map, that reference_compositions_certified reads at
+    max_size, built through biheyt.cli's callees, so a patch there
     reaches them."""
     import biheyt.cli as cli
 
@@ -341,35 +342,30 @@ def _certificate_inputs(max_size):
     return spectra, induced
 
 
-def _certified(spectra, induced):
-    """Whether the bulk composition certificate of `verify
-    functoriality` holds: C1 and every hom count."""
-    import biheyt.cli as cli
-
-    point_maps_ok, miscounts = cli._compositions_certified(spectra, induced)
-    return point_maps_ok and not miscounts
+def _command_exit(capsys, max_size):
+    return run(capsys, "verify", "functoriality", "--max-size", str(max_size))[0]
 
 
-def test_the_composition_certificate_holds_through_size_6():
+def test_the_composition_certificate_holds_through_size_6(capsys):
     """So does the composite certificate it replaced."""
     for size in range(1, 7):
-        inputs = _certificate_inputs(size)
-        assert _certified(*inputs) is reference_compositions_certified(*inputs) is True, size
+        assert _command_exit(capsys, size) == 0, size
+        assert reference_compositions_certified(*_certificate_inputs(size)) is True, size
 
 
-def test_the_certificate_agrees_with_the_composite_certificate_at_size_7():
-    inputs = _certificate_inputs(7)
-    assert _certified(*inputs) is reference_compositions_certified(*inputs) is True
+def test_the_certificate_agrees_with_the_composite_certificate_at_size_7(capsys):
+    assert _command_exit(capsys, 7) == 0
+    assert reference_compositions_certified(*_certificate_inputs(7)) is True
 
 
 @violation_patches
-def test_the_composition_certificate_fails_under_each_patch(monkeypatch, patches):
+def test_the_composition_certificate_fails_under_each_patch(capsys, monkeypatch, patches):
     import biheyt.cli as cli
 
     for name, patched in patches.items():
         monkeypatch.setattr(cli, name, patched(getattr(cli, name)))
-    inputs = _certificate_inputs(3)
-    assert _certified(*inputs) is reference_compositions_certified(*inputs) is False
+    assert _command_exit(capsys, 3) == 1
+    assert reference_compositions_certified(*_certificate_inputs(3)) is False
 
 
 @pytest.mark.parametrize("world", ["\u00b2", "w\u00b2"])
