@@ -19,14 +19,16 @@ and every caller reads them there.
 
 enumerate_distributive_lattices lists the distributive lattices up to
 MAX_ENUMERATION_SIZE elements through Birkhoff duality, as down-set
-lattices of unlabelled posets of join-irreducibles. The down-sets are
-the unions of the principal down-sets (bitsets.unions), the same
-construction as the opens of a finite space from its preorder.
+lattices of the unlabelled posets of join-irreducibles that _posets
+grows. The down-sets are the unions of the principal down-sets
+(bitsets.unions), the same construction as the opens of a finite space
+from its preorder, and topology.space_classes reads its posets of
+clusters from _posets too.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .bitsets import closed_relation, iter_bits, subset_key, translate_table, transpose, unions
@@ -333,10 +335,12 @@ def cover_pairs(lat: FiniteLattice) -> list[tuple[int, int]]:
 MAX_ENUMERATION_SIZE = 16
 
 
-def _downsets(up_rows: Sequence[int]) -> set[int]:
-    """All down-closed subsets of the poset with rows up[i] = {j | i <= j}:
-    the unions of its principal down-sets."""
-    return unions(transpose(up_rows, len(up_rows)))
+@lru_cache(maxsize=None)
+def _downsets(up_rows: tuple[int, ...]) -> tuple[int, ...]:
+    """The down-closed subsets of the poset with rows up[i] = {j | i <= j},
+    the unions of its principal down-sets, in subset_key order; cached, as
+    _posets and enumerate_distributive_lattices both read them."""
+    return tuple(sorted(unions(transpose(up_rows, len(up_rows))), key=subset_key))
 
 
 def _lex_min_form(
@@ -411,38 +415,39 @@ def _lex_min_form(
     return best, count
 
 
+@lru_cache(maxsize=None)
+def _posets(k: int, most: Optional[int] = None) -> tuple[tuple[int, ...], ...]:
+    """The posets on k points with at most `most` down-sets (all when
+    None), one per isomorphism class as its least row tuple over all
+    labellings (_lex_min_form), sorted: the order in which a scan of all
+    labelled posets in lexicographic row order first meets each class.
+    Each grows from a poset on k-1 points: a new minimal element goes
+    below an up-set of it (the complement of a down-set). A child with
+    more than `most` down-sets is dropped, since adding points never
+    lowers that count."""
+    if k == 0:
+        return ((),)
+    grown = set()
+    # _posets(k - 1) and _posets(k - 1, None) would be two cache entries
+    for rows in _posets(k - 1) if most is None else _posets(k - 1, most):
+        downs = _downsets(rows)
+        for kept in downs:
+            above = ((1 << (k - 1)) - 1) & ~kept
+            if most is None or len(downs) + sum(1 for d in downs if not d & above) <= most:
+                grown.add(_lex_min_form(rows + ((1 << (k - 1)) | above,))[0])
+    return tuple(sorted(grown))
+
+
 def enumerate_distributive_lattices(max_size: int) -> list[FiniteLattice]:
     """Every bounded distributive lattice with at most max_size elements,
-    one representative per isomorphism class.
-
-    Each lattice is built as the down-set lattice of its poset of
-    join-irreducibles. The posets with k points are grown from those
-    with k-1: a new minimal element goes below any up-set of the parent
-    (the complement of a down-set). A child is dropped once it has more
-    than max_size down-sets, since adding points never lowers that
-    count, and children are deduplicated by their least row tuple over
-    all labellings. Lattices come out by k, and within k by that tuple,
-    which is the order in which a scan of all labelled posets in
-    lexicographic row order first meets each class.
-
-    Raises BiheytError for an empty range (max_size < 1), which would
-    hold every claim vacuously, and BoundExceeded above
-    MAX_ENUMERATION_SIZE.
-    """
+    one per isomorphism class: the down-set lattice of each poset of
+    join-irreducibles from _posets(k, max_size), by k and then in
+    _posets' order. Raises BiheytError for an empty range (max_size < 1),
+    which would hold every claim vacuously, and BoundExceeded above
+    MAX_ENUMERATION_SIZE."""
     if max_size < 1:
         raise BiheytError(f"lattice size range 1..{max_size} is empty")
     if max_size > MAX_ENUMERATION_SIZE:
         raise BoundExceeded("lattice size", max_size, MAX_ENUMERATION_SIZE)
-    out = []
-    level: list[tuple[int, ...]] = [()]
-    for k in range(max_size):
-        grown = set()
-        for rows in level:
-            downs = _downsets(rows)
-            out.append(lattice_of_subsets(sorted(downs, key=subset_key)))
-            for kept in downs:
-                above = ((1 << k) - 1) & ~kept
-                if len(downs) + sum(1 for d in downs if not d & above) <= max_size:
-                    grown.add(_lex_min_form(rows + ((1 << k) | above,))[0])
-        level = sorted(grown)
-    return out
+    return [lattice_of_subsets(_downsets(rows))
+            for k in range(max_size) for rows in _posets(k, max_size)]

@@ -214,8 +214,9 @@ def valid_in_model(model: KripkeModel, phi: Formula) -> bool:
 
 
 def valid_in_frame(frame: KripkeFrame, phi: Formula, alphabet: Sequence[str]) -> bool:
-    """Validity under every valuation of the alphabet over the frame."""
-    names = list(alphabet)
+    """Validity under every valuation of the alphabet over the frame,
+    where a repeated atom is one atom, also for the valuation-bit bound."""
+    names = list(dict.fromkeys(alphabet))
     _check_valuation_bits(frame.worlds, len(names))
     prog, names = compile_formula(phi, "kripke", names)
     return next(_failures(prog, len(names), *_sweep(frame)), None) is None

@@ -13,18 +13,19 @@ A space built from a preorder keeps its rows as min_open.
 space_classes lists the spaces up to homeomorphism instead, one
 representative per class with the number of labelled spaces in the
 class (its orbit). A preorder is a poset of clusters (the points with
-the same smallest open neighbourhood), each cluster with a size. The
-classes on m points grow from those on m-1: one cluster gets a point
-more, or a new one-point cluster goes below an up-set of the clusters,
-as enumerate_distributive_lattices grows its posets. Children are kept
-once each under the lex-min canonical form of the cluster poset with
-its sizes (lattice._lex_min_form): the least preorder in row order
-with these clusters as blocks of consecutive points, which also counts
-the automorphisms. Twin clusters (the same strict up-set, strict
-down-set and size) can swap places, so the form branches once per
-group of twins and weights the count by the group's size. So each
-representative is the first labelled space of its class, and the
-labelled enumeration stays only as the reference.
+the same smallest open neighbourhood), each cluster with a size. So
+the classes on m points are the posets on k ≤ m points from
+lattice._posets, the grower enumerate_distributive_lattices reads too,
+each with the sizes of each cut of the m points into k consecutive
+blocks. Each is kept once under the lex-min canonical form of the
+poset with its sizes (lattice._lex_min_form): the least preorder in
+row order with these clusters as blocks of consecutive points, which
+also counts the automorphisms; the sizes are its runs of equal rows.
+Twin clusters (the same strict up-set, strict down-set and size) can
+swap places, so the form branches once per group of twins and weights
+the count by the group's size. So each representative is the first
+labelled space of its class, and the labelled enumeration stays only
+as the reference.
 
 The open sets form a Heyting algebra under inclusion and the closed
 sets a co-Heyting algebra under inclusion (∅ bottom, X top, ∧=∩, ∨=∪).
@@ -33,10 +34,11 @@ sets a co-Heyting algebra under inclusion (∅ bottom, X top, ∧=∩, ∨=∪).
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from itertools import combinations, groupby
 from math import factorial, prod
 from typing import Iterable, Iterator
 
-from .bitsets import iter_bits, mask_of, pattern, subset_key, transpose, unions
+from .bitsets import iter_bits, pattern, subset_key, transpose, unions
 from .errors import (
     BoundExceeded,
     MissingEmptyOrFull,
@@ -45,8 +47,8 @@ from .errors import (
 )
 from .lattice import (
     FiniteLattice,
-    _downsets,
     _lex_min_form,
+    _posets,
     lattice_of_subsets,
 )
 from .records import Record
@@ -276,8 +278,9 @@ def space_classes(points: int) -> tuple[SpaceClass, ...]:
     """One space per homeomorphism class on exactly `points` points
     (OEIS A001930: 1, 3, 9, 33, 139 on 1..5), ordered by canonical form.
     The orbits sum to the labelled count (A000798), and the classes with
-    skeletons of `points` clusters are the T0 ones (A000112). Each
-    representative is the first space of its class that
+    skeletons of `points` clusters are the T0 ones (A000112). A class
+    is a poset from lattice._posets, its skeleton, with a size for each
+    cluster. Each representative is the first space of its class that
     enumerate_topologies yields, and the classes come in the order that
     enumeration first meets them. At most MAX_SUITE_POINTS points; a
     negative count raises ValueError, and 0 gives the empty space."""
@@ -292,31 +295,18 @@ def space_classes(points: int) -> tuple[SpaceClass, ...]:
 def _space_classes(points: int) -> tuple[SpaceClass, ...]:
     if points == 0:
         return (SpaceClass(FiniteSpace(0, (0,)), 1, (), ()),)
-    grown: dict[tuple[int, ...], int] = {}  # canonical form -> automorphisms
-    # growing a cluster keeps the T0 quotient, and reaches every class that is not T0
-    skeletons: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for parent in _space_classes(points - 1):
-        rows, sizes = _clusters(parent.space.min_open)
-        k = len(rows)
-        for c in range(k):
-            form, automorphisms = _lex_min_form(rows, sizes[:c] + (sizes[c] + 1,) + sizes[c + 1 :])
-            grown[form], skeletons[form] = automorphisms, parent.skeleton
-        for down in _downsets(rows):
-            form, automorphisms = _lex_min_form(
-                rows + ((1 << k) | (((1 << k) - 1) & ~down),), sizes + (1,))
-            grown[form] = automorphisms
+    # canonical form -> cluster poset (the skeleton), automorphisms
+    forms: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+    for k in range(1, points + 1):
+        for cuts in combinations(range(1, points), k - 1):
+            sizes = tuple(b - a for a, b in zip((0,) + cuts, cuts + (points,)))
+            for rows in _posets(k):
+                form, automorphisms = _lex_min_form(rows, sizes)
+                forms[form] = rows, automorphisms
     out = []
-    for form in sorted(grown):
-        sizes = _clusters(form)[1]
-        orbit = factorial(points) // (grown[form] * prod(map(factorial, sizes)))
-        skeleton = skeletons.get(form, form)
+    for form in sorted(forms):
+        skeleton, automorphisms = forms[form]
+        sizes = tuple(len(list(run)) for _, run in groupby(form))
+        orbit = factorial(points) // (automorphisms * prod(map(factorial, sizes)))
         out.append(SpaceClass(from_preorder(Preorder(points, form)), orbit, skeleton, sizes))
     return tuple(out)
-
-
-def _clusters(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The cluster poset and the cluster sizes of preorder rows whose
-    clusters are blocks of consecutive points, in point order."""
-    starts = [x for x, row in enumerate(rows) if not x or row != rows[x - 1]]
-    return (tuple(mask_of(d for d, s in enumerate(starts) if (rows[t] >> s) & 1) for t in starts),
-            tuple(b - a for a, b in zip(starts, starts[1:] + [len(rows)])))

@@ -227,6 +227,20 @@ MUTANTS = (
         ("tests/test_topology.py::test_lex_min_form_is_the_least_expanded_preorder",),
     ),
     Mutant(
+        "space-classes-skip-a-leading-singleton",
+        "biheyt/topology.py",
+        "combinations(range(1, points), k - 1)",
+        "combinations(range(2, points), k - 1)",
+        ("tests/test_topology.py::test_class_counts_follow_oeis",),
+    ),
+    Mutant(
+        "poset-pruning-off-by-one",
+        "biheyt/lattice.py",
+        "<= most",
+        "< most",
+        ("tests/test_lattice.py::test_enumeration_counts_match_a006982",),
+    ),
+    Mutant(
         "hom-count-in-the-wrong-direction",
         "biheyt/cli.py",
         "count_continuous_maps(spectra[j].space, spectra[i].space)",

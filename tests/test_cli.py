@@ -608,6 +608,16 @@ def test_modal_valid(capsys):
     assert "valid" in out and "S4" in out
 
 
+def test_modal_valid_counts_a_repeated_atom_once(capsys):
+    """Eight copies of p in the alphabet are one atom: example1's three
+    worlds need 3 valuation bits, not 24 (past the bound of 22)."""
+    code, out, err = run(
+        capsys, "modal", "valid", "--model", "example1",
+        "--formula", "[]p -> p", "--alphabet", ",".join("p" * 8),
+    )
+    assert (code, out, err) == (0, "frame validity: valid (frame class S4)\n", "")
+
+
 def test_modal_invalid(capsys):
     code, out, _ = run(
         capsys, "modal", "valid", "--model", "example1", "--formula", "p"

@@ -14,7 +14,7 @@ from biheyt import (
     lattice_of_subsets,
 )
 from biheyt.bitsets import iter_bits, subset_key
-from biheyt.lattice import _lattice_from_rows
+from biheyt.lattice import _downsets, _lattice_from_rows, _posets
 from biheyt.topology import enumerate_preorders
 from reference_lattice import (
     reference_distributive_failure,
@@ -499,6 +499,21 @@ def test_enumeration_counts_match_a006982():
     sizes = [lat.n for lat in enumerate_distributive_lattices(16)]
     assert [sizes.count(n) for n in range(1, 17)] == a006982
     assert len(sizes) == sum(a006982) == 3635
+
+
+def test_posets_follow_a000112_and_prune_exactly():
+    """_posets(k) holds the posets on k points (OEIS A000112), sorted; for
+    k ≤ 6 and every bound, _posets(k, most) is _posets(k) filtered by
+    down-set count, in the same order, so pruning while growing drops no
+    poset within the bound."""
+    levels = [_posets(k) for k in range(8)]
+    assert [len(level) for level in levels] == [1, 1, 2, 5, 16, 63, 318, 2045]
+    assert all(list(level) == sorted(set(level)) for level in levels)
+    for k, level in enumerate(levels[:7]):
+        downsets = [len(_downsets(rows)) for rows in level]
+        for most in range(1, (1 << k) + 1):
+            assert _posets(k, most) == tuple(
+                rows for rows, d in zip(level, downsets) if d <= most), (k, most)
 
 
 @pytest.mark.parametrize("max_size", [0, -3])
